@@ -52,10 +52,11 @@ failoverReroute(const net::Cluster &cluster,
     for (std::size_t i : broken)
         engine.detachFlow(i);
 
-    // Surviving route sets come from the process RouteCache, which
-    // the fault layer's edge-down journal keeps filtering-fresh on
+    // Surviving route sets come from the process RouteCache, keyed by
     // the degraded fingerprint; with the cache off, a call-local
-    // flat-hash store reproduces the same sets.
+    // flat-hash store reproduces the same sets. The broken list is
+    // ascending, so misses arrive grouped by source and share one
+    // shortest-path DAG each.
     const bool use_cache = net::RouteCache::enabled();
     std::unordered_map<std::uint64_t, std::vector<net::Path>> local;
     for (std::size_t i : broken) {

@@ -77,14 +77,12 @@ FaultInjector::apply(const FaultEvent &ev)
     }
 
     if (ev.kind != FaultKind::SDC) {
-        // Epoch-based invalidation is driven by the topology change
-        // itself: the cluster mutators above funnel every edge flip
-        // through Graph::setEdgeCapacity(), whose up->down crossings
-        // journal incremental invalidation records with the process
-        // RouteCache (repairs move the fingerprint back to an
-        // already-cached value and need no record). The epoch gauge
-        // lets snapshots correlate route_cache invalidations with
-        // injector activity.
+        // Route invalidation is driven by the topology change itself:
+        // the cluster mutators above funnel every edge flip through
+        // Graph::setEdgeCapacity(), which moves the fingerprint the
+        // RouteCache keys on (repairs move it back to an
+        // already-cached value). The epoch gauge lets snapshots
+        // correlate route_cache misses with injector activity.
         static obs::Gauge &g_epoch = obs::Registry::global().gauge(
             "fault.injector.topology_epoch");
         ++topology_epoch_;

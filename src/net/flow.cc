@@ -305,7 +305,6 @@ FlowSimEngine::attachFlow(std::size_t flow)
         if (p.empty())
             continue;
         local = false;
-        auto s = (std::uint32_t)sub_flow_.size();
         sub_flow_.push_back((std::uint32_t)flow);
         sub_edge_begin_.push_back((std::uint32_t)sub_edges_.size());
         sub_edges_.insert(sub_edges_.end(), p.begin(), p.end());

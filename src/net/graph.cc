@@ -1,12 +1,10 @@
 #include "net/graph.hh"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "net/route_cache.hh"
 #include "obs/registry.hh"
 
 namespace dsv3::net {
@@ -65,12 +63,8 @@ Graph::setEdgeCapacity(EdgeId id, double capacity)
     const bool was_down = edges_[id].capacity <= 0.0;
     const bool now_down = capacity <= 0.0;
     edges_[id].capacity = capacity;
-    if (was_down == now_down)
-        return; // capacity-only change: fingerprint must not move
-    const std::uint64_t old_fp = fingerprint();
-    down_fold_ ^= hashU64(id);
-    if (now_down && RouteCache::enabled())
-        RouteCache::global().noteEdgeDown(*this, old_fp, id);
+    if (was_down != now_down)
+        down_fold_ ^= hashU64(id); // capacity-only changes keep the key
 }
 
 void
@@ -154,6 +148,88 @@ pathCapacity(const Graph &graph, const Path &path)
     return cap;
 }
 
+namespace {
+
+constexpr std::uint32_t kUnreached = 0xffffffffu;
+
+/**
+ * Shortest-path DAG rooted at one source: BFS hop distances plus, per
+ * node, the incoming edges that lie on some shortest path, as one
+ * flat CSR. Parents are listed in BFS queue order, then CSR edge
+ * order -- the order a per-pair BFS appends them in.
+ */
+struct SourceDag
+{
+    const Graph *graph = nullptr;
+    std::uint64_t fingerprint = 0;
+    NodeId src = kInvalidNode;
+    std::vector<std::uint32_t> dist;
+    std::vector<NodeId> order;          //!< BFS queue order
+    std::vector<std::uint32_t> offsets; //!< nodes+1, into parents
+    std::vector<std::uint32_t> cursor;  //!< fill scratch
+    std::vector<EdgeId> parents;
+
+    EdgeSpan parentsOf(NodeId v) const
+    {
+        return {parents.data() + offsets[v], offsets[v + 1] - offsets[v]};
+    }
+};
+
+/**
+ * The DAG from @p src, rebuilt only when the slot's key moves. BFS
+ * reads the structure and which edges are down, both folded into the
+ * fingerprint, so (graph, fingerprint, src) keys it exactly; traffic
+ * grouped by source pays one BFS per source.
+ */
+const SourceDag &
+sourceDag(const Graph &graph, NodeId src)
+{
+    thread_local SourceDag dag;
+    const std::uint64_t fp = graph.fingerprint();
+    if (dag.graph == &graph && dag.fingerprint == fp && dag.src == src)
+        return dag;
+    dag.graph = &graph;
+    dag.fingerprint = fp;
+    dag.src = src;
+
+    // BFS over up edges, counting each node's DAG parents.
+    const std::size_t n = graph.nodeCount();
+    dag.dist.assign(n, kUnreached);
+    dag.offsets.assign(n + 1, 0);
+    dag.order.clear();
+    dag.dist[src] = 0;
+    dag.order.push_back(src);
+    for (std::size_t head = 0; head < dag.order.size(); ++head) {
+        const NodeId u = dag.order[head];
+        for (EdgeId e : graph.outEdges(u)) {
+            const Edge &edge = graph.edge(e);
+            if (edge.capacity <= 0.0)
+                continue; // faulted edge
+            if (dag.dist[edge.to] == kUnreached) {
+                dag.dist[edge.to] = dag.dist[u] + 1;
+                dag.order.push_back(edge.to);
+            }
+            if (dag.dist[edge.to] == dag.dist[u] + 1)
+                ++dag.offsets[edge.to + 1];
+        }
+    }
+    for (std::size_t v = 0; v < n; ++v)
+        dag.offsets[v + 1] += dag.offsets[v];
+
+    // Fill pass in the same queue and edge order.
+    dag.parents.resize(dag.offsets[n]);
+    dag.cursor.assign(dag.offsets.begin(), dag.offsets.end() - 1);
+    for (NodeId u : dag.order)
+        for (EdgeId e : graph.outEdges(u)) {
+            const Edge &edge = graph.edge(e);
+            if (edge.capacity > 0.0 && dag.dist[edge.to] == dag.dist[u] + 1)
+                dag.parents[dag.cursor[edge.to]++] = e;
+        }
+    return dag;
+}
+
+} // namespace
+
 std::vector<Path>
 shortestPaths(const Graph &graph, NodeId src, NodeId dst,
               std::size_t max_paths, bool *truncated)
@@ -164,33 +240,8 @@ shortestPaths(const Graph &graph, NodeId src, NodeId dst,
     if (src == dst)
         return {Path{}};
 
-    // BFS building the shortest-path DAG: dist[] plus, per node, the
-    // list of incoming edges that lie on some shortest path.
-    constexpr std::uint32_t kInf = 0xffffffffu;
-    std::vector<std::uint32_t> dist(graph.nodeCount(), kInf);
-    std::vector<std::vector<EdgeId>> parents(graph.nodeCount());
-    std::deque<NodeId> queue;
-    dist[src] = 0;
-    queue.push_back(src);
-    while (!queue.empty()) {
-        NodeId u = queue.front();
-        queue.pop_front();
-        if (dist[u] >= dist[dst] && dst != u && dist[dst] != kInf)
-            continue; // no shorter paths can be found beyond dst
-        for (EdgeId e : graph.outEdges(u)) {
-            if (graph.edge(e).capacity <= 0.0)
-                continue; // faulted edge
-            NodeId v = graph.edge(e).to;
-            if (dist[v] == kInf) {
-                dist[v] = dist[u] + 1;
-                parents[v].push_back(e);
-                queue.push_back(v);
-            } else if (dist[v] == dist[u] + 1) {
-                parents[v].push_back(e);
-            }
-        }
-    }
-    if (dist[dst] == kInf)
+    const SourceDag &dag = sourceDag(graph, src);
+    if (dag.dist[dst] == kUnreached)
         return {};
 
     // Expand the DAG from dst backwards (DFS), bounded by max_paths.
@@ -224,13 +275,14 @@ shortestPaths(const Graph &graph, NodeId src, NodeId dst,
                 current.pop_back();
             continue;
         }
-        if (top.idx >= parents[top.node].size()) {
+        const EdgeSpan parents = dag.parentsOf(top.node);
+        if (top.idx >= parents.size()) {
             stack.pop_back();
             if (!current.empty())
                 current.pop_back();
             continue;
         }
-        EdgeId e = parents[top.node][top.idx++];
+        EdgeId e = parents[top.idx++];
         current.push_back(e);
         stack.push_back({graph.edge(e).from, 0});
     }

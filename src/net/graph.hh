@@ -98,8 +98,7 @@ class Graph
      * edge is down: path enumeration skips it and max-min sharing
      * gives its subflows no rate. Restoring the original value heals
      * the edge byte-identically (including the fingerprint, whose
-     * downed-edge fold is self-inverse). An up->down flip journals an
-     * incremental invalidation record with the process RouteCache.
+     * downed-edge fold is self-inverse).
      */
     void setEdgeCapacity(EdgeId id, double capacity);
 
@@ -186,6 +185,14 @@ double pathCapacity(const Graph &graph, const Path &path);
  * enumeration from a clipped one. Truncation is deterministic: the
  * DAG expansion order is fixed, so the same graph yields the same
  * clipped set every time.
+ *
+ * One BFS from @p src builds the whole shortest-path DAG (hop
+ * distances plus each node's on-path parent edges); each destination
+ * is then a DFS over it. The last DAG is kept in one per-thread slot
+ * keyed by (&graph, fingerprint(), src), so consecutive calls from the
+ * same source on an unchanged topology share one BFS. The key covers
+ * everything BFS reads: up/down flips move the fingerprint and
+ * capacity-only changes do not matter to it.
  */
 std::vector<Path> shortestPaths(const Graph &graph, NodeId src,
                                 NodeId dst, std::size_t max_paths = 512,

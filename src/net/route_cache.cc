@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -20,10 +19,6 @@ struct RouteCacheStats
         obs::Registry::global().counter("net.route_cache.hits");
     obs::Counter &misses =
         obs::Registry::global().counter("net.route_cache.misses");
-    obs::Counter &invalidations = obs::Registry::global().counter(
-        "net.route_cache.invalidations");
-    obs::Counter &derived =
-        obs::Registry::global().counter("net.route_cache.derived");
     obs::Counter &evictions =
         obs::Registry::global().counter("net.route_cache.evictions");
 };
@@ -104,39 +99,11 @@ RouteCache::tableFor(std::uint64_t key)
     return it->second;
 }
 
-PathSetRef
-RouteCache::store(std::uint64_t key, std::uint64_t pk, PathSetRef ps)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    Table &table = tableFor(key);
-    // Insert-if-absent: a racing writer's bytes are identical, and an
-    // existing entry with a *different* truncation bound must not be
-    // clobbered (nor returned -- the caller's own set answers its
-    // bound; the occupant answers the bound it was stored under).
-    table.entries.emplace(pk, ps);
-    return ps;
-}
-
-void
-RouteCache::noteEdgeDown(const Graph &graph, std::uint64_t old_fp,
-                         EdgeId e)
-{
-    const std::uint64_t parent = tableKey(graph, old_fp);
-    const std::uint64_t child = tableKey(graph, graph.fingerprint());
-    std::lock_guard<std::mutex> lock(mu_);
-    if (journal_.size() >= kMaxJournal &&
-        journal_.find(child) == journal_.end())
-        journal_.clear(); // overflow: future misses re-enumerate
-    journal_[child] = {parent, e};
-    cacheStats().invalidations.inc();
-}
-
 void
 RouteCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     tables_.clear();
-    journal_.clear();
 }
 
 std::size_t
@@ -154,11 +121,7 @@ RouteCache::paths(const Graph &graph, NodeId src, NodeId dst,
     const std::uint64_t pk = pairKey(src, dst);
     RouteCacheStats &stats = cacheStats();
 
-    // Fast path: the fingerprint's table already has a usable entry.
-    // On a table miss, collect the journal chain back to the nearest
-    // cached ancestor (the downed edges separating it from here).
-    PathSetRef ancestor;
-    std::vector<EdgeId> downed;
+    // Hit: the fingerprint's table already has a usable entry.
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = tables_.find(key);
@@ -170,57 +133,10 @@ RouteCache::paths(const Graph &graph, NodeId src, NodeId dst,
                 stats.hits.inc();
                 return entry->second;
             }
-        } else {
-            std::uint64_t walk = key;
-            for (std::size_t depth = 0; depth < kMaxChain; ++depth) {
-                auto j = journal_.find(walk);
-                if (j == journal_.end())
-                    break;
-                downed.push_back(j->second.edge);
-                walk = j->second.parentKey;
-                auto anc = tables_.find(walk);
-                if (anc != tables_.end()) {
-                    auto entry = anc->second.entries.find(pk);
-                    if (entry != anc->second.entries.end() &&
-                        entry->second->complete)
-                        ancestor = entry->second;
-                    break;
-                }
-            }
         }
     }
 
-    // Incremental derivation: filter the ancestor's complete set by
-    // the downed edges. Removing edges cannot create new paths of the
-    // same (shortest) length, so non-empty survivors are exactly the
-    // new complete set, already in canonical order. Empty survivors
-    // mean the shortest length grew -- fall through to BFS.
-    if (ancestor) {
-        DSV3_TRACE_SPAN("net.route_cache.derive", "downed",
-                        downed.size());
-        auto ps = std::make_shared<PathSet>();
-        ps->paths.reserve(ancestor->paths.size());
-        for (const Path &p : ancestor->paths) {
-            bool survives = true;
-            for (EdgeId e : p) {
-                if (std::find(downed.begin(), downed.end(), e) !=
-                    downed.end()) {
-                    survives = false;
-                    break;
-                }
-            }
-            if (survives)
-                ps->paths.push_back(p);
-        }
-        if (!ps->paths.empty() && ps->paths.size() <= max_paths) {
-            stats.derived.inc();
-            stats.hits.inc();
-            return store(key, pk, std::move(ps));
-        }
-    }
-
-    // Miss: enumerate fresh, canonicalize, publish (first writer wins
-    // on a race; both computed the same bytes).
+    // Miss: enumerate fresh, canonicalize, publish.
     stats.misses.inc();
     DSV3_TRACE_SPAN("net.route_cache.fill", "pair", pk);
     bool truncated = false;
@@ -231,7 +147,12 @@ RouteCache::paths(const Graph &graph, NodeId src, NodeId dst,
     ps->paths = std::move(found);
     ps->complete = !truncated;
     ps->maxPaths = (std::uint32_t)max_paths;
-    return store(key, pk, std::move(ps));
+    // Insert-if-absent: a racing writer's bytes are identical, and an
+    // existing entry with a *different* truncation bound must not be
+    // clobbered (nor returned -- this set answers the caller's bound).
+    std::lock_guard<std::mutex> lock(mu_);
+    tableFor(key).entries.emplace(pk, ps);
+    return ps;
 }
 
 } // namespace dsv3::net

@@ -14,19 +14,13 @@
  * entries, and results are byte-identical to uncached enumeration by
  * construction.
  *
- * Invalidation is incremental, not wholesale. When fault injection
- * takes an edge down, Graph::setEdgeCapacity() journals
- * (new fingerprint) -> (old fingerprint, downed edge). A lookup that
- * misses walks that journal chain back to a cached ancestor table and
- * filters the ancestor's path set: for a *complete* shortest-path set,
- * removing edges can never create new equal-length paths, so the
- * surviving subset -- when non-empty -- is exactly the new complete
- * set, in unchanged canonical order, without rerunning BFS. Repairs
- * need no journal at all: the downed-edge fold is self-inverse, so
- * repairing returns the fingerprint to an already-cached value.
+ * A topology change needs no invalidation. Taking an edge down moves
+ * the fingerprint, so later lookups land in a new table and miss into
+ * shortestPaths(), which serves a whole source's misses from one
+ * shortest-path DAG. Repairs return the fingerprint to an
+ * already-cached value, because the downed-edge fold is self-inverse.
  * Degrading a link to a non-zero capacity does not move the
- * fingerprint and therefore cannot invalidate anything -- capacity is
- * not part of shortest-path keying.
+ * fingerprint at all -- capacity is not part of shortest-path keying.
  *
  * Caching a *truncated* enumeration (max_paths hit) records the bound
  * it was clipped at; such an entry only serves requests with the same
@@ -34,10 +28,10 @@
  * canonical sort and cannot be emulated from a differently-bounded
  * set. Complete entries serve any request whose bound admits them.
  *
- * Counters: net.route_cache.{hits,misses,invalidations,derived,
- * evictions}. The BFS fill and journal-derivation paths carry trace
- * spans. Disable with DSV3_ROUTE_CACHE=0 (or setEnabled(false)); the
- * callers then fall back to per-call local caches.
+ * Counters: net.route_cache.{hits,misses,evictions}. The fill path
+ * carries a trace span. Disable with DSV3_ROUTE_CACHE=0 (or
+ * setEnabled(false)); the callers then fall back to per-call local
+ * caches, whose misses share the same per-source DAG.
  */
 
 #pragma once
@@ -77,25 +71,15 @@ class RouteCache
 
     /**
      * The canonical shortest-path set for (src, dst) on @p graph,
-     * served from cache, derived from a journaled ancestor, or
-     * enumerated fresh. Byte-identical (after the caller-side sort
-     * the uncached paths always got) to shortestPaths() with the same
-     * bound. The returned set is immutable and safe to hold across
-     * later topology mutation.
+     * served from cache or enumerated fresh. Byte-identical (after
+     * the caller-side sort the uncached paths always got) to
+     * shortestPaths() with the same bound. The returned set is
+     * immutable and safe to hold across later topology mutation.
      */
     PathSetRef paths(const Graph &graph, NodeId src, NodeId dst,
                      std::size_t max_paths = 512);
 
-    /**
-     * Journal an up->down edge flip: the graph's previous fingerprint
-     * was @p old_fp, edge @p e is now down. Called by
-     * Graph::setEdgeCapacity(); cheap (one map insert), the actual
-     * invalidation work happens lazily on lookup.
-     */
-    void noteEdgeDown(const Graph &graph, std::uint64_t old_fp,
-                      EdgeId e);
-
-    /** Drop every table and journal entry (cold-cache runs, tests). */
+    /** Drop every table (cold-cache runs, tests). */
     void clear();
 
     /** Number of per-fingerprint tables currently cached. */
@@ -107,11 +91,6 @@ class RouteCache
         std::unordered_map<std::uint64_t, PathSetRef> entries;
         std::uint64_t touch = 0; //!< LRU stamp
     };
-    struct JournalEntry
-    {
-        std::uint64_t parentKey;
-        EdgeId edge;
-    };
 
     static std::uint64_t tableKey(const Graph &graph,
                                   std::uint64_t fingerprint);
@@ -120,20 +99,13 @@ class RouteCache
         return ((std::uint64_t)src << 32) | dst;
     }
 
-    /** Insert @p ps for @p pk under @p key; keeps an existing entry
-     *  (first writer wins on races). Returns the entry now stored. */
-    PathSetRef store(std::uint64_t key, std::uint64_t pk,
-                     PathSetRef ps);
     Table &tableFor(std::uint64_t key); //!< get-or-create + LRU evict
 
     mutable std::mutex mu_;
     std::unordered_map<std::uint64_t, Table> tables_;
-    std::unordered_map<std::uint64_t, JournalEntry> journal_;
     std::uint64_t touch_counter_ = 0;
 
     static constexpr std::size_t kMaxTables = 64;
-    static constexpr std::size_t kMaxJournal = 4096;
-    static constexpr std::size_t kMaxChain = 64;
 };
 
 } // namespace dsv3::net

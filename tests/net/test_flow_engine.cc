@@ -209,9 +209,11 @@ TEST_P(GoldenRatesTest, IncrementalRemovalMatchesRebuild)
     for (std::size_t s = 0; s < survivor_ids.size(); ++s)
         EXPECT_EQ(actual[survivor_ids[s]], expected[s])
             << "flow " << survivor_ids[s];
-    for (std::size_t i = 0; i < flows.size(); ++i)
-        if (i % 3 == 0)
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        if (i % 3 == 0) {
             EXPECT_EQ(actual[i], 0.0);
+        }
+    }
 }
 
 TEST_P(GoldenRatesTest, EverySuccessiveEpochMatchesReference)

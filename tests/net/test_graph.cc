@@ -1,11 +1,19 @@
 /**
  * @file
- * Tests for the capacity graph and shortest-path enumeration.
+ * Tests for the capacity graph and shortest-path enumeration,
+ * including a golden check of the per-source DAG enumeration against
+ * the per-pair BFS it replaced.
  */
 
+#include <algorithm>
+#include <deque>
 #include <gtest/gtest.h>
+#include <tuple>
 
+#include "net/cluster.hh"
+#include "net/dragonfly.hh"
 #include "net/graph.hh"
+#include "net/slimfly.hh"
 
 namespace dsv3::net {
 namespace {
@@ -24,6 +32,261 @@ diamond(double cap_top = 10.0, double cap_bottom = 10.0)
     g.addEdge(s, b, cap_bottom, 1e-6);
     g.addEdge(b, t, cap_bottom, 1e-6);
     return g;
+}
+
+/**
+ * The per-pair enumeration shortestPaths() used before it shared one
+ * BFS per source, kept verbatim (minus its stats and warning) as the
+ * oracle: a fresh BFS from src that stops expanding past dst's level,
+ * then a DFS from dst back over the parent lists.
+ */
+std::vector<Path>
+referenceShortestPaths(const Graph &graph, NodeId src, NodeId dst,
+                       std::size_t max_paths, bool *truncated)
+{
+    if (truncated)
+        *truncated = false;
+    if (src == dst)
+        return {Path{}};
+
+    constexpr std::uint32_t kInf = 0xffffffffu;
+    std::vector<std::uint32_t> dist(graph.nodeCount(), kInf);
+    std::vector<std::vector<EdgeId>> parents(graph.nodeCount());
+    std::deque<NodeId> queue;
+    dist[src] = 0;
+    queue.push_back(src);
+    while (!queue.empty()) {
+        NodeId u = queue.front();
+        queue.pop_front();
+        if (dist[u] >= dist[dst] && dst != u && dist[dst] != kInf)
+            continue; // no shorter paths can be found beyond dst
+        for (EdgeId e : graph.outEdges(u)) {
+            if (graph.edge(e).capacity <= 0.0)
+                continue; // faulted edge
+            NodeId v = graph.edge(e).to;
+            if (dist[v] == kInf) {
+                dist[v] = dist[u] + 1;
+                parents[v].push_back(e);
+                queue.push_back(v);
+            } else if (dist[v] == dist[u] + 1) {
+                parents[v].push_back(e);
+            }
+        }
+    }
+    if (dist[dst] == kInf)
+        return {};
+
+    std::vector<Path> paths;
+    Path current;
+    struct Frame { NodeId node; std::size_t idx; };
+    std::vector<Frame> stack;
+    stack.push_back({dst, 0});
+    while (!stack.empty()) {
+        Frame &top = stack.back();
+        if (top.node == src) {
+            Path p(current.rbegin(), current.rend());
+            paths.push_back(std::move(p));
+            if (paths.size() >= max_paths) {
+                if (truncated)
+                    *truncated = true;
+                break;
+            }
+            stack.pop_back();
+            if (!current.empty())
+                current.pop_back();
+            continue;
+        }
+        if (top.idx >= parents[top.node].size()) {
+            stack.pop_back();
+            if (!current.empty())
+                current.pop_back();
+            continue;
+        }
+        EdgeId e = parents[top.node][top.idx++];
+        current.push_back(e);
+        stack.push_back({graph.edge(e).from, 0});
+    }
+    return paths;
+}
+
+/**
+ * shortestPaths() must return the oracle's unsorted vector and
+ * truncation flag. Reports the first mismatch; true when all agree.
+ */
+bool
+matchesReference(const Graph &g, NodeId src, NodeId dst,
+                 std::size_t max_paths)
+{
+    bool want_trunc = false, got_trunc = false;
+    auto want = referenceShortestPaths(g, src, dst, max_paths, &want_trunc);
+    auto got = shortestPaths(g, src, dst, max_paths, &got_trunc);
+    if (got == want && got_trunc == want_trunc)
+        return true;
+    ADD_FAILURE() << src << "->" << dst << " max_paths " << max_paths
+                  << ": " << got.size() << " paths (truncated "
+                  << got_trunc << "), oracle " << want.size()
+                  << " (truncated " << want_trunc << ")";
+    return false;
+}
+
+/**
+ * Every ordered node pair at bounds 1, 2 and 512. The oracle's DFS
+ * emits paths in a fixed order and stops at the bound, so its answer
+ * at bound k is the first min(k, n) paths of its answer at 512, and it
+ * truncates exactly when n >= k: one oracle run per pair checks all
+ * three bounds.
+ */
+void
+expectAllPairsMatchReference(const Graph &g)
+{
+    for (NodeId src = 0; src < g.nodeCount(); ++src) {
+        for (NodeId dst = 0; dst < g.nodeCount(); ++dst) {
+            const std::vector<Path> full =
+                referenceShortestPaths(g, src, dst, 512, nullptr);
+            for (std::size_t bound : {1, 2, 512}) {
+                const std::size_t n = std::min(bound, full.size());
+                const std::vector<Path> want(full.begin(),
+                                             full.begin() + n);
+                // The self pair is a single empty path, never clipped.
+                const bool want_trunc = src != dst && full.size() >= bound;
+                bool got_trunc = false;
+                if (shortestPaths(g, src, dst, bound, &got_trunc) != want ||
+                    got_trunc != want_trunc) {
+                    ADD_FAILURE() << src << "->" << dst << " max_paths "
+                                  << bound << " differs from the oracle";
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/** Take down every edge touching @p node (a switch outage). */
+void
+downNode(Graph &g, NodeId node)
+{
+    for (EdgeId e = 0; e < g.edgeCount(); ++e)
+        if (g.edge(e).from == node || g.edge(e).to == node)
+            g.setEdgeCapacity(e, 0.0);
+}
+
+/** Take down both directions of the first NIC cable off @p leaf. */
+void
+downNicCableAwayFrom(Graph &g, NodeId leaf)
+{
+    for (EdgeId e = 0; e < g.edgeCount(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (g.node(edge.from).kind == NodeKind::GPU &&
+            g.node(edge.to).kind == NodeKind::LEAF && edge.to != leaf) {
+            g.setEdgeCapacity(g.findEdge(edge.to, edge.from), 0.0);
+            g.setEdgeCapacity(e, 0.0);
+            return;
+        }
+    }
+    FAIL() << "no NIC cable to take down";
+}
+
+Graph
+clusterGraph(Fabric fabric, std::size_t hosts)
+{
+    ClusterConfig cc;
+    cc.fabric = fabric;
+    cc.hosts = hosts;
+    return buildCluster(cc).graph;
+}
+
+struct GoldenTopology
+{
+    const char *name;
+    Graph (*build)();
+};
+
+/** (topology, with a leaf and a NIC cable down) */
+using GoldenParam = std::tuple<GoldenTopology, bool>;
+
+class ShortestPathsGolden : public ::testing::TestWithParam<GoldenParam>
+{
+};
+
+TEST_P(ShortestPathsGolden, MatchesPerPairBfs)
+{
+    const auto &[topology, faulted] = GetParam();
+    Graph g = topology.build();
+    if (faulted) {
+        // A leaf switch and a NIC cable on another leaf go down.
+        const std::vector<NodeId> leaves = g.nodesOfKind(NodeKind::LEAF);
+        ASSERT_FALSE(leaves.empty());
+        const NodeId leaf = leaves[leaves.size() / 2];
+        downNode(g, leaf);
+        downNicCableAwayFrom(g, leaf);
+    }
+    expectAllPairsMatchReference(g);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, ShortestPathsGolden,
+    ::testing::Combine(
+        ::testing::Values(
+            GoldenTopology{"MPFT16",
+                           [] { return clusterGraph(Fabric::MPFT, 16); }},
+            GoldenTopology{"MPFT32",
+                           [] { return clusterGraph(Fabric::MPFT, 32); }},
+            GoldenTopology{"MRFT16",
+                           [] { return clusterGraph(Fabric::MRFT, 16); }},
+            GoldenTopology{"MRFT32",
+                           [] { return clusterGraph(Fabric::MRFT, 32); }},
+            GoldenTopology{"SlimFly", [] { return buildSlimFly(5, 3); }},
+            GoldenTopology{"Dragonfly",
+                           [] { return buildDragonfly({}); }}),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<GoldenParam> &info) {
+        return std::string(std::get<0>(info.param).name) +
+               (std::get<1>(info.param) ? "Faulted" : "Healthy");
+    });
+
+TEST(ShortestPaths, SlotKeyTracksSourceGraphAndTopology)
+{
+    // The per-thread DAG slot is keyed by (graph, fingerprint, src);
+    // each access pattern below would serve a stale DAG if one part
+    // of that key were missing.
+    Graph g1 = clusterGraph(Fabric::MRFT, 16);
+    Graph g2 = clusterGraph(Fabric::MRFT, 16);
+    ASSERT_EQ(g1.fingerprint(), g2.fingerprint());
+    const std::vector<NodeId> gpus = g1.nodesOfKind(NodeKind::GPU);
+    const NodeId a = gpus[0], b = gpus[gpus.size() - 1];
+
+    // Interleaved sources.
+    for (NodeId dst : gpus) {
+        ASSERT_TRUE(matchesReference(g1, a, dst, 512));
+        ASSERT_TRUE(matchesReference(g1, b, dst, 512));
+    }
+
+    // Two structurally identical graphs, one with a leaf down, from
+    // the same source.
+    downNode(g2, g2.nodesOfKind(NodeKind::LEAF)[0]);
+    for (NodeId dst : gpus) {
+        ASSERT_TRUE(matchesReference(g1, a, dst, 512));
+        ASSERT_TRUE(matchesReference(g2, a, dst, 512));
+    }
+
+    // An edge on the first route goes down and comes back up between
+    // calls from the same source.
+    const std::vector<Path> healthy = shortestPaths(g1, a, b);
+    ASSERT_GT(healthy.size(), 1u);
+    const EdgeId cut = healthy[0][1];
+    const double cap = g1.edge(cut).capacity;
+    g1.setEdgeCapacity(cut, 0.0);
+    ASSERT_TRUE(matchesReference(g1, a, b, 512));
+    EXPECT_LT(shortestPaths(g1, a, b).size(), healthy.size());
+    g1.setEdgeCapacity(cut, cap);
+    EXPECT_EQ(shortestPaths(g1, a, b), healthy);
+
+    // A structural change between calls from the same source.
+    Graph d = diamond();
+    EXPECT_EQ(shortestPaths(d, 0, 3).size(), 2u);
+    d.addEdge(0, 3, 1.0, 1e-6);
+    ASSERT_EQ(shortestPaths(d, 0, 3).size(), 1u);
+    EXPECT_TRUE(matchesReference(d, 0, 3, 512));
 }
 
 TEST(Graph, NodeAndEdgeBookkeeping)

@@ -15,6 +15,18 @@
 #include "numerics/minifloat.hh"
 
 namespace dsv3::numerics {
+
+/**
+ * Print a format parameter by name, not by address, so the test names
+ * that gtest lists (and ctest registers) are the same on every run.
+ * Found by argument-dependent lookup, hence outside the anonymous
+ * namespace.
+ */
+static void PrintTo(const FloatFormat *fmt, std::ostream *os)
+{
+    *os << fmt->name;
+}
+
 namespace {
 
 TEST(FloatFormat, E4M3Constants)
