@@ -28,9 +28,8 @@
  *   --repeat=<N>    after the normal (printing) table pass, rebuild
  *                   the tables N more times with output suppressed
  *                   and log the min wall seconds per pass to stderr.
- *                   This is the wall-time trend harness the
- *                   BENCH_*.json speedup_vs_seed sections and the CI
- *                   non-gating perf log use: min-of-N of the full
+ *                   This is the wall-time trend harness the CI
+ *                   non-gating perf log uses: min-of-N of the full
  *                   table build (simulations included), stdout
  *                   untouched. Don't combine with --json: the obs
  *                   stats counters accumulate across passes, so a

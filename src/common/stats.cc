@@ -40,18 +40,72 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
+namespace {
+
+/** The closest ranks percentile @p p of @p n values interpolates
+ *  between, and the weight of the upper one. */
+struct Ranks
+{
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+};
+
+Ranks
+ranksOf(std::size_t n, double p)
+{
+    DSV3_ASSERT(n > 0);
+    DSV3_ASSERT(p >= 0.0 && p <= 100.0);
+    double rank = p / 100.0 * (double)(n - 1);
+    auto lo = (std::size_t)std::floor(rank);
+    auto hi = (std::size_t)std::ceil(rank);
+    return {lo, hi, rank - (double)lo};
+}
+
+double
+interpolate(double lo, double hi, double frac)
+{
+    return lo * (1.0 - frac) + hi * frac;
+}
+
+} // namespace
+
 double
 percentile(const std::vector<double> &sorted_values, double p)
 {
-    DSV3_ASSERT(!sorted_values.empty());
-    DSV3_ASSERT(p >= 0.0 && p <= 100.0);
+    const Ranks r = ranksOf(sorted_values.size(), p);
     if (sorted_values.size() == 1)
         return sorted_values.front();
-    double rank = p / 100.0 * (double)(sorted_values.size() - 1);
-    auto lo = (std::size_t)std::floor(rank);
-    auto hi = (std::size_t)std::ceil(rank);
-    double frac = rank - (double)lo;
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac;
+    return interpolate(sorted_values[r.lo], sorted_values[r.hi], r.frac);
+}
+
+void
+selectPercentiles(std::vector<double> &values,
+                  const std::vector<double> &ps, double *out)
+{
+    const std::size_t n = values.size();
+    const auto first = values.begin();
+    // Invariant: values[0, from) are all <= values[from, n), so an
+    // order statistic at rank >= from can be selected in the tail.
+    std::size_t from = 0;
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        const Ranks r = ranksOf(n, ps[i]);
+        DSV3_ASSERT(i == 0 || ps[i] >= ps[i - 1],
+                    "selectPercentiles: ps must be ascending");
+        if (n == 1) {
+            out[i] = values.front();
+            continue;
+        }
+        if (r.lo >= from) {
+            std::nth_element(first + from, first + r.lo, values.end());
+            from = r.lo + 1;
+        }
+        // The next order statistic is the least value above rank lo.
+        const double hi = r.hi == r.lo
+            ? values[r.lo]
+            : *std::min_element(first + r.lo + 1, values.end());
+        out[i] = interpolate(values[r.lo], hi, r.frac);
+    }
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -48,6 +48,21 @@ class RunningStat
 double percentile(const std::vector<double> &sorted_values, double p);
 
 /**
+ * percentile() without the sort: the same interpolation, over the one
+ * or two order statistics it needs, found by selection
+ * (std::nth_element). out[i] equals percentile(sorted copy of values,
+ * ps[i]) bit for bit, in O(n) expected time. @p ps must be ascending;
+ * each selection after the first partitions only what lies above the
+ * previous rank. Reorders @p values.
+ *
+ * @param values the sample, in any order (non-empty)
+ * @param ps percentiles in [0, 100], ascending
+ * @param out receives ps.size() values
+ */
+void selectPercentiles(std::vector<double> &values,
+                       const std::vector<double> &ps, double *out);
+
+/**
  * Fixed-width histogram over [lo, hi). Samples outside the range are
  * counted separately as underflow/overflow rather than silently
  * clamped into the edge bins (clamping skewed tail fractions).

@@ -12,6 +12,7 @@
 #include "common/logging.hh"
 #include "common/small_vec.hh"
 #include "common/stats.hh"
+#include "common/winner_tree.hh"
 #include "ep/deepep.hh"
 #include "inference/overlap.hh"
 #include "inference/roofline.hh"
@@ -155,6 +156,36 @@ decodeStepSeconds(const ServingFleetConfig &fleet, std::size_t batch,
 
 namespace {
 
+/** Exact p50/p95/p99 of @p values into @p s; reorders @p values. */
+void
+setPercentiles(PercentileSummary &s, std::vector<double> &values)
+{
+    static const std::vector<double> kPs{50.0, 95.0, 99.0};
+    double q[3];
+    selectPercentiles(values, kPs, q);
+    s.p50 = q[0];
+    s.p95 = q[1];
+    s.p99 = q[2];
+}
+
+} // namespace
+
+PercentileSummary
+summarize(std::vector<double> values)
+{
+    PercentileSummary s;
+    s.count = values.size();
+    if (values.empty())
+        return s;
+    s.mean = std::accumulate(values.begin(), values.end(), 0.0) /
+             (double)values.size();
+    s.max = *std::max_element(values.begin(), values.end());
+    setPercentiles(s, values);
+    return s;
+}
+
+namespace {
+
 constexpr std::size_t kNone = (std::size_t)-1;
 
 enum class EventKind : int
@@ -234,20 +265,17 @@ struct Engine
  * Parked next engine event (ENGINE_DONE or ENGINE_KICK). An engine
  * has at most one of either live at a time (see slotPush()), so the
  * steady-state decode loop never touches the calendar: the
- * dispatcher compares this slot's (time, order) against the calendar
- * head instead. A voided ENGINE_DONE (stale tag after a death) stays
- * parked and still pops as the no-op the seed's loop popped,
- * preserving recorder sampling. Slots live in their own dense array
- * (32 bytes per engine) so the per-event scan stays within one or
- * two cache lines instead of striding across the fat Engine structs.
+ * dispatcher compares the earliest slot's (time, order) against the
+ * calendar head instead. The (time, order) keys and liveness live in
+ * a winner tree over the engines (Simulation::slotIndex_), which
+ * names the earliest live slot without a scan. A voided ENGINE_DONE
+ * (stale tag after a death) stays parked and still pops as the no-op
+ * the seed's loop popped, preserving recorder sampling.
  */
 struct EngineSlot
 {
-    double time = 0.0;
-    std::uint64_t order = 0;
     std::uint64_t tag = 0;
     std::uint32_t kind = 0;
-    std::uint32_t live = 0;
 };
 
 struct ReqState
@@ -274,23 +302,6 @@ struct ReqState
     bool outstanding = false;     //!< counted toward the shed cap
     std::size_t attempts = 0;     //!< failovers consumed so far
 };
-
-PercentileSummary
-summarize(std::vector<double> values)
-{
-    PercentileSummary s;
-    s.count = values.size();
-    if (values.empty())
-        return s;
-    s.mean = std::accumulate(values.begin(), values.end(), 0.0) /
-             (double)values.size();
-    std::sort(values.begin(), values.end());
-    s.p50 = percentile(values, 50.0);
-    s.p95 = percentile(values, 95.0);
-    s.p99 = percentile(values, 99.0);
-    s.max = values.back();
-    return s;
-}
 
 /** Uniform [0, 1) from a hash key (no shared RNG state, so chaos
  *  jitter draws cannot perturb the MTP/trace streams). */
@@ -420,6 +431,10 @@ class Simulation
             fleet.modelConfig, fleet.kvBytesPerElem);
         engines_.assign(fleet.decodeEngines, Engine(kv));
         slots_.assign(fleet.decodeEngines, EngineSlot{});
+        slotIndex_.reset(fleet.decodeEngines);
+        dispatch_.reset(fleet.decodeEngines);
+        for (std::size_t e = 0; e < engines_.size(); ++e)
+            reindex(e);
 
         Rng trace_rng(hashCombine(hashU64(seed), 0x7a44ffu));
         std::vector<Request> trace =
@@ -485,30 +500,31 @@ class Simulation
                     reqs_.size())
                 break;
             // Next event: minimum (time, order) over the parked
-            // per-engine slots and the calendar head. Slot stamps
-            // come from the calendar's own order counter, so this
-            // comparison reproduces the single-queue pop order
-            // bit-for-bit — including voided slots, which pop as the
-            // same time-advancing no-ops the seed loop popped.
-            std::size_t best_eng = kNone;
-            EventCalendar<EventBody>::Key best{0.0, 0};
+            // per-engine slots (the top of slotIndex_) and the
+            // calendar head. Slot stamps come from the calendar's own
+            // order counter, so this comparison reproduces the
+            // single-queue pop order bit-for-bit — including voided
+            // slots, which pop as the same time-advancing no-ops the
+            // seed loop popped.
+            const std::size_t best_eng = slotIndex_.top();
+#ifndef NDEBUG
+            std::size_t scan = kNone;
             for (std::size_t i = 0; i < slots_.size(); ++i) {
-                const EngineSlot &s = slots_[i];
-                if (!s.live)
-                    continue;
-                const EventCalendar<EventBody>::Key k{s.time, s.order};
-                if (best_eng == kNone || k < best) {
-                    best = k;
-                    best_eng = i;
-                }
+                if (slotIndex_.active(i) &&
+                    (scan == kNone ||
+                     slotIndex_.key(i) < slotIndex_.key(scan)))
+                    scan = i;
             }
+            DSV3_ASSERT(scan == best_eng,
+                        "slot index disagrees with a scan of the slots");
+#endif
             if (best_eng != kNone &&
-                (events_.empty() || best < events_.peekKey())) {
-                EngineSlot &s = slots_[best_eng];
-                s.live = 0;
-                const double now = s.time;
-                const std::uint64_t tag = s.tag;
-                const EventKind kind = (EventKind)s.kind;
+                (events_.empty() ||
+                 slotIndex_.key(best_eng) < events_.peekKey())) {
+                const double now = slotIndex_.key(best_eng).time;
+                slotIndex_.clear(best_eng);
+                const std::uint64_t tag = slots_[best_eng].tag;
+                const EventKind kind = (EventKind)slots_[best_eng].kind;
                 sampleRecorderUpTo(now);
                 if (kind == EventKind::ENGINE_KICK) {
                     engines_[best_eng].kickPending = false;
@@ -617,7 +633,7 @@ class Simulation
              std::uint64_t tag = 0)
     {
         EngineSlot &s = slots_[eng];
-        if (s.live) {
+        if (slotIndex_.active(eng)) {
             DSV3_DEBUG_ASSERT(
                 (EventKind)s.kind == EventKind::ENGINE_DONE &&
                     chaosEnabled_ && s.tag != engines_[eng].epoch,
@@ -625,11 +641,9 @@ class Simulation
             push(time, kind, eng, tag);
             return;
         }
-        s.time = time;
-        s.order = events_.nextOrder();
         s.tag = tag;
         s.kind = (std::uint32_t)kind;
-        s.live = 1;
+        slotIndex_.set(eng, {time, events_.nextOrder()});
     }
 
     // Step-cost memoization --------------------------------------------
@@ -702,22 +716,47 @@ class Simulation
         }
     }
 
-    /** Least-loaded engine accepting new placements, or kNone when
-     *  the whole fleet is dead/draining/recovering. On a fault-free
-     *  run every engine is admitting, reproducing the original
-     *  min-load choice exactly. */
+    /** Least-loaded engine accepting new placements (lowest index on
+     *  ties), or kNone when the whole fleet is
+     *  dead/draining/recovering. On a fault-free run every engine is
+     *  admitting, reproducing the original min-load choice exactly. */
     std::size_t
     chooseEngine() const
     {
-        std::size_t best = kNone;
+#ifndef NDEBUG
+        std::size_t scan = kNone;
         for (std::size_t e = 0; e < engines_.size(); ++e) {
             if (!admitting(engines_[e]))
                 continue;
-            if (best == kNone ||
-                engines_[e].load() < engines_[best].load())
-                best = e;
+            if (scan == kNone ||
+                engines_[e].load() < engines_[scan].load())
+                scan = e;
         }
-        return best;
+        DSV3_ASSERT(scan == dispatch_.top(),
+                    "dispatch index disagrees with a scan of the "
+                    "engines");
+#endif
+        return dispatch_.top();
+    }
+
+    /**
+     * Refresh @p eng's dispatch-index entry. Called wherever its
+     * load() or admitting() can change: ready / prefillQ pushes and
+     * pops, the resident truncate after a commit (not complete():
+     * until the truncate, load() still counts the finished residents,
+     * and colocated routing inside commitStep must see that value),
+     * the failover clears, reachability and every write to observed.
+     * An admit() that moves a ready sequence into resident leaves
+     * load() unchanged and needs none.
+     */
+    void
+    reindex(std::size_t eng)
+    {
+        const Engine &e = engines_[eng];
+        if (admitting(e))
+            dispatch_.set(eng, e.load());
+        else
+            dispatch_.clear(eng);
     }
 
     std::size_t
@@ -881,6 +920,7 @@ class Simulation
         const bool now = e.actualUp && !e.linkDown;
         if (now != e.reachable) {
             e.reachable = now;
+            reindex(eng);
             liveLog_.push_back({t, now ? 1 : -1});
             if (now) {
                 ++liveNow_;
@@ -920,6 +960,7 @@ class Simulation
             if (!e.reachable) {
                 if (e.observed != EngineHealth::DEAD) {
                     e.observed = EngineHealth::DEAD;
+                    reindex(eng);
                     chaosInstant(eng, "health.dead", t);
                     failoverEngine(eng, t);
                 }
@@ -927,6 +968,7 @@ class Simulation
             }
             if (e.observed == EngineHealth::DEAD) {
                 e.observed = EngineHealth::RECOVERING;
+                reindex(eng);
                 chaosInstant(eng, "health.recovering", t);
                 push(t + fleet_.chaos.recoverySeconds,
                      EventKind::RECOVERY_DONE, eng, e.epoch);
@@ -938,6 +980,7 @@ class Simulation
             if (want != e.observed) {
                 const bool was_admitting = admitting(e);
                 e.observed = want;
+                reindex(eng);
                 chaosInstant(eng, want == EngineHealth::HEALTHY
                                       ? "health.healthy"
                                       : want == EngineHealth::DEGRADED
@@ -978,6 +1021,7 @@ class Simulation
             e.observed != EngineHealth::RECOVERING)
             return; // died again during warmup
         e.observed = healthFromFactor(e.linkFactor);
+        reindex(eng);
         chaosInstant(eng, "health.recovered", t);
         if (admitting(e))
             drainWaiting(t);
@@ -1009,6 +1053,7 @@ class Simulation
         e.ready.clear();
         e.prefillQ.clear();
         e.lastWasPrefill = false;
+        reindex(eng);
         for (std::size_t id : lost) {
             ++failovers_;
             if (reqSampled(id)) {
@@ -1102,6 +1147,7 @@ class Simulation
             return;
         }
         engines_[eng].prefillQ.push_back(PrefillJob{id, tokens});
+        reindex(eng);
         kick(eng, t);
     }
 
@@ -1125,6 +1171,7 @@ class Simulation
             PrefillJob job = waitingPrefill_.front();
             waitingPrefill_.pop_front();
             engines_[eng].prefillQ.push_back(job);
+            reindex(eng);
             kick(eng, t);
         }
     }
@@ -1223,6 +1270,7 @@ class Simulation
                 return;
             }
             engines_[eng].prefillQ.push_back(PrefillJob{id, tokens});
+            reindex(eng);
             kick(eng, t);
         }
     }
@@ -1321,6 +1369,7 @@ class Simulation
         }
         setState(id, waitState(st), t);
         engines_[eng].ready.push_back(id);
+        reindex(eng);
         kick(eng, t);
     }
 
@@ -1356,7 +1405,7 @@ class Simulation
             return;
         if (chaosEnabled_ && !operational(e))
             return; // dead or warming up; re-kicked on recovery
-        admit(e, t);
+        admit(eng, t);
         const bool prefer_prefill =
             !e.prefillQ.empty() &&
             (e.resident.empty() || !e.lastWasPrefill);
@@ -1370,14 +1419,16 @@ class Simulation
     }
 
     void
-    admit(Engine &e, double t)
+    admit(std::size_t eng, double t)
     {
+        Engine &e = engines_[eng];
         while (e.resident.size() < fleet_.maxBatchPerEngine &&
                !e.ready.empty()) {
             const std::size_t id = e.ready.front();
             ReqState &st = reqs_[id];
             if (!e.pager.fitsEver(maxCtxTokens(st))) {
                 e.ready.pop_front();
+                reindex(eng);
                 reject(id, t);
                 continue;
             }
@@ -1500,6 +1551,7 @@ class Simulation
         if (job.tokensLeft == 0) {
             const std::size_t id = job.id;
             e.prefillQ.pop_front();
+            reindex(eng);
             sequenceReady(id, eng, t);
         } else {
             // The engine turns to decode (or idles) between chunks;
@@ -1650,6 +1702,7 @@ class Simulation
                 }
             }
             e.resident.truncate(w);
+            reindex(eng);
             decodeTokens_ += step_tokens;
             if (win)
                 *win += (double)step_tokens;
@@ -1728,6 +1781,7 @@ class Simulation
             if (!gone_[i])
                 e.resident[w++] = e.resident[i];
         e.resident.truncate(w);
+        reindex(eng);
     }
 
     void
@@ -1761,6 +1815,7 @@ class Simulation
             startPrefills(t);
         } else {
             e.prefillQ.push_back(PrefillJob{id, tokens});
+            reindex(eng);
         }
     }
 
@@ -1897,16 +1952,13 @@ class Simulation
             m.engineDowntimeSeconds = span - up_integral;
         }
 
-        // Streaming digests for the per-request per-state seconds:
-        // count/mean/max are exact, percentiles are P^2 estimates.
-        struct StateDigest
-        {
-            P2Quantile p50{0.50};
-            P2Quantile p95{0.95};
-            P2Quantile p99{0.99};
-            RunningStat moments;
-        };
-        StateDigest digests[kNumRequestStates];
+        // Per-request seconds in each state: count/mean/max stream
+        // through Welford moments, and one column per state feeds the
+        // exact percentiles.
+        RunningStat moments[kNumRequestStates];
+        std::vector<double> columns[kNumRequestStates];
+        for (std::vector<double> &col : columns)
+            col.reserve(completed_);
 
         obs::Quantile &q_ttft = obs::Registry::global().quantile(
             "inference.serving.ttft_seconds");
@@ -1951,10 +2003,8 @@ class Simulation
                 st.completion - st.req.arrivalSeconds;
             for (std::size_t s = 0; s < kNumRequestStates; ++s) {
                 m.stateSeconds[s] += st.stateSeconds[s];
-                digests[s].p50.add(st.stateSeconds[s]);
-                digests[s].p95.add(st.stateSeconds[s]);
-                digests[s].p99.add(st.stateSeconds[s]);
-                digests[s].moments.add(st.stateSeconds[s]);
+                moments[s].add(st.stateSeconds[s]);
+                columns[s].push_back(st.stateSeconds[s]);
             }
         }
         m.ttft = summarize(std::move(ttft));
@@ -1962,14 +2012,12 @@ class Simulation
 
         for (std::size_t s = 0; s < kNumRequestStates; ++s) {
             PercentileSummary &ps = m.statePerRequest[s];
-            ps.count = digests[s].moments.count();
+            ps.count = moments[s].count();
             if (ps.count == 0)
                 continue;
-            ps.mean = digests[s].moments.mean();
-            ps.max = digests[s].moments.max();
-            ps.p50 = digests[s].p50.value();
-            ps.p95 = digests[s].p95.value();
-            ps.p99 = digests[s].p99.value();
+            ps.mean = moments[s].mean();
+            ps.max = moments[s].max();
+            setPercentiles(ps, columns[s]);
         }
 
         // Bottleneck verdict: which bucket of summed state time
@@ -2038,6 +2086,10 @@ class Simulation
     std::vector<ReqState> reqs_;
     std::vector<Engine> engines_;
     std::vector<EngineSlot> slots_; //!< parked per-engine events
+    /** (time, order) of each live slot; top() is the earliest. */
+    WinnerTree<EventCalendar<EventBody>::Key> slotIndex_;
+    /** load() of each admitting engine; top() is chooseEngine(). */
+    WinnerTree<std::size_t> dispatch_;
     EventCalendar<EventBody> events_;
 
     // Step-cost memo: direct-mapped, power-of-two slots, grown once

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "ep/speed_limit.hh"
 #include "inference/mtp.hh"
@@ -176,6 +177,13 @@ struct PercentileSummary
     double max = 0.0;
 };
 
+/**
+ * Count, mean, max and exact p50/p95/p99 of @p values (all zero when
+ * empty). The percentiles come from selectPercentiles(), so they
+ * equal percentile() over a sorted copy bit for bit.
+ */
+PercentileSummary summarize(std::vector<double> values);
+
 struct ServingMetrics
 {
     std::size_t requestsCompleted = 0;
@@ -218,9 +226,10 @@ struct ServingMetrics
     // Time-in-state attribution over completed requests.
     // stateSeconds[s] sums state s across all completed requests, and
     // the entries sum to totalLatencySeconds (arrival ->
-    // completion, summed); statePerRequest[s] digests the per-request
-    // seconds in state s (percentiles via streaming P^2 sketches, so
-    // they are estimates; count/mean/max are exact).
+    // completion, summed); statePerRequest[s] summarizes the
+    // per-request seconds in state s. Every field is exact: count,
+    // mean (Welford) and max stream, the percentiles are selected
+    // over the per-request column.
     double stateSeconds[kNumRequestStates] = {};
     double totalLatencySeconds = 0.0;
     PercentileSummary statePerRequest[kNumRequestStates];

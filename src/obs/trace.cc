@@ -24,10 +24,17 @@ struct TraceEvent
     std::string args; //!< pre-rendered JSON members, may be empty
 };
 
-/** One thread's event log; owned by the collector, never freed. */
+/**
+ * One thread's event log; owned by the collector, never freed. The
+ * owning thread appends under mu while export, clear and count read it
+ * under mu: a pool worker's span can close after the parallelFor that
+ * ran it has returned, concurrently with the caller's export. Spans
+ * record nothing unless tracing is on, so untraced runs never lock.
+ */
 struct ThreadBuffer
 {
     std::uint32_t tid;
+    std::mutex mu;
     std::vector<TraceEvent> events;
 };
 
@@ -118,8 +125,10 @@ clearTrace()
 {
     Collector &c = collector();
     std::lock_guard<std::mutex> lock(c.mu);
-    for (auto &buf : c.buffers)
+    for (auto &buf : c.buffers) {
+        std::lock_guard<std::mutex> buf_lock(buf->mu);
         buf->events.clear();
+    }
     c.virtualClock.store(0, std::memory_order_relaxed);
     c.dropped.store(0, std::memory_order_relaxed);
     c.epoch = std::chrono::steady_clock::now();
@@ -152,8 +161,10 @@ traceEventCount()
     Collector &c = collector();
     std::lock_guard<std::mutex> lock(c.mu);
     std::size_t n = 0;
-    for (const auto &buf : c.buffers)
+    for (const auto &buf : c.buffers) {
+        std::lock_guard<std::mutex> buf_lock(buf->mu);
         n += buf->events.size();
+    }
     return n;
 }
 
@@ -182,17 +193,20 @@ recordSpan(const char *name, std::uint64_t begin, std::string args)
     ThreadBuffer &buf = threadBuffer();
     const std::size_t cap =
         c.maxEventsPerThread.load(std::memory_order_relaxed);
-    if (buf.events.size() >= cap) {
-        static Counter &c_dropped =
-            Registry::global().counter("obs.trace.dropped");
-        c_dropped.inc();
-        c.dropped.fetch_add(1, std::memory_order_relaxed);
-        DSV3_WARN_ONCE("trace buffer full (", cap,
-                       " events on one thread); dropping spans (see "
-                       "obs.trace.dropped)");
-        return;
+    {
+        std::lock_guard<std::mutex> lock(buf.mu);
+        if (buf.events.size() < cap) {
+            buf.events.push_back({name, begin, end, std::move(args)});
+            return;
+        }
     }
-    buf.events.push_back({name, begin, end, std::move(args)});
+    static Counter &c_dropped =
+        Registry::global().counter("obs.trace.dropped");
+    c_dropped.inc();
+    c.dropped.fetch_add(1, std::memory_order_relaxed);
+    DSV3_WARN_ONCE("trace buffer full (", cap,
+                   " events on one thread); dropping spans (see "
+                   "obs.trace.dropped)");
 }
 
 std::string
@@ -233,6 +247,7 @@ chromeTraceJson()
     out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
     for (const auto &buf : c.buffers) {
+        std::lock_guard<std::mutex> buf_lock(buf->mu);
         for (const TraceEvent &ev : buf->events) {
             if (!first)
                 out += ",";

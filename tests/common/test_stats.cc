@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for RunningStat, percentile, Histogram and fairness metrics.
+ * Tests for RunningStat, percentile, selectPercentiles, Histogram and
+ * fairness metrics.
  */
 
 #include <gtest/gtest.h>
@@ -8,9 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/stats.hh"
 
 namespace dsv3 {
@@ -88,6 +91,74 @@ TEST(Percentile, SingleElement)
 {
     std::vector<double> v = {42.0};
     EXPECT_DOUBLE_EQ(percentile(v, 25.0), 42.0);
+}
+
+/** selectPercentiles() over a copy of @p values must equal
+ *  percentile() over a sorted copy bit for bit, at every p in @p ps. */
+void
+expectSelectionMatchesSort(const std::vector<double> &values,
+                           const std::vector<double> &ps)
+{
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<double> scratch = values;
+    std::vector<double> got(ps.size());
+    selectPercentiles(scratch, ps, got.data());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        const double want = percentile(sorted, ps[i]);
+        EXPECT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+            << "n=" << values.size() << " p=" << ps[i] << ": got "
+            << got[i] << ", sort gives " << want;
+    }
+    // Only reordered, never changed.
+    std::sort(scratch.begin(), scratch.end());
+    EXPECT_EQ(scratch, sorted);
+}
+
+TEST(SelectPercentiles, SmallAndDegenerateColumns)
+{
+    const std::vector<double> all_ps = {0.0,  1.0,  25.0, 50.0, 50.0,
+                                        75.0, 95.0, 99.0, 99.9, 100.0};
+    expectSelectionMatchesSort({42.0}, all_ps);             // n = 1
+    expectSelectionMatchesSort({3.0, -1.0}, all_ps);        // n = 2
+    expectSelectionMatchesSort({9.0, 1.0, 5.0}, all_ps);    // odd n
+    expectSelectionMatchesSort({9.0, 1.0, 5.0, 3.0}, all_ps); // even n
+    expectSelectionMatchesSort(std::vector<double>(101, 0.0), all_ps);
+    expectSelectionMatchesSort(std::vector<double>(100, 0.1), all_ps);
+    expectSelectionMatchesSort({2.0, 2.0, 1.0, 2.0, 2.0, 3.0, 2.0},
+                               all_ps);
+}
+
+TEST(SelectPercentiles, RandomTiedAndConstantInputsMatchSort)
+{
+    Rng rng(0x5e1ec7ull);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::size_t n =
+            1 + rng.nextBounded(trial < 1000 ? 16 : 600);
+        std::vector<double> v(n);
+        const int shape = trial % 4;
+        for (double &x : v) {
+            if (shape == 0) // continuous
+                x = rng.uniform(-1e3, 1e3);
+            else if (shape == 1) // heavy ties
+                x = (double)rng.nextBounded(4) * 0.25;
+            else if (shape == 2) // skewed: mostly zero, rare large
+                x = rng.bernoulli(0.97) ? 0.0 : rng.exponential(0.01);
+            else // constant
+                x = 0.7;
+        }
+        // Ascending percentile lists, repeats included.
+        std::vector<double> ps = {50.0, 95.0, 99.0};
+        if (trial % 2) {
+            ps.clear();
+            double p = 0.0;
+            while (p <= 100.0) {
+                ps.push_back(p);
+                p += rng.uniform(0.0, 40.0);
+            }
+        }
+        expectSelectionMatchesSort(v, ps);
+    }
 }
 
 TEST(Histogram, BinningAndOutOfRangeTracking)

@@ -6,6 +6,7 @@
  * pressure, and byte-identical results across thread widths.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "common/stats.hh"
 #include "common/sweep.hh"
 #include "common/thread_pool.hh"
 #include "ep/speed_limit.hh"
@@ -525,6 +527,56 @@ TEST(ServingAttribution, StateTimesSumToTotalLatency)
                         1e-6 * std::max(1.0, m.stateSeconds[s]));
             EXPECT_LE(d.p50, d.max * (1.0 + 1e-12));
         }
+    }
+}
+
+/** summarize() as it was before selection: accumulate, full sort,
+ *  percentile() on the sorted copy, max from its back. */
+PercentileSummary
+sortedSummary(std::vector<double> values)
+{
+    PercentileSummary s;
+    s.count = values.size();
+    if (values.empty())
+        return s;
+    double sum = 0.0;
+    for (double x : values)
+        sum += x;
+    s.mean = sum / (double)values.size();
+    std::sort(values.begin(), values.end());
+    s.p50 = percentile(values, 50.0);
+    s.p95 = percentile(values, 95.0);
+    s.p99 = percentile(values, 99.0);
+    s.max = values.back();
+    return s;
+}
+
+TEST(ServingSummary, SelectionMatchesSortedSummary)
+{
+    Rng rng(0x5a11ull);
+    std::vector<std::vector<double>> inputs = {
+        {}, {3.5}, {2.0, 1.0}, {5.0, 1.0, 3.0}, {4.0, 1.0, 3.0, 2.0},
+        std::vector<double>(99, 0.25), std::vector<double>(100, 0.0)};
+    for (std::size_t n : {7u, 100u, 1001u, 20000u}) {
+        std::vector<double> skewed(n), tied(n), smooth(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            skewed[i] = rng.bernoulli(0.95) ? 0.0 : rng.exponential(0.1);
+            tied[i] = (double)rng.nextBounded(3);
+            smooth[i] = rng.uniform(0.0, 1.0);
+        }
+        inputs.push_back(skewed);
+        inputs.push_back(tied);
+        inputs.push_back(smooth);
+    }
+    for (const std::vector<double> &v : inputs) {
+        const PercentileSummary want = sortedSummary(v);
+        const PercentileSummary got = summarize(v);
+        const double w[] = {want.mean, want.p50, want.p95, want.p99,
+                            want.max};
+        const double g[] = {got.mean, got.p50, got.p95, got.p99,
+                            got.max};
+        EXPECT_EQ(got.count, want.count);
+        EXPECT_EQ(std::memcmp(w, g, sizeof w), 0) << "n=" << v.size();
     }
 }
 

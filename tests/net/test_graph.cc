@@ -201,6 +201,17 @@ struct GoldenTopology
     Graph (*build)();
 };
 
+/**
+ * Print the topology by name: gtest would otherwise dump the struct's
+ * bytes, two pointers, into the listed test names, and ASLR changes
+ * those from run to run.
+ */
+void
+PrintTo(const GoldenTopology &topology, std::ostream *os)
+{
+    *os << topology.name;
+}
+
 /** (topology, with a leaf and a NIC cable down) */
 using GoldenParam = std::tuple<GoldenTopology, bool>;
 
