@@ -10,7 +10,8 @@
  * The serving simulator keeps two: the dispatch index (engine load
  * over admitting engines) and the parked engine-event index ((time,
  * order) over live slots), replacing a scan of every engine per
- * request and per event.
+ * request and per event. The flow engine keeps one over edge ids
+ * keyed by fair share, picking each water-fill bottleneck.
  */
 
 #pragma once

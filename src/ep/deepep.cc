@@ -8,7 +8,6 @@
 #include "moe/placement.hh"
 #include "moe/token_gen.hh"
 #include "net/flow.hh"
-#include "net/route_cache.hh"
 #include "obs/trace.hh"
 
 namespace dsv3::ep {
@@ -216,35 +215,13 @@ timePhase(const net::Cluster &cluster, const TrafficCounts &tc,
         f.qp = qp++;
         flows.push_back(f);
     }
-    // Route every relay/delivery transfer. The dispatch and combine
-    // phases (and repeated simulateDeepEp calls over one topology)
-    // look up the same (src, dst) pairs, so the path sets come from
-    // the process RouteCache directly -- spreading each transfer
-    // evenly over its canonical shortest paths exactly as
-    // assignPaths(ADAPTIVE) does, minus the per-call policy scratch.
+    // Route every relay/delivery transfer, spread evenly over its
+    // canonical shortest paths. The dispatch and combine phases (and
+    // repeated simulateDeepEp calls over one topology) look up the
+    // same (src, dst) pairs, so the sets come warm from the RouteCache.
     std::vector<std::size_t> unrouted;
-    if (net::RouteCache::enabled()) {
-        net::RouteCache &routes = net::RouteCache::global();
-        for (std::size_t i = 0; i < flows.size(); ++i) {
-            net::Flow &f = flows[i];
-            net::PathSetRef ps =
-                routes.paths(cluster.graph, f.src, f.dst);
-            f.paths.clear();
-            f.weights.clear();
-            if (ps->paths.empty()) {
-                unrouted.push_back(i);
-                continue;
-            }
-            double w = 1.0 / (double)ps->paths.size();
-            for (const net::Path &p : ps->paths) {
-                f.paths.push_back(p);
-                f.weights.push_back(w);
-            }
-        }
-    } else {
-        assignPaths(cluster.graph, flows, net::RoutePolicy::ADAPTIVE,
-                    0, &unrouted);
-    }
+    assignPaths(cluster.graph, flows, net::RoutePolicy::ADAPTIVE, 0,
+                &unrouted);
     if (!unrouted.empty()) {
         // Faults partitioned these transfers: account and drop them
         // so the fluid loop doesn't deadlock on rate-0 flows.

@@ -1,12 +1,5 @@
 #include "fault/failover.hh"
 
-#include <algorithm>
-#include <unordered_map>
-#include <utility>
-
-#include "common/logging.hh"
-#include "common/rng.hh"
-#include "net/route_cache.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 
@@ -34,7 +27,6 @@ failoverReroute(const net::Cluster &cluster,
     static obs::Counter &c_stalled =
         obs::Registry::global().counter("fault.failover.stalled");
 
-    const net::Graph &graph = cluster.graph;
     FailoverResult res;
 
     // The engine's edge->subflow index finds the broken set by
@@ -47,74 +39,25 @@ failoverReroute(const net::Cluster &cluster,
     if (broken.empty())
         return res;
 
-    // Release the engine's subflows before rewriting flows[i].paths
-    // (the rebinding protocol: detach, mutate, attach).
+    // Release the engine's subflows before rebinding flows[i] (the
+    // rebinding protocol: detach, rebind, attach).
     for (std::size_t i : broken)
         engine.detachFlow(i);
 
     // Surviving route sets come from the process RouteCache, keyed by
-    // the degraded fingerprint; with the cache off, a call-local
-    // flat-hash store reproduces the same sets. The broken list is
-    // ascending, so misses arrive grouped by source and share one
-    // shortest-path DAG each.
-    const bool use_cache = net::RouteCache::enabled();
-    std::unordered_map<std::uint64_t, std::vector<net::Path>> local;
+    // the degraded fingerprint (or the binder's call-local store with
+    // the cache off). The broken list is ascending, so misses arrive
+    // grouped by source and share one shortest-path DAG each.
+    net::PathBinder binder(cluster.graph, policy, seed,
+                           /*static_table=*/false);
     for (std::size_t i : broken) {
-        net::Flow &flow = flows[i];
-        net::PathSetRef cached;
-        const std::vector<net::Path> *pair_paths;
-        if (use_cache) {
-            cached = net::RouteCache::global().paths(graph, flow.src,
-                                                     flow.dst);
-            pair_paths = &cached->paths;
-        } else {
-            std::uint64_t key =
-                ((std::uint64_t)flow.src << 32) | flow.dst;
-            auto it = local.find(key);
-            if (it == local.end()) {
-                auto found =
-                    net::shortestPaths(graph, flow.src, flow.dst);
-                std::sort(found.begin(), found.end());
-                it = local.emplace(key, std::move(found)).first;
-            }
-            pair_paths = &it->second;
-        }
-        const std::vector<net::Path> &paths = *pair_paths;
-
-        flow.paths.clear();
-        flow.weights.clear();
-        if (paths.empty()) {
+        if (!binder.bind(flows[i])) {
             // Partitioned: no route survives the faults. Retire it so
             // the completion loop doesn't deadlock on a rate-0 flow.
             engine.removeFlow(i);
             res.stalled.push_back(i);
             c_stalled.inc();
             continue;
-        }
-
-        switch (policy) {
-          case net::RoutePolicy::ECMP: {
-            std::uint64_t h = hashCombine(seed, flow.src);
-            h = hashCombine(h, flow.dst);
-            h = hashCombine(h, flow.qp);
-            flow.paths.push_back(paths[h % paths.size()]);
-            flow.weights.push_back(1.0);
-            break;
-          }
-          case net::RoutePolicy::ADAPTIVE: {
-            double w = 1.0 / (double)paths.size();
-            flow.paths.reserve(paths.size());
-            flow.weights.reserve(paths.size());
-            for (const net::Path &p : paths) {
-                flow.paths.push_back(p);
-                flow.weights.push_back(w);
-            }
-            break;
-          }
-          case net::RoutePolicy::STATIC:
-            flow.paths.push_back(paths[0]);
-            flow.weights.push_back(1.0);
-            break;
         }
         engine.attachFlow(i);
         ++res.rerouted;

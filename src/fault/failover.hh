@@ -54,9 +54,9 @@ bool flowBroken(const net::Graph &graph, const net::Flow &flow);
  * planner at failover time, which is exactly the inflexibility the
  * paper notes.
  *
- * Mutates flows[i].paths/weights for rerouted flows and updates the
- * engine in place. Call after every injector batch that changed the
- * topology epoch, before the next solve()/run().
+ * Rebinds flows[i] (through a net::PathBinder) for rerouted flows
+ * and updates the engine in place. Call after every injector batch
+ * that changed the topology epoch, before the next solve()/run().
  */
 FailoverResult failoverReroute(const net::Cluster &cluster,
                                std::vector<net::Flow> &flows,

@@ -307,26 +307,18 @@ endToEndLatency(const Cluster &cluster, std::size_t src_rank,
     DSV3_ASSERT(dst_rank < cluster.gpus.size());
     if (src_rank == dst_rank)
         return 0.0;
-    // Candidate routes through the process cache (the min below is
-    // order-independent, so the cache's canonical order is fine);
-    // fall back to direct enumeration when the cache is off.
-    PathSetRef cached;
-    std::vector<Path> local;
-    const std::vector<Path> *paths;
-    if (RouteCache::enabled()) {
-        cached = RouteCache::global().paths(cluster.graph,
-                                            cluster.gpus[src_rank],
-                                            cluster.gpus[dst_rank]);
-        paths = &cached->paths;
-    } else {
-        local = shortestPaths(cluster.graph, cluster.gpus[src_rank],
-                              cluster.gpus[dst_rank]);
-        paths = &local;
-    }
-    DSV3_ASSERT(!paths->empty(), "no route between ranks ", src_rank,
-                " and ", dst_rank);
+    // Candidate routes through the process cache, or enumerated
+    // fresh when the cache is off (the min below is order-independent).
+    const NodeId src = cluster.gpus[src_rank];
+    const NodeId dst = cluster.gpus[dst_rank];
+    const PathSetRef routes =
+        RouteCache::enabled()
+            ? RouteCache::global().paths(cluster.graph, src, dst)
+            : canonicalPathSet(cluster.graph, src, dst);
+    DSV3_ASSERT(!routes->paths.empty(), "no route between ranks ",
+                src_rank, " and ", dst_rank);
     double best = std::numeric_limits<double>::infinity();
-    for (const Path &p : *paths) {
+    for (const Path &p : routes->paths) {
         double lat = pathLatency(cluster.graph, p) +
                      bytes / pathCapacity(cluster.graph, p);
         best = std::min(best, lat);

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "net/route_cache.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 
@@ -28,10 +26,6 @@ struct FlowStats
         obs::Registry::global().counter("net.flow.solves");
     obs::Counter &solverIterations = obs::Registry::global().counter(
         "net.flow.solver_iterations");
-    obs::Counter &heapPops =
-        obs::Registry::global().counter("net.flow.heap_pops");
-    obs::Counter &heapStalePops =
-        obs::Registry::global().counter("net.flow.heap_stale_pops");
     obs::Counter &epochs =
         obs::Registry::global().counter("net.flow.epochs");
     obs::Counter &flowsRetired =
@@ -66,102 +60,106 @@ routePolicyName(RoutePolicy policy)
     return "?";
 }
 
+namespace {
+
+/** The weight ECMP and STATIC flows view for their one path. */
+constexpr double kWholeFlow = 1.0;
+
+} // namespace
+
+PathBinder::PathBinder(const Graph &graph, RoutePolicy policy,
+                       std::uint64_t seed, bool static_table)
+    : graph_(graph), policy_(policy), seed_(seed),
+      use_cache_(RouteCache::enabled()),
+      static_table_(policy == RoutePolicy::STATIC && static_table)
+{
+    if (static_table_)
+        static_load_.assign(graph.edgeCount(), 0);
+}
+
+bool
+PathBinder::bind(Flow &flow)
+{
+    PathSetRef set;
+    if (use_cache_) {
+        set = RouteCache::global().paths(graph_, flow.src, flow.dst);
+    } else {
+        PathSetRef &slot =
+            local_[((std::uint64_t)flow.src << 32) | flow.dst];
+        if (!slot)
+            slot = canonicalPathSet(graph_, flow.src, flow.dst);
+        set = slot;
+    }
+    const std::vector<Path> &paths = set->paths;
+    if (paths.empty()) {
+        flow.paths = {};
+        flow.weights = {};
+        flow.pathSet = nullptr;
+        return false;
+    }
+
+    std::size_t pick = 0;
+    switch (policy_) {
+      case RoutePolicy::ECMP: {
+        std::uint64_t h = hashCombine(seed_, flow.src);
+        h = hashCombine(h, flow.dst);
+        h = hashCombine(h, flow.qp);
+        pick = h % paths.size();
+        break;
+      }
+      case RoutePolicy::ADAPTIVE:
+        flow.paths = paths;
+        flow.weights = set->weights;
+        flow.pathSet = std::move(set);
+        return true;
+      case RoutePolicy::STATIC: {
+        if (!static_table_)
+            break; // first canonical path
+        // Manually configured route tables, tuned offline for the
+        // known traffic pattern (Sec 5.2.2): modeled as a greedy
+        // conflict-minimizing assignment in flow order. Each flow
+        // takes the candidate path whose most-loaded link carries
+        // the fewest already-assigned flows. Deterministic, and
+        // conflict-free when a conflict-free table exists for the
+        // pattern -- but it cannot adapt once traffic changes,
+        // which is the inflexibility the paper notes.
+        std::uint64_t best_cost = ~0ull;
+        for (std::size_t p = 0; p < paths.size(); ++p) {
+            std::uint32_t worst = 0;
+            std::uint64_t sum = 0;
+            for (EdgeId e : paths[p]) {
+                worst = std::max(worst, static_load_[e]);
+                sum += static_load_[e];
+            }
+            std::uint64_t cost = ((std::uint64_t)worst << 32) + sum;
+            if (cost < best_cost) {
+                best_cost = cost;
+                pick = p;
+            }
+        }
+        for (EdgeId e : paths[pick])
+            ++static_load_[e];
+        break;
+      }
+    }
+    flow.paths = {&paths[pick], 1};
+    flow.weights = {&kWholeFlow, 1};
+    flow.pathSet = std::move(set);
+    return true;
+}
+
 void
 assignPaths(const Graph &graph, std::vector<Flow> &flows,
             RoutePolicy policy, std::uint64_t seed,
             std::vector<std::size_t> *unrouted)
 {
-    const bool use_cache = RouteCache::enabled();
-    // Fallback store when the process cache is off: same flat-hash
-    // keying ((src << 32) | dst), scoped to this call.
-    std::unordered_map<std::uint64_t, std::vector<Path>> local;
-    std::vector<std::uint32_t> static_load(graph.edgeCount(), 0);
-
+    PathBinder binder(graph, policy, seed);
     for (std::size_t i = 0; i < flows.size(); ++i) {
-        Flow &flow = flows[i];
-        PathSetRef cached; // pins the cache entry for this iteration
-        const std::vector<Path> *pair_paths;
-        if (use_cache) {
-            cached = RouteCache::global().paths(graph, flow.src,
-                                                flow.dst);
-            pair_paths = &cached->paths;
-        } else {
-            std::uint64_t key =
-                ((std::uint64_t)flow.src << 32) | flow.dst;
-            auto it = local.find(key);
-            if (it == local.end()) {
-                auto paths_found = shortestPaths(graph, flow.src,
-                                                 flow.dst);
-                // Canonical order so STATIC's "k-th path" selects the
-                // same spine for every (src, dst) pair.
-                std::sort(paths_found.begin(), paths_found.end());
-                it = local.emplace(key, std::move(paths_found)).first;
-            }
-            pair_paths = &it->second;
-        }
-        const std::vector<Path> &paths = *pair_paths;
-        if (paths.empty() && unrouted) {
-            flow.paths.clear();
-            flow.weights.clear();
-            unrouted->push_back(i);
+        if (binder.bind(flows[i]))
             continue;
-        }
-        DSV3_ASSERT(!paths.empty(), "no route ", flow.src, "->",
-                    flow.dst);
-
-        flow.paths.clear();
-        flow.weights.clear();
-        switch (policy) {
-          case RoutePolicy::ECMP: {
-            std::uint64_t h = hashCombine(seed, flow.src);
-            h = hashCombine(h, flow.dst);
-            h = hashCombine(h, flow.qp);
-            flow.paths.push_back(paths[h % paths.size()]);
-            flow.weights.push_back(1.0);
-            break;
-          }
-          case RoutePolicy::ADAPTIVE: {
-            double w = 1.0 / (double)paths.size();
-            flow.paths.reserve(paths.size());
-            flow.weights.reserve(paths.size());
-            for (const Path &p : paths) {
-                flow.paths.push_back(p);
-                flow.weights.push_back(w);
-            }
-            break;
-          }
-          case RoutePolicy::STATIC: {
-            // Manually configured route tables, tuned offline for the
-            // known traffic pattern (Sec 5.2.2): modeled as a greedy
-            // conflict-minimizing assignment in flow order. Each flow
-            // takes the candidate path whose most-loaded link carries
-            // the fewest already-assigned flows. Deterministic, and
-            // conflict-free when a conflict-free table exists for the
-            // pattern -- but it cannot adapt once traffic changes,
-            // which is the inflexibility the paper notes.
-            std::size_t best = 0;
-            std::uint64_t best_cost = ~0ull;
-            for (std::size_t p = 0; p < paths.size(); ++p) {
-                std::uint32_t worst = 0;
-                std::uint64_t sum = 0;
-                for (EdgeId e : paths[p]) {
-                    worst = std::max(worst, static_load[e]);
-                    sum += static_load[e];
-                }
-                std::uint64_t cost =
-                    ((std::uint64_t)worst << 32) + sum;
-                if (cost < best_cost) {
-                    best_cost = cost;
-                    best = p;
-                }
-            }
-            for (EdgeId e : paths[best])
-                ++static_load[e];
-            flow.paths.push_back(paths[best]);
-            flow.weights.push_back(1.0);
-            break;
-          }
-        }
+        DSV3_ASSERT(unrouted, "no route ", flows[i].src, "->",
+                    flows[i].dst);
+        unrouted->push_back(i);
     }
 }
 
@@ -182,7 +180,8 @@ FlowSimEngine::FlowSimEngine(const Graph &graph,
     active_on_edge_.assign(graph.edgeCount(), 0);
     residual_.assign(graph.edgeCount(), 0.0);
     scratch_active_.assign(graph.edgeCount(), 0);
-    touch_stamp_.assign(graph.edgeCount(), 0);
+    crossings_.assign(graph.edgeCount(), 0);
+    bottleneck_.reset(graph.edgeCount());
 
     // Size everything exactly up front (one counting pass) so the
     // fill pass below never reallocates: engines are rebuilt per
@@ -402,9 +401,6 @@ FlowSimEngine::solve()
                     active_subflows_);
     if (edge_index_dirty_)
         rebuildEdgeIndex();
-    // Local tallies, flushed to the registry once per solve.
-    std::uint64_t pops = 0;
-    std::uint64_t stale_pops = 0;
     const std::uint64_t iters_before = iterations_;
     ++solve_stamp_;
     std::fill(rates_.begin(), rates_.end(), 0.0);
@@ -413,21 +409,11 @@ FlowSimEngine::solve()
             rates_[i] = std::numeric_limits<double>::infinity();
     }
 
-    // Heap of bottleneck candidates keyed by (fair share, edge id):
-    // pops in exactly the order a full-edge rescan picking the
-    // smallest share (lowest edge id on ties) would select. Every
-    // share change pushes a fresh entry, so each live edge's exact
-    // current share is always present; entries that no longer match
-    // the recomputed share are stale duplicates and get dropped on
-    // pop (lazy deletion). The backing vector is an engine member
-    // (warm across the epoch loop) seeded with one make_heap: the
-    // key pairs are totally ordered, so the pop sequence is identical
-    // to element-by-element pushes.
-    using Cand = std::pair<double, EdgeId>;
-    const std::greater<Cand> cmp;
-    heap_.clear();
-    // Edges drained by removeFlow() never refill: compact them out of
-    // used_edges_ (ascending order preserved) while seeding the heap.
+    // Bottleneck candidates keyed by fair share: the tree's top is the
+    // least share, lowest edge id on ties -- exactly the edge a full
+    // rescan selects. Edges drained by removeFlow() never refill:
+    // compact them out of used_edges_ (ascending order preserved)
+    // while seeding the tree.
     std::size_t used_out = 0;
     for (EdgeId e : used_edges_) {
         if (active_on_edge_[e] == 0)
@@ -435,43 +421,24 @@ FlowSimEngine::solve()
         used_edges_[used_out++] = e;
         residual_[e] = graph_.edge(e).capacity;
         scratch_active_[e] = active_on_edge_[e];
-        heap_.push_back({residual_[e] / (double)scratch_active_[e], e});
+        bottleneck_.set(e, residual_[e] / (double)scratch_active_[e]);
     }
     used_edges_.resize(used_out);
-    std::make_heap(heap_.begin(), heap_.end(), cmp);
 
-    touched_.clear();
     std::size_t unfrozen = active_subflows_;
     while (unfrozen > 0) {
-        double best_share;
-        EdgeId best_edge;
-        for (;;) {
-            DSV3_ASSERT(!heap_.empty(),
-                        "active subflow crosses no edge");
-            auto [share, e] = heap_.front();
-            std::pop_heap(heap_.begin(), heap_.end(), cmp);
-            heap_.pop_back();
-            ++pops;
-            if (scratch_active_[e] == 0) {
-                ++stale_pops;
-                continue; // drained since it was pushed
-            }
-            double cur = residual_[e] / (double)scratch_active_[e];
-            if (cur != share) {
-                ++stale_pops;
-                continue; // stale: a fresher entry exists
-            }
-            best_share = share;
-            best_edge = e;
-            break;
-        }
+        const std::size_t top = bottleneck_.top();
+        DSV3_ASSERT(top != WinnerTree<double>::kNone,
+                    "active subflow crosses no edge");
+        const EdgeId best_edge = (EdgeId)top;
+        const double best_share = bottleneck_.key(best_edge);
         ++iterations_;
 
         // Freeze every unfrozen subflow crossing the bottleneck, in
-        // subflow-id order (the order the full rescan froze them in,
-        // preserving the floating-point update sequence). Subflows of
-        // retired flows never come back: compact them out of the edge
-        // list as it is scanned (stable, so the order survives).
+        // subflow-id order (the order the full rescan froze them in),
+        // counting how many frozen subflows cross each edge. Subflows
+        // of retired flows never come back: compact them out of the
+        // edge list as it is scanned (stable, so the order survives).
         touched_.clear();
         const std::uint32_t seg = edge_sub_begin_[best_edge];
         const std::uint32_t seg_count = edge_sub_count_[best_edge];
@@ -488,29 +455,33 @@ FlowSimEngine::solve()
             --unfrozen;
             for (std::uint32_t k = sub_edge_begin_[s];
                  k < sub_edge_end_[s]; ++k) {
-                EdgeId e = sub_edges_[k];
-                residual_[e] -= best_share;
-                if (residual_[e] < 0.0)
-                    residual_[e] = 0.0;
-                --scratch_active_[e];
-                touched_.push_back(e);
+                const EdgeId e = sub_edges_[k];
+                if (crossings_[e]++ == 0)
+                    touched_.push_back(e);
             }
         }
         edge_sub_count_[best_edge] = w;
+        // Each touched edge takes its k crossings as k sequential
+        // clamped subtractions -- the floating-point sequence freezing
+        // one subflow at a time produces -- then one tree update.
+        for (EdgeId e : touched_) {
+            const std::uint32_t k = crossings_[e];
+            crossings_[e] = 0;
+            double r = residual_[e];
+            for (std::uint32_t j = 0; j < k; ++j) {
+                r -= best_share;
+                if (r < 0.0)
+                    r = 0.0;
+            }
+            residual_[e] = r;
+            scratch_active_[e] -= k;
+            if (scratch_active_[e] == 0)
+                bottleneck_.clear(e);
+            else
+                bottleneck_.set(e, r / (double)scratch_active_[e]);
+        }
         // The bottleneck edge must now be drained of active subflows.
         DSV3_ASSERT(scratch_active_[best_edge] == 0);
-        // Refresh each touched edge's heap entry once, however many
-        // frozen subflows crossed it this round.
-        ++touch_round_;
-        for (EdgeId e : touched_) {
-            if (touch_stamp_[e] == touch_round_ ||
-                scratch_active_[e] == 0)
-                continue;
-            touch_stamp_[e] = touch_round_;
-            heap_.push_back(
-                {residual_[e] / (double)scratch_active_[e], e});
-            std::push_heap(heap_.begin(), heap_.end(), cmp);
-        }
     }
 
     // Sum per-flow in subflow-id order, matching the reference
@@ -526,8 +497,6 @@ FlowSimEngine::solve()
     FlowStats &stats = flowStats();
     stats.solves.inc();
     stats.solverIterations.inc(iterations_ - iters_before);
-    stats.heapPops.inc(pops);
-    stats.heapStalePops.inc(stale_pops);
     return rates_;
 }
 

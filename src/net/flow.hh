@@ -10,8 +10,12 @@
  *    are what Figure 8 shows degrading NCCL performance.
  *  - ADAPTIVE: the flow is split evenly across all equal-cost paths
  *    (idealized packet spraying).
- *  - STATIC: deterministic round-robin assignment of flows to paths in
- *    flow-creation order (a manually configured routing table).
+ *  - STATIC: a deterministic greedy table that spreads flows over the
+ *    paths in flow-creation order (a manually configured routing
+ *    table).
+ *
+ * A routed flow views its paths inside the shared, immutable PathSet
+ * they came from (see route_cache.hh) rather than copying them.
  *
  * Rates come from max-min fair sharing (progressive water-filling) of
  * directed link capacities; completion uses an event loop that re-fills
@@ -25,16 +29,20 @@
  * throwaway engine.
  *
  * The engine reports itself under "net.flow.*" in the stats registry
- * (solver iterations, heap pops, epochs, retired flows) and brackets
+ * (solver iterations, epochs, retired flows) and brackets
  * build/solve/run with trace spans; see DESIGN.md "Observability".
  */
 
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
+#include "common/winner_tree.hh"
 #include "net/graph.hh"
+#include "net/route_cache.hh"
 
 namespace dsv3::net {
 
@@ -55,20 +63,58 @@ struct Flow
     double bytes = 0.0;
     std::uint64_t qp = 0; //!< queue-pair id; feeds the ECMP hash
 
-    // Filled in by assignPaths():
-    std::vector<Path> paths;      //!< one (ECMP/STATIC) or many
-    std::vector<double> weights;  //!< fraction of traffic per path
+    // Bound by assignPaths() / PathBinder: read-only views into the
+    // immutable PathSet the policy selected from, which pathSet keeps
+    // alive. Copying a Flow copies the views and shares the pin.
+    std::span<const Path> paths;     //!< one (ECMP/STATIC) or many
+    std::span<const double> weights; //!< fraction of traffic per path
+    PathSetRef pathSet = {};
 };
 
 /**
- * Populate flow.paths/weights for every flow.
- *
- * Candidate path sets come from the process RouteCache (canonical
- * sorted shortest-path sets shared across calls and sweeps); with the
- * cache disabled a call-local flat-hash store reproduces the same
- * sets. Selection (ECMP hash pick, ADAPTIVE even split, STATIC greedy
- * table) is per-call state either way, so results are byte-identical
- * whether the cache is cold, warm, or off.
+ * Path selection for one routing call; assignPaths(), failover
+ * rerouting and DeepEP all bind flows through it. Candidate sets come
+ * from the process RouteCache (canonical sorted shortest-path sets
+ * shared across calls and sweeps); with the cache disabled a
+ * call-local store of canonicalPathSet() sets stands in. Selection
+ * (ECMP hash pick, ADAPTIVE even split, STATIC table) is per-binder
+ * state either way, so results are byte-identical whether the cache
+ * is cold, warm, or off.
+ */
+class PathBinder
+{
+  public:
+    /**
+     * @param seed perturbs the ECMP hash (models switches hashing
+     *        differently across runs); ignored by other policies.
+     * @param static_table STATIC builds a greedy conflict-minimizing
+     *        table over the flows bound so far (assignPaths()); when
+     *        false STATIC takes the first canonical path (failover: a
+     *        static table has no planner at failover time).
+     */
+    PathBinder(const Graph &graph, RoutePolicy policy,
+               std::uint64_t seed, bool static_table = true);
+
+    /**
+     * Point @p flow's paths/weights at the policy's pick from its
+     * (src, dst) set and pin the set. Returns false, leaving the flow
+     * with no paths, when no route joins src to dst.
+     */
+    bool bind(Flow &flow);
+
+  private:
+    const Graph &graph_;
+    const RoutePolicy policy_;
+    const std::uint64_t seed_;
+    const bool use_cache_;
+    const bool static_table_;
+    std::vector<std::uint32_t> static_load_; //!< per edge, STATIC table
+    /** Cache-off store, keyed (src << 32) | dst. */
+    std::unordered_map<std::uint64_t, PathSetRef> local_;
+};
+
+/**
+ * Bind flow.paths/weights for every flow through one PathBinder.
  *
  * @param seed perturbs the ECMP hash (models switches hashing
  *        differently across runs); ignored by other policies.
@@ -102,13 +148,14 @@ struct FlowSimResult
  * assignPaths() first). It indexes every (flow, path) subflow by the
  * edges it crosses, and keeps per-edge active-subflow counts up to
  * date as flows are retired with removeFlow(). Each solve() water-fills
- * only the live subflows, finding successive bottleneck edges with a
- * lazy min-heap keyed by fair share instead of rescanning every edge
+ * only the live subflows, reading each bottleneck off a winner tree
+ * over edge ids keyed by fair share instead of rescanning every edge
  * per iteration. Rates are bit-identical to the classic full rescan:
- * the heap pops (share, edge) in the same (smallest share, smallest
- * edge id) order the linear scan selects, and subflows freeze in the
- * same construction order, so the floating-point operation sequence is
- * unchanged.
+ * the tree's top is the (smallest share, smallest edge id) the linear
+ * scan selects, subflows freeze in the same construction order, and
+ * each edge takes a freeze round's k crossings as k sequential
+ * clamped subtractions, so every edge sees the same floating-point
+ * operation sequence.
  *
  * The graph and flow vector must outlive the engine; the flows' path
  * sets must not change while the engine is alive, except through the
@@ -133,11 +180,11 @@ class FlowSimEngine
 
     /**
      * Release a live flow's subflows without retiring the flow, so
-     * the caller may rewrite its path set (fault failover). Call
-     * sequence: detachFlow(i); mutate flows[i].paths/weights;
-     * attachFlow(i). The engine copies path edges into its own pool
-     * at attach time, so the caller's Path objects are free to go
-     * away at any point after attachFlow() returns.
+     * the caller may rebind its path set (fault failover). Call
+     * sequence: detachFlow(i); rebind flows[i]; attachFlow(i). The
+     * engine copies path edges into its own pool at attach time, so
+     * the flow's PathSet is free to go away at any point after
+     * attachFlow() returns.
      */
     void detachFlow(std::size_t flow);
 
@@ -233,18 +280,15 @@ class FlowSimEngine
     std::vector<std::uint32_t> scratch_active_;
     std::vector<std::uint32_t> frozen_stamp_;  //!< per subflow
     std::uint32_t solve_stamp_ = 0;
-    /** Dedups heap refreshes per freeze round (one push per edge). */
-    std::vector<std::uint32_t> touch_stamp_;
-    std::uint32_t touch_round_ = 0;
     /**
-     * Bottleneck-candidate heap storage, reused across solves so the
-     * epoch loop in run() never reallocates it. (share, edge) pairs
-     * are totally ordered -- edge ids are unique -- so any binary
-     * min-heap over them pops the exact same sequence; keeping the
-     * backing vector warm changes nothing but the allocation count.
+     * Bottleneck candidates: fair share per edge with unfrozen
+     * subflows. Every solve() drains it, so it starts each solve
+     * empty without a reset.
      */
-    std::vector<std::pair<double, EdgeId>> heap_;
-    /** Edges touched by the current freeze round (solve scratch). */
+    WinnerTree<double> bottleneck_;
+    /** Frozen crossings per edge in the current round (else 0). */
+    std::vector<std::uint32_t> crossings_;
+    /** Edges with crossings in the current freeze round. */
     std::vector<EdgeId> touched_;
 };
 

@@ -43,6 +43,22 @@ std::atomic<int> g_enabled{-1}; // -1 = read env on first use
 
 } // namespace
 
+PathSetRef
+canonicalPathSet(const Graph &graph, NodeId src, NodeId dst,
+                 std::size_t max_paths)
+{
+    bool truncated = false;
+    auto ps = std::make_shared<PathSet>();
+    ps->paths = shortestPaths(graph, src, dst, max_paths, &truncated);
+    std::sort(ps->paths.begin(), ps->paths.end());
+    if (!ps->paths.empty())
+        ps->weights.assign(ps->paths.size(),
+                           1.0 / (double)ps->paths.size());
+    ps->complete = !truncated;
+    ps->maxPaths = (std::uint32_t)max_paths;
+    return ps;
+}
+
 RouteCache &
 RouteCache::global()
 {
@@ -139,14 +155,7 @@ RouteCache::paths(const Graph &graph, NodeId src, NodeId dst,
     // Miss: enumerate fresh, canonicalize, publish.
     stats.misses.inc();
     DSV3_TRACE_SPAN("net.route_cache.fill", "pair", pk);
-    bool truncated = false;
-    std::vector<Path> found =
-        shortestPaths(graph, src, dst, max_paths, &truncated);
-    std::sort(found.begin(), found.end());
-    auto ps = std::make_shared<PathSet>();
-    ps->paths = std::move(found);
-    ps->complete = !truncated;
-    ps->maxPaths = (std::uint32_t)max_paths;
+    PathSetRef ps = canonicalPathSet(graph, src, dst, max_paths);
     // Insert-if-absent: a racing writer's bytes are identical, and an
     // existing entry with a *different* truncation bound must not be
     // clobbered (nor returned -- this set answers the caller's bound).

@@ -28,10 +28,17 @@
  * canonical sort and cannot be emulated from a differently-bounded
  * set. Complete entries serve any request whose bound admits them.
  *
+ * Routed flows pin their sets: Flow::paths/weights are views into a
+ * PathSet, and Flow::pathSet holds a PathSetRef to it, so clear(), an
+ * LRU eviction or a topology change never frees paths a flow still
+ * routes over. Sets are immutable once published, which is what
+ * makes sharing them across flows, calls and threads safe.
+ *
  * Counters: net.route_cache.{hits,misses,evictions}. The fill path
  * carries a trace span. Disable with DSV3_ROUTE_CACHE=0 (or
  * setEnabled(false)); the callers then fall back to per-call local
- * caches, whose misses share the same per-source DAG.
+ * stores of the same canonicalPathSet() sets, whose misses share the
+ * same per-source DAG.
  */
 
 #pragma once
@@ -51,6 +58,8 @@ namespace dsv3::net {
 struct PathSet
 {
     std::vector<Path> paths;
+    /** 1/paths.size() per path: ADAPTIVE's even split, viewed by flows. */
+    std::vector<double> weights;
     /** Enumeration finished without hitting max_paths. */
     bool complete = true;
     /** The bound the set was clipped at (meaningful when !complete). */
@@ -58,6 +67,15 @@ struct PathSet
 };
 
 using PathSetRef = std::shared_ptr<const PathSet>;
+
+/**
+ * Enumerate (src, dst)'s shortest paths on @p graph into a fresh
+ * canonical set: shortestPaths() with the same bound, sorted, with
+ * its even-split weights. Both the cache's fill and the cache-off
+ * fallback build their sets here.
+ */
+PathSetRef canonicalPathSet(const Graph &graph, NodeId src, NodeId dst,
+                            std::size_t max_paths = 512);
 
 class RouteCache
 {
@@ -71,9 +89,8 @@ class RouteCache
 
     /**
      * The canonical shortest-path set for (src, dst) on @p graph,
-     * served from cache or enumerated fresh. Byte-identical (after
-     * the caller-side sort the uncached paths always got) to
-     * shortestPaths() with the same bound. The returned set is
+     * served from cache or enumerated fresh. Byte-identical to
+     * canonicalPathSet() with the same bound. The returned set is
      * immutable and safe to hold across later topology mutation.
      */
     PathSetRef paths(const Graph &graph, NodeId src, NodeId dst,

@@ -6,6 +6,7 @@
  * partitioned flows are retired as stalled.
  */
 
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include "fault/failover.hh"
@@ -182,6 +183,64 @@ TEST(Failover, PartitionedFlowsRetireAsStalled)
     const std::vector<double> &rates = engine.solve();
     EXPECT_EQ(rates[0], 0.0);
     EXPECT_GT(rates[1], 0.0);
+}
+
+TEST(Failover, StaticTakesFirstCanonicalSurvivor)
+{
+    // s -> a -> t is the only shortest route, so every STATIC flow
+    // takes it. Downing a -> t leaves two 3-hop survivors. A static
+    // table has no planner at failover time: every broken flow must
+    // land on the first canonical survivor, where the greedy table
+    // assignPaths() builds would spread them over both.
+    net::Cluster c;
+    net::Graph &g = c.graph;
+    net::NodeId s = g.addNode(net::NodeKind::GPU, "s");
+    net::NodeId a = g.addNode(net::NodeKind::LEAF, "a");
+    net::NodeId b1 = g.addNode(net::NodeKind::LEAF, "b1");
+    net::NodeId b2 = g.addNode(net::NodeKind::LEAF, "b2");
+    net::NodeId m = g.addNode(net::NodeKind::SPINE, "m");
+    net::NodeId t = g.addNode(net::NodeKind::GPU, "t");
+    g.addEdge(s, a, 10.0, 1e-6);
+    net::EdgeId at = g.addEdge(a, t, 10.0, 1e-6);
+    g.addEdge(s, b1, 10.0, 1e-6);
+    g.addEdge(s, b2, 10.0, 1e-6);
+    g.addEdge(b1, m, 10.0, 1e-6);
+    g.addEdge(b2, m, 10.0, 1e-6);
+    g.addEdge(m, t, 10.0, 1e-6);
+
+    std::vector<net::Flow> flows(3);
+    for (std::size_t k = 0; k < flows.size(); ++k) {
+        flows[k].src = s;
+        flows[k].dst = t;
+        flows[k].bytes = 1e6;
+        flows[k].qp = k;
+    }
+    assignPaths(g, flows, net::RoutePolicy::STATIC);
+    net::FlowSimEngine engine(g, flows);
+    engine.solve();
+
+    g.setEdgeCapacity(at, 0.0);
+    std::vector<net::Path> survivors = net::shortestPaths(g, s, t);
+    std::sort(survivors.begin(), survivors.end());
+    ASSERT_EQ(survivors.size(), 2u);
+
+    FailoverResult fo =
+        failoverReroute(c, flows, engine, net::RoutePolicy::STATIC);
+    EXPECT_EQ(fo.rerouted, flows.size());
+    for (const net::Flow &f : flows) {
+        ASSERT_EQ(f.paths.size(), 1u);
+        EXPECT_EQ(f.paths[0], survivors[0]);
+        EXPECT_EQ(f.weights[0], 1.0);
+    }
+    const std::vector<double> &rates = engine.solve();
+    for (std::size_t k = 0; k < flows.size(); ++k)
+        EXPECT_GT(rates[k], 0.0) << k;
+
+    // The greedy table over the same flows on the degraded graph
+    // differs, so the check above tells the two apart.
+    std::vector<net::Flow> greedy = flows;
+    assignPaths(g, greedy, net::RoutePolicy::STATIC);
+    EXPECT_EQ(greedy[1].paths[0], survivors[1]);
 }
 
 TEST(Failover, EcmpRerouteIsDeterministic)

@@ -2,12 +2,15 @@
  * @file
  * Tests for the process-level route cache: fingerprint keying,
  * warm-hit identity, edge-down re-keying, repair round-trips, the
- * degrade-does-not-invalidate guarantee, and byte-equivalence of
- * assignPaths() with the cache on, warm, or off.
+ * degrade-does-not-invalidate guarantee, byte-equivalence of
+ * assignPaths() with the cache on, warm, or off, and the lifetime of
+ * the path sets flows view.
  */
 
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <memory>
+#include <span>
 
 #include "net/cluster.hh"
 #include "net/flow.hh"
@@ -32,6 +35,14 @@ canonicalPaths(const Graph &g, NodeId src, NodeId dst,
     auto found = shortestPaths(g, src, dst, max_paths);
     std::sort(found.begin(), found.end());
     return found;
+}
+
+/** A flow's path or weight view as a comparable vector. */
+template <typename T>
+std::vector<T>
+vec(std::span<const T> view)
+{
+    return {view.begin(), view.end()};
 }
 
 /** Diamond: s -> {a, b} -> t, two equal-cost paths. */
@@ -254,10 +265,10 @@ TEST_F(RouteCacheTest, AssignPathsMatchesCacheOff)
         RouteCache::setEnabled(true);
 
         for (std::size_t i = 0; i < base.size(); ++i) {
-            EXPECT_EQ(cold[i].paths, off[i].paths);
-            EXPECT_EQ(cold[i].weights, off[i].weights);
-            EXPECT_EQ(warm[i].paths, off[i].paths);
-            EXPECT_EQ(warm[i].weights, off[i].weights);
+            EXPECT_EQ(vec(cold[i].paths), vec(off[i].paths));
+            EXPECT_EQ(vec(cold[i].weights), vec(off[i].weights));
+            EXPECT_EQ(vec(warm[i].paths), vec(off[i].paths));
+            EXPECT_EQ(vec(warm[i].weights), vec(off[i].weights));
         }
     }
 }
@@ -288,7 +299,7 @@ TEST_F(RouteCacheTest, StaticKthPathStableUnderCacheReuse)
         assignPaths(c.graph, flows, RoutePolicy::STATIC);
         std::vector<Path> picks;
         for (const Flow &f : flows)
-            picks.push_back(f.paths.at(0));
+            picks.push_back(vec(f.paths).at(0));
         return picks;
     };
 
@@ -304,6 +315,87 @@ TEST_F(RouteCacheTest, StaticKthPathStableUnderCacheReuse)
     // The greedy spreader must actually use distinct paths for
     // same-pair flows (k-th path, not always the first).
     EXPECT_NE(cold.front(), cold.back());
+}
+
+/** Strided all-to-all sample for the view-lifetime tests. */
+std::vector<Flow>
+sampleFlows(const Cluster &c)
+{
+    std::vector<Flow> flows;
+    std::uint64_t qp = 0;
+    for (std::size_t s = 0; s < c.gpus.size(); s += 3)
+        for (std::size_t d = 0; d < c.gpus.size(); d += 5) {
+            if (s == d)
+                continue;
+            Flow f;
+            f.src = c.gpus[s];
+            f.dst = c.gpus[d];
+            f.bytes = 1e6;
+            f.qp = qp++;
+            flows.push_back(f);
+        }
+    return flows;
+}
+
+/** @p flows' views equal a fresh assignment with the cache off. */
+void
+expectMatchesCacheOff(const Graph &g, const std::vector<Flow> &flows,
+                      RoutePolicy policy)
+{
+    auto off = flows;
+    RouteCache::setEnabled(false);
+    assignPaths(g, off, policy, 7);
+    RouteCache::setEnabled(true);
+    ASSERT_EQ(flows.size(), off.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        EXPECT_EQ(vec(flows[i].paths), vec(off[i].paths)) << i;
+        EXPECT_EQ(vec(flows[i].weights), vec(off[i].weights)) << i;
+    }
+}
+
+TEST_F(RouteCacheTest, FlowViewsOutliveCacheClear)
+{
+    // Flows view their paths inside the cached sets; clearing the
+    // cache drops its references, and the flows' own pins must keep
+    // every viewed set alive.
+    Cluster c = buildCluster([] {
+        ClusterConfig cc;
+        cc.fabric = Fabric::MPFT;
+        cc.hosts = 4;
+        return cc;
+    }());
+    for (RoutePolicy policy :
+         {RoutePolicy::ECMP, RoutePolicy::ADAPTIVE,
+          RoutePolicy::STATIC}) {
+        auto flows = sampleFlows(c);
+        assignPaths(c.graph, flows, policy, 7);
+        RouteCache::global().clear();
+        expectMatchesCacheOff(c.graph, flows, policy);
+    }
+}
+
+TEST_F(RouteCacheTest, FlowViewsSurviveCopyAndDestroy)
+{
+    // A copied flow vector shares the original's pins: destroying the
+    // original (with the cache already cleared, so the copies hold
+    // the only references) must leave the copies' views intact.
+    Cluster c = buildCluster([] {
+        ClusterConfig cc;
+        cc.fabric = Fabric::MRFT;
+        cc.hosts = 4;
+        return cc;
+    }());
+    for (RoutePolicy policy :
+         {RoutePolicy::ECMP, RoutePolicy::ADAPTIVE,
+          RoutePolicy::STATIC}) {
+        auto original = std::make_unique<std::vector<Flow>>(
+            sampleFlows(c));
+        assignPaths(c.graph, *original, policy, 7);
+        RouteCache::global().clear();
+        std::vector<Flow> copy = *original;
+        original.reset();
+        expectMatchesCacheOff(c.graph, copy, policy);
+    }
 }
 
 TEST_F(RouteCacheTest, FingerprintTracksStructureNotCapacity)
