@@ -360,7 +360,7 @@ BM_SimulateChaosClosedLoop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 // The 1024-request arg exists to show the event-loop scaling the
-// calendar + per-engine-slot core buys; it runs only when the
+// event-heap + per-engine-slot core buys; it runs only when the
 // microbenchmarks do (CI's table runs filter them out).
 BENCHMARK(BM_SimulateChaosClosedLoop)->Arg(64)->Arg(256)->Arg(1024);
 

@@ -85,7 +85,7 @@ concat(Args &&...args)
 /**
  * Debug-build-only invariant check (compiles away under NDEBUG): for
  * conditions on hot paths whose evaluation would cost real time, or
- * redundant belt-and-suspenders proofs (e.g. "a voided calendar event
+ * redundant belt-and-suspenders proofs (e.g. "a voided engine event
  * is never dispatched") that release builds already guard cheaply.
  */
 #ifdef NDEBUG

@@ -3,11 +3,11 @@
  * Allocation-shy sequence containers for simulator hot loops.
  *
  * SmallVec<T, N>: a vector with N elements of inline storage. The
- * serving simulator's per-engine resident sets and the co-sim
- * calendar's scratch lists are nearly always tiny; keeping them inline
- * removes the per-engine heap churn that dominated commitStep()
- * profiles. Spills to the heap beyond N and stays there (capacity
- * never shrinks), so a warmed-up engine allocates nothing per step.
+ * serving simulator's per-engine resident sets are nearly always
+ * tiny; keeping them inline removes the per-engine heap churn that
+ * dominated commitStep() profiles. Spills to the heap beyond N and
+ * stays there (capacity never shrinks), so a warmed-up engine
+ * allocates nothing per step.
  *
  * FlatDeque<T>: a power-of-two ring-buffer deque (push_back /
  * pop_front / random access). std::deque allocates ~512-byte chunks

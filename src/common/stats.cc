@@ -149,102 +149,6 @@ Histogram::fraction(std::size_t bin) const
     return (double)counts_.at(bin) / (double)total_;
 }
 
-P2Quantile::P2Quantile(double p) : p_(p)
-{
-    DSV3_ASSERT(p > 0.0 && p < 1.0);
-    for (int i = 0; i < 5; ++i) {
-        heights_[i] = 0.0;
-        positions_[i] = (double)(i + 1);
-    }
-    desired_[0] = 1.0;
-    desired_[1] = 1.0 + 2.0 * p;
-    desired_[2] = 1.0 + 4.0 * p;
-    desired_[3] = 3.0 + 2.0 * p;
-    desired_[4] = 5.0;
-    increment_[0] = 0.0;
-    increment_[1] = p / 2.0;
-    increment_[2] = p;
-    increment_[3] = (1.0 + p) / 2.0;
-    increment_[4] = 1.0;
-}
-
-void
-P2Quantile::add(double x)
-{
-    if (n_ < 5) {
-        heights_[n_++] = x;
-        if (n_ == 5)
-            std::sort(heights_, heights_ + 5);
-        return;
-    }
-    ++n_;
-
-    // Locate the cell containing x, stretching the extremes.
-    int k;
-    if (x < heights_[0]) {
-        heights_[0] = x;
-        k = 0;
-    } else if (x >= heights_[4]) {
-        heights_[4] = std::max(heights_[4], x);
-        k = 3;
-    } else {
-        k = 3;
-        for (int i = 1; i < 4; ++i) {
-            if (x < heights_[i]) {
-                k = i - 1;
-                break;
-            }
-        }
-    }
-
-    for (int i = k + 1; i < 5; ++i)
-        positions_[i] += 1.0;
-    for (int i = 0; i < 5; ++i)
-        desired_[i] += increment_[i];
-
-    // Nudge the three interior markers toward their desired ranks.
-    for (int i = 1; i < 4; ++i) {
-        double d = desired_[i] - positions_[i];
-        if ((d >= 1.0 && positions_[i + 1] - positions_[i] > 1.0) ||
-            (d <= -1.0 && positions_[i - 1] - positions_[i] < -1.0)) {
-            double s = d < 0.0 ? -1.0 : 1.0;
-            // Piecewise-parabolic (P^2) height prediction.
-            double hp =
-                heights_[i] +
-                s / (positions_[i + 1] - positions_[i - 1]) *
-                    ((positions_[i] - positions_[i - 1] + s) *
-                         (heights_[i + 1] - heights_[i]) /
-                         (positions_[i + 1] - positions_[i]) +
-                     (positions_[i + 1] - positions_[i] - s) *
-                         (heights_[i] - heights_[i - 1]) /
-                         (positions_[i] - positions_[i - 1]));
-            if (heights_[i - 1] < hp && hp < heights_[i + 1]) {
-                heights_[i] = hp;
-            } else {
-                // Linear fallback when the parabola overshoots.
-                int j = i + (int)s;
-                heights_[i] += s * (heights_[j] - heights_[i]) /
-                               (positions_[j] - positions_[i]);
-            }
-            positions_[i] += s;
-        }
-    }
-}
-
-double
-P2Quantile::value() const
-{
-    if (n_ == 0)
-        return 0.0;
-    if (n_ < 5) {
-        // Exact order statistic over the retained prefix.
-        std::vector<double> sorted(heights_, heights_ + n_);
-        std::sort(sorted.begin(), sorted.end());
-        return percentile(sorted, p_ * 100.0);
-    }
-    return heights_[2];
-}
-
 double
 jainFairness(const std::vector<double> &loads)
 {

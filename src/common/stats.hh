@@ -95,36 +95,6 @@ class Histogram
     std::size_t overflow_ = 0;
 };
 
-/**
- * Streaming quantile estimate via the P² algorithm (Jain & Chlamtac,
- * CACM 1985): five markers track the target quantile plus its
- * neighborhood and are nudged toward their ideal ranks with parabolic
- * interpolation on every sample. O(1) memory, no sample retention;
- * exact until five samples have been seen, approximate after. Feeding
- * order matters, so a serial feed is fully deterministic.
- */
-class P2Quantile
-{
-  public:
-    /** @param p target quantile in (0, 1), e.g. 0.99. */
-    explicit P2Quantile(double p);
-
-    void add(double x);
-
-    double quantile() const { return p_; }
-    std::size_t count() const { return n_; }
-    /** Current estimate; exact order statistic until count() > 5. */
-    double value() const;
-
-  private:
-    double p_;
-    std::size_t n_ = 0;
-    double heights_[5];   //!< marker heights (ascending)
-    double positions_[5]; //!< actual marker ranks (1-based)
-    double desired_[5];   //!< desired ranks
-    double increment_[5]; //!< desired-rank increment per sample
-};
-
 /** Jain's fairness index: 1.0 = perfectly balanced. */
 double jainFairness(const std::vector<double> &loads);
 

@@ -68,7 +68,7 @@ const char *engineHealthName(EngineHealth health);
 /** Fault injection + request-survival policy for a serving fleet. */
 struct ServingChaosConfig
 {
-    /** Fault/repair events replayed onto the event calendar. Empty =
+    /** Fault/repair events replayed through the event queue. Empty =
      *  chaos off: the simulator takes the exact no-fault code path. */
     fault::FaultSchedule schedule;
 

@@ -6,9 +6,9 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <queue>
 #include <vector>
 
-#include "common/event_calendar.hh"
 #include "common/logging.hh"
 #include "common/small_vec.hh"
 #include "common/stats.hh"
@@ -195,7 +195,7 @@ enum class EventKind : int
     HANDOFF_DONE = 2,
     ENGINE_DONE = 3,
     ENGINE_KICK = 4,
-    // Chaos events share the same calendar (empty schedule: none of
+    // Chaos events share the same event heap (empty schedule: none of
     // these are ever pushed and the loop is the fault-free loop).
     CHAOS = 5,          //!< apply FaultSchedule event [id]
     PROBE = 6,          //!< dispatcher health-check tick
@@ -203,17 +203,41 @@ enum class EventKind : int
     RECOVERY_DONE = 8,  //!< engine id finished its recovery warmup
 };
 
-/** Calendar payload. Timestamp and the FIFO tie-break order live in
- *  the EventCalendar entry; the calendar reproduces the old
- *  priority_queue's (time, order) pop order bit-for-bit. Packed to
- *  16 bytes (a 32-byte calendar entry) so pushes, pops, and bucket
- *  scans move half the bytes the old 48-byte heap nodes did. */
-struct EventBody
+/** Event order: time, then the push sequence, so events at one
+ *  instant pop FIFO. Every event gets a distinct `order`, which makes
+ *  the pop sequence a pure function of the pushes. */
+struct EventKey
 {
+    double time;
+    std::uint64_t order;
+
+    bool
+    operator<(const EventKey &o) const
+    {
+        if (time != o.time)
+            return time < o.time;
+        return order < o.order;
+    }
+};
+
+/** One entry of the event heap, packed to 32 bytes. */
+struct Event
+{
+    EventKey key;
     std::uint32_t id;   //!< request id or engine index
     std::uint32_t kind; //!< EventKind
     std::uint64_t tag;  //!< engine epoch; voids stale ENGINE_DONE /
                         //!< RECOVERY_DONE after a death
+};
+
+/** Heap comparator: the least key on top. */
+struct EventAfter
+{
+    bool
+    operator()(const Event &a, const Event &b) const
+    {
+        return b.key < a.key;
+    }
 };
 
 enum class EngineWork
@@ -264,9 +288,9 @@ struct Engine
 /**
  * Parked next engine event (ENGINE_DONE or ENGINE_KICK). An engine
  * has at most one of either live at a time (see slotPush()), so the
- * steady-state decode loop never touches the calendar: the
+ * steady-state decode loop never touches the event heap: the
  * dispatcher compares the earliest slot's (time, order) against the
- * calendar head instead. The (time, order) keys and liveness live in
+ * heap top instead. The (time, order) keys and liveness live in
  * a winner tree over the engines (Simulation::slotIndex_), which
  * names the earliest live slot without a scan. A voided ENGINE_DONE
  * (stale tag after a death) stays parked and still pops as the no-op
@@ -490,7 +514,7 @@ class Simulation
     run()
     {
         while (true) {
-            // Once every request is terminal the calendar holds only
+            // Once every request is terminal the heap holds only
             // chaos machinery (fault replay, probes, recoveries);
             // draining a multi-hour fault schedule after the last
             // request would pad deaths/downtime far past the span the
@@ -500,9 +524,9 @@ class Simulation
                     reqs_.size())
                 break;
             // Next event: minimum (time, order) over the parked
-            // per-engine slots (the top of slotIndex_) and the
-            // calendar head. Slot stamps come from the calendar's own
-            // order counter, so this comparison reproduces the
+            // per-engine slots (the top of slotIndex_) and the heap
+            // top. Slots and heap entries are stamped from one order_
+            // counter, so this comparison reproduces the
             // single-queue pop order bit-for-bit — including voided
             // slots, which pop as the same time-advancing no-ops the
             // seed loop popped.
@@ -520,7 +544,7 @@ class Simulation
 #endif
             if (best_eng != kNone &&
                 (events_.empty() ||
-                 slotIndex_.key(best_eng) < events_.peekKey())) {
+                 slotIndex_.key(best_eng) < events_.top().key)) {
                 const double now = slotIndex_.key(best_eng).time;
                 slotIndex_.clear(best_eng);
                 const std::uint64_t tag = slots_[best_eng].tag;
@@ -537,9 +561,9 @@ class Simulation
             }
             if (events_.empty())
                 break;
-            const auto entry = events_.pop();
-            const EventBody &ev = entry.payload;
-            const double now = entry.time;
+            const Event ev = events_.top();
+            events_.pop();
+            const double now = ev.key.time;
             sampleRecorderUpTo(now);
             switch ((EventKind)ev.kind) {
               case EventKind::ARRIVAL:
@@ -612,21 +636,21 @@ class Simulation
     push(double time, EventKind kind, std::size_t id,
          std::uint64_t tag = 0)
     {
-        events_.push(time, EventBody{(std::uint32_t)id,
-                                     (std::uint32_t)kind, tag});
+        events_.push(Event{{time, order_++}, (std::uint32_t)id,
+                           (std::uint32_t)kind, tag});
     }
 
     /**
      * Park an engine event (ENGINE_DONE or ENGINE_KICK) in the
-     * engine's slot instead of the calendar; the run() loop treats
-     * the slot as a pop candidate with the order stamp a push would
-     * have gotten. At most one such event is live per engine: a live
+     * engine's slot instead of the heap; the run() loop treats the
+     * slot as a pop candidate with the order stamp a push would have
+     * gotten. At most one such event is live per engine: a live
      * ENGINE_DONE implies the engine is working, so kick() generates
      * nothing, and work only starts from a kick pop, which frees the
      * slot first. The only possible occupant is a voided ENGINE_DONE
      * (death bumped the epoch while the done was parked); it must
      * still pop as a time-advancing no-op, so the new event spills to
-     * the calendar instead of overwriting it.
+     * the heap instead of overwriting it.
      */
     void
     slotPush(std::size_t eng, double time, EventKind kind,
@@ -643,7 +667,7 @@ class Simulation
         }
         s.tag = tag;
         s.kind = (std::uint32_t)kind;
-        slotIndex_.set(eng, {time, events_.nextOrder()});
+        slotIndex_.set(eng, {time, order_++});
     }
 
     // Step-cost memoization --------------------------------------------
@@ -1388,8 +1412,8 @@ class Simulation
         // Coalesce to one pending kick per engine. A pending kick
         // implies the engine is still IDLE (work only starts when a
         // kick pops, which clears the flag) and was pushed at this
-        // same instant (kicks are always scheduled at "now" and the
-        // calendar pops in time order), so the skipped push would
+        // same instant (kicks are always scheduled at "now" and
+        // events pop in time order), so the skipped push would
         // have observed the exact state the pending one will.
         if (e.work == EngineWork::IDLE && !e.kickPending) {
             e.kickPending = true;
@@ -1960,11 +1984,6 @@ class Simulation
         for (std::vector<double> &col : columns)
             col.reserve(completed_);
 
-        obs::Quantile &q_ttft = obs::Registry::global().quantile(
-            "inference.serving.ttft_seconds");
-        obs::Quantile &q_tpot = obs::Registry::global().quantile(
-            "inference.serving.tpot_seconds");
-
         std::vector<double> ttft;
         std::vector<double> tpot;
         ttft.reserve(completed_);
@@ -1973,7 +1992,7 @@ class Simulation
         for (const ReqState &st : reqs_) {
             // Percentile digests cover completed requests only:
             // REJECTED, SHED, and FAILED outcomes (and requests
-            // stranded mid-flight at calendar drain) are excluded
+            // stranded mid-flight when the events ran out) are excluded
             // explicitly -- a "latency" for a request that never
             // finished would poison the tails.
             if (st.completion < 0.0 || st.rejected || st.shed ||
@@ -1987,13 +2006,11 @@ class Simulation
             const double first =
                 st.firstTokenTime - st.req.arrivalSeconds;
             ttft.push_back(first);
-            q_ttft.add(first);
             double per_token = 0.0;
             if (st.decodeNeeded > 0) {
                 per_token = (st.completion - st.firstTokenTime) /
                             (double)st.decodeNeeded;
                 tpot.push_back(per_token);
-                q_tpot.add(per_token);
             }
             if (first <= fleet_.sloTtftSeconds &&
                 per_token <= fleet_.sloTpotSeconds)
@@ -2087,10 +2104,12 @@ class Simulation
     std::vector<Engine> engines_;
     std::vector<EngineSlot> slots_; //!< parked per-engine events
     /** (time, order) of each live slot; top() is the earliest. */
-    WinnerTree<EventCalendar<EventBody>::Key> slotIndex_;
+    WinnerTree<EventKey> slotIndex_;
     /** load() of each admitting engine; top() is chooseEngine(). */
     WinnerTree<std::size_t> dispatch_;
-    EventCalendar<EventBody> events_;
+    /** Every unparked event, least key on top. */
+    std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
+    std::uint64_t order_ = 0; //!< next push sequence number
 
     // Step-cost memo: direct-mapped, power-of-two slots, grown once
     // past half occupancy up to the cap (then overwrite-on-collision

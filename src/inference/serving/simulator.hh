@@ -2,7 +2,7 @@
  * @file
  * Discrete-event inference-serving fleet simulator (ROADMAP item 1).
  *
- * Composes the repo's analytic serving models into an event calendar
+ * Composes the repo's analytic serving models into an event loop
  * driven by live traffic, the way ASTRA-sim-style workload simulators
  * drive their compute/comm cost models:
  *
@@ -199,7 +199,7 @@ struct ServingMetrics
     // (retry budget exhausted after repeated engine losses). All
     // three are excluded from the ttft/tpot percentile digests, which
     // cover completed requests only. STRANDED counts requests still
-    // in flight when the calendar drained (e.g. waiting out a
+    // in flight when the event queue drained (e.g. waiting out a
     // never-repaired outage).
     std::size_t requestsShed = 0;
     std::size_t requestsFailed = 0;

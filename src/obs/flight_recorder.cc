@@ -78,7 +78,9 @@ FlightRecorder::timeseriesJson() const
         if (!firstChan)
             out += ",";
         firstChan = false;
-        out += "\"" + jsonEscape(name) + "\":{\"t\":[";
+        out += '"';
+        out += jsonEscape(name);
+        out += "\":{\"t\":[";
         const std::vector<Sample> chron = samples(name);
         for (std::size_t i = 0; i < chron.size(); ++i) {
             if (i)

@@ -128,81 +128,6 @@ Distribution::reset()
     moments_ = RunningStat();
 }
 
-Quantile::Quantile() : p50_(0.50), p95_(0.95), p99_(0.99)
-{
-}
-
-void
-Quantile::add(double x)
-{
-    if (!statsEnabled())
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    p50_.add(x);
-    p95_.add(x);
-    p99_.add(x);
-    moments_.add(x);
-}
-
-std::size_t
-Quantile::count() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return moments_.count();
-}
-
-double
-Quantile::mean() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return moments_.mean();
-}
-
-double
-Quantile::min() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return moments_.min();
-}
-
-double
-Quantile::max() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return moments_.max();
-}
-
-double
-Quantile::p50() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return p50_.value();
-}
-
-double
-Quantile::p95() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return p95_.value();
-}
-
-double
-Quantile::p99() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return p99_.value();
-}
-
-void
-Quantile::reset()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    p50_ = P2Quantile(0.50);
-    p95_ = P2Quantile(0.95);
-    p99_ = P2Quantile(0.99);
-    moments_ = RunningStat();
-}
-
 const char *
 Registry::Entry::kindName() const
 {
@@ -210,8 +135,6 @@ Registry::Entry::kindName() const
         return "counter";
     if (gauge)
         return "gauge";
-    if (quant)
-        return "quantile";
     return "distribution";
 }
 
@@ -290,25 +213,6 @@ Registry::distribution(const std::string &name, double lo, double hi,
                 .first->second.dist;
 }
 
-Quantile &
-Registry::quantile(const std::string &name)
-{
-    DSV3_ASSERT(!name.empty(), "stat name must be non-empty");
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-        if (!it->second.quant) {
-            DSV3_PANIC("stat '", name, "' already registered as ",
-                       it->second.kindName(), ", not quantile");
-        }
-        return *it->second.quant;
-    }
-    Entry entry;
-    entry.quant = std::make_unique<Quantile>();
-    return *entries_.emplace(name, std::move(entry))
-                .first->second.quant;
-}
-
 std::size_t
 Registry::size() const
 {
@@ -325,8 +229,6 @@ Registry::resetAll()
             entry.counter->reset();
         else if (entry.gauge)
             entry.gauge->reset();
-        else if (entry.quant)
-            entry.quant->reset();
         else
             entry.dist->reset();
     }
@@ -347,11 +249,6 @@ Registry::snapshotText() const
             os << entry.counter->value();
         } else if (entry.gauge) {
             os << entry.gauge->value();
-        } else if (entry.quant) {
-            const Quantile &q = *entry.quant;
-            os << "count=" << q.count() << " mean=" << q.mean()
-               << " p50=" << q.p50() << " p95=" << q.p95()
-               << " p99=" << q.p99() << " max=" << q.max();
         } else {
             const Distribution &d = *entry.dist;
             os << "count=" << d.count() << " mean=" << d.mean()
@@ -381,15 +278,6 @@ Registry::snapshotJson() const
             os << ",\"value\":" << entry.counter->value();
         } else if (entry.gauge) {
             os << ",\"value\":" << jsonNumber(entry.gauge->value());
-        } else if (entry.quant) {
-            const Quantile &q = *entry.quant;
-            os << ",\"count\":" << q.count()
-               << ",\"mean\":" << jsonNumber(q.mean())
-               << ",\"min\":" << jsonNumber(q.min())
-               << ",\"max\":" << jsonNumber(q.max())
-               << ",\"p50\":" << jsonNumber(q.p50())
-               << ",\"p95\":" << jsonNumber(q.p95())
-               << ",\"p99\":" << jsonNumber(q.p99());
         } else {
             const Distribution &d = *entry.dist;
             os << ",\"count\":" << d.count()

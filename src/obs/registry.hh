@@ -5,16 +5,13 @@
  * Instrumented code registers named stats once (hierarchical dotted
  * names: "net.flow.solver_iterations", "common.pool.tasks_run") and
  * bumps them as it runs; reporting code snapshots the whole registry
- * as aligned text or JSON. Four stat kinds:
+ * as aligned text or JSON. Three stat kinds:
  *
  *  - Counter:      monotonically increasing uint64 (events, items);
  *  - Gauge:        last-value / running-max double (levels, ratios);
  *  - Distribution: sampled values through a fixed-bin Histogram
  *                  (keeping its underflow/overflow accounting) plus
- *                  streaming moments;
- *  - Quantile:     streaming p50/p95/p99 via P^2 sketches plus
- *                  moments -- percentiles without retaining samples
- *                  (latency-style metrics with unbounded counts).
+ *                  streaming moments.
  *
  * Conventions:
  *  - names are `<subsystem>.<component>.<metric>`, lowercase, where
@@ -129,40 +126,6 @@ class Distribution
 };
 
 /**
- * Streaming-percentile stat: P^2 sketches for p50/p95/p99 plus
- * Welford moments. O(1) memory per stat regardless of sample count;
- * estimates are exact until five samples and approximate after (the
- * sketch error is pinned by tests against exact sorts). Serial feeds
- * are deterministic; concurrent feeds interleave under the stat
- * mutex.
- */
-class Quantile
-{
-  public:
-    Quantile();
-
-    void add(double x);
-
-    // Snapshot accessors (each takes the stat mutex).
-    std::size_t count() const;
-    double mean() const;
-    double min() const;
-    double max() const;
-    double p50() const;
-    double p95() const;
-    double p99() const;
-
-    void reset();
-
-  private:
-    mutable std::mutex mu_;
-    P2Quantile p50_;
-    P2Quantile p95_;
-    P2Quantile p99_;
-    RunningStat moments_;
-};
-
-/**
  * Name -> stat map. Registry::global() is the process-wide instance
  * all instrumentation uses; tests can create private registries.
  */
@@ -182,7 +145,6 @@ class Registry
     /** Panics on kind mismatch or differing (lo, hi, bins). */
     Distribution &distribution(const std::string &name, double lo,
                                double hi, std::size_t bins);
-    Quantile &quantile(const std::string &name);
 
     /** Registered stat count. */
     std::size_t size() const;
@@ -200,8 +162,6 @@ class Registry
      *   distribution {"kind":"distribution","count":N,"mean":X,
      *                 "min":X,"max":X,"lo":X,"hi":X,
      *                 "underflow":N,"overflow":N,"bins":[N,...]}
-     *   quantile     {"kind":"quantile","count":N,"mean":X,"min":X,
-     *                 "max":X,"p50":X,"p95":X,"p99":X}
      */
     std::string snapshotJson() const;
 
@@ -211,7 +171,6 @@ class Registry
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Distribution> dist;
-        std::unique_ptr<Quantile> quant;
         const char *kindName() const;
     };
 

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -207,94 +206,6 @@ TEST(Histogram, BinEdges)
     Histogram h(10.0, 20.0, 5);
     EXPECT_DOUBLE_EQ(h.binLo(0), 10.0);
     EXPECT_DOUBLE_EQ(h.binLo(4), 18.0);
-}
-
-TEST(P2Quantile, ExactBelowFiveSamples)
-{
-    // Below five samples value() is percentile() over the retained
-    // prefix, i.e. the exact interpolated order statistic.
-    P2Quantile q50(0.50);
-    for (double x : {7.0, 1.0, 5.0})
-        q50.add(x);
-    EXPECT_DOUBLE_EQ(q50.value(), 5.0);
-
-    P2Quantile q99(0.99);
-    std::vector<double> sorted = {1.0, 3.0, 5.0, 7.0};
-    for (double x : {7.0, 1.0, 5.0, 3.0})
-        q99.add(x);
-    EXPECT_DOUBLE_EQ(q99.value(), percentile(sorted, 99.0));
-
-    P2Quantile q2(0.50);
-    q2.add(4.0);
-    q2.add(2.0);
-    EXPECT_DOUBLE_EQ(q2.value(), 3.0); // interpolated median of {2, 4}
-
-    // At exactly five samples the markers are the sorted sample set
-    // and the middle marker is the exact median.
-    P2Quantile q5(0.50);
-    for (double x : {7.0, 1.0, 5.0, 3.0, 9.0})
-        q5.add(x);
-    EXPECT_EQ(q5.count(), 5u);
-    EXPECT_DOUBLE_EQ(q5.value(), 5.0);
-}
-
-TEST(P2Quantile, EmptyIsZero)
-{
-    P2Quantile q(0.95);
-    EXPECT_EQ(q.count(), 0u);
-    EXPECT_DOUBLE_EQ(q.value(), 0.0);
-    EXPECT_DOUBLE_EQ(q.quantile(), 0.95);
-}
-
-namespace {
-
-/** Deterministic xorshift stream in [0, 1). */
-double
-nextUniform(std::uint64_t &state)
-{
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return (double)(state >> 11) / 9007199254740992.0;
-}
-
-/** Sketch-vs-exact error for @p n samples drawn by @p draw. */
-double
-p2Error(double p, std::size_t n,
-        const std::function<double(std::uint64_t &)> &draw)
-{
-    P2Quantile sketch(p);
-    std::vector<double> exact;
-    exact.reserve(n);
-    std::uint64_t state = 0x9e3779b97f4a7c15ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        double x = draw(state);
-        sketch.add(x);
-        exact.push_back(x);
-    }
-    std::sort(exact.begin(), exact.end());
-    return std::abs(sketch.value() - percentile(exact, p * 100.0));
-}
-
-} // namespace
-
-TEST(P2Quantile, TracksExactSortWithinBounds)
-{
-    // Regression bounds for the streaming sketch against a full sort
-    // on 10k samples. The bounds are loose enough to be robust to
-    // marker-update details but tight enough to catch a broken
-    // parabolic update (which drifts by O(range)).
-    auto uniform = [](std::uint64_t &s) { return nextUniform(s); };
-    EXPECT_LT(p2Error(0.50, 10000, uniform), 0.02);
-    EXPECT_LT(p2Error(0.95, 10000, uniform), 0.02);
-    EXPECT_LT(p2Error(0.99, 10000, uniform), 0.02);
-
-    // Exponential tail: heavier stress on the upper markers.
-    auto expo = [](std::uint64_t &s) {
-        return -std::log(1.0 - nextUniform(s));
-    };
-    EXPECT_LT(p2Error(0.50, 10000, expo), 0.05);
-    EXPECT_LT(p2Error(0.99, 10000, expo), 0.5);
 }
 
 TEST(Fairness, JainPerfectBalance)

@@ -356,7 +356,7 @@ TEST(ServingChaos, RetryBudgetExhaustionFailsRequests)
 TEST(ServingChaos, PermanentFleetLossStrandsRatherThanSpins)
 {
     // The only engine dies and never repairs: in-flight requests
-    // park (STRANDED), the calendar drains, the sim terminates.
+    // park (STRANDED), the event queue drains, the sim terminates.
     ServingFleetConfig fleet = chaosFleet(1);
     fleet.chaos.schedule = explicitSchedule(
         {rankEvent(1.0, fault::FaultKind::RANK_DOWN, 0)});

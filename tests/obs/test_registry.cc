@@ -58,45 +58,6 @@ TEST(Distribution, PreservesHistogramUnderOverflow)
     EXPECT_DOUBLE_EQ(d.mean(), (-1.0 + 0.5 + 9.5 + 12.0) / 4.0);
 }
 
-TEST(Quantile, TracksMomentsAndPercentiles)
-{
-    Registry reg;
-    Quantile &q = reg.quantile("t.quant.basic");
-    EXPECT_EQ(q.count(), 0u);
-    for (int i = 1; i <= 1000; ++i)
-        q.add((double)i);
-    EXPECT_EQ(q.count(), 1000u);
-    EXPECT_DOUBLE_EQ(q.mean(), 500.5);
-    EXPECT_DOUBLE_EQ(q.min(), 1.0);
-    EXPECT_DOUBLE_EQ(q.max(), 1000.0);
-    // P^2 estimates on a uniform ramp stay close to the exact order
-    // statistics.
-    EXPECT_NEAR(q.p50(), 500.0, 25.0);
-    EXPECT_NEAR(q.p95(), 950.0, 25.0);
-    EXPECT_NEAR(q.p99(), 990.0, 25.0);
-    q.reset();
-    EXPECT_EQ(q.count(), 0u);
-    EXPECT_DOUBLE_EQ(q.p50(), 0.0);
-}
-
-TEST(Quantile, ExactForFewSamplesAndGatedByStatsSwitch)
-{
-    Registry reg;
-    Quantile &q = reg.quantile("t.quant.small");
-    q.add(3.0);
-    q.add(1.0);
-    q.add(2.0);
-    // Below five samples the sketch falls back to the exact
-    // interpolated order statistic over {1, 2, 3}.
-    EXPECT_DOUBLE_EQ(q.p50(), 2.0);
-    EXPECT_NEAR(q.p99(), 2.98, 1e-12);
-
-    setStatsEnabled(false);
-    q.add(100.0);
-    setStatsEnabled(true);
-    EXPECT_EQ(q.count(), 3u);
-}
-
 TEST(Registry, GetOrCreateReturnsSameStat)
 {
     Registry reg;
@@ -119,9 +80,6 @@ TEST(RegistryDeathTest, DuplicateNameDifferentKindPanics)
     EXPECT_DEATH(reg.gauge("t.dup.stat"), "t.dup.stat");
     EXPECT_DEATH(reg.distribution("t.dup.stat", 0.0, 1.0, 4),
                  "t.dup.stat");
-    EXPECT_DEATH(reg.quantile("t.dup.stat"), "t.dup.stat");
-    reg.quantile("t.dup.quant");
-    EXPECT_DEATH(reg.counter("t.dup.quant"), "t.dup.quant");
 }
 
 TEST(RegistryDeathTest, DistributionShapeMismatchPanics)
@@ -197,28 +155,6 @@ TEST(Registry, SnapshotJsonRoundTrips)
     EXPECT_DOUBLE_EQ(jd->find("max")->number(), 9.0);
     ASSERT_EQ(jd->find("bins")->array().size(), 4u);
     EXPECT_DOUBLE_EQ(jd->find("bins")->array()[1].number(), 1.0);
-}
-
-TEST(Registry, SnapshotJsonQuantileShape)
-{
-    Registry reg;
-    Quantile &q = reg.quantile("t.json.quant");
-    for (int i = 1; i <= 4; ++i)
-        q.add((double)i);
-
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(parseJson(reg.snapshotJson(), &doc, &err)) << err;
-    const JsonValue *jq = doc.find("t.json.quant");
-    ASSERT_NE(jq, nullptr);
-    EXPECT_EQ(jq->find("kind")->str(), "quantile");
-    EXPECT_DOUBLE_EQ(jq->find("count")->number(), 4.0);
-    EXPECT_DOUBLE_EQ(jq->find("mean")->number(), 2.5);
-    EXPECT_DOUBLE_EQ(jq->find("min")->number(), 1.0);
-    EXPECT_DOUBLE_EQ(jq->find("max")->number(), 4.0);
-    ASSERT_NE(jq->find("p50"), nullptr);
-    ASSERT_NE(jq->find("p95"), nullptr);
-    ASSERT_NE(jq->find("p99"), nullptr);
 }
 
 TEST(Registry, StatsDisabledDropsUpdates)
