@@ -237,11 +237,9 @@ timePhase(const net::Cluster &cluster, const TrafficCounts &tc,
     if (cluster.faultStateActive()) {
         for (const net::Flow &f : flows) {
             double worst = 1.0;
-            for (const net::Path &p : f.paths)
-                for (net::EdgeId e : p)
-                    worst = std::min(
-                        worst, cluster.graph.edge(e).capacity /
-                                   cluster.baseCapacity[e]);
+            for (net::EdgeId e : f.paths.edges())
+                worst = std::min(worst, cluster.graph.edge(e).capacity /
+                                            cluster.baseCapacity[e]);
             if (worst >= fm.degradedThreshold)
                 continue;
             out.retrySeconds =

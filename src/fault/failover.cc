@@ -8,10 +8,9 @@ namespace dsv3::fault {
 bool
 flowBroken(const net::Graph &graph, const net::Flow &flow)
 {
-    for (const net::Path &p : flow.paths)
-        for (net::EdgeId e : p)
-            if (graph.edge(e).capacity <= 0.0)
-                return true;
+    for (net::EdgeId e : flow.paths.edges())
+        if (graph.edge(e).capacity <= 0.0)
+            return true;
     return false;
 }
 

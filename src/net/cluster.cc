@@ -307,18 +307,21 @@ endToEndLatency(const Cluster &cluster, std::size_t src_rank,
     DSV3_ASSERT(dst_rank < cluster.gpus.size());
     if (src_rank == dst_rank)
         return 0.0;
-    // Candidate routes through the process cache, or enumerated
-    // fresh when the cache is off (the min below is order-independent).
+    // Candidate routes through the process cache, or filled into a
+    // call-local arena when the cache is off.
     const NodeId src = cluster.gpus[src_rank];
     const NodeId dst = cluster.gpus[dst_rank];
-    const PathSetRef routes =
+    PathArena local;
+    const PathSetRef cached =
         RouteCache::enabled()
             ? RouteCache::global().paths(cluster.graph, src, dst)
-            : canonicalPathSet(cluster.graph, src, dst);
-    DSV3_ASSERT(!routes->paths.empty(), "no route between ranks ",
+            : nullptr;
+    const PathSet &routes =
+        cached ? *cached : local.fill(cluster.graph, src, dst);
+    DSV3_ASSERT(!routes.paths.empty(), "no route between ranks ",
                 src_rank, " and ", dst_rank);
     double best = std::numeric_limits<double>::infinity();
-    for (const Path &p : routes->paths) {
+    for (Path p : routes.paths) {
         double lat = pathLatency(cluster.graph, p) +
                      bytes / pathCapacity(cluster.graph, p);
         best = std::min(best, lat);

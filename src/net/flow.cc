@@ -70,27 +70,23 @@ constexpr double kWholeFlow = 1.0;
 PathBinder::PathBinder(const Graph &graph, RoutePolicy policy,
                        std::uint64_t seed, bool static_table)
     : graph_(graph), policy_(policy), seed_(seed),
-      use_cache_(RouteCache::enabled()),
       static_table_(policy == RoutePolicy::STATIC && static_table)
 {
     if (static_table_)
         static_load_.assign(graph.edgeCount(), 0);
+    if (!RouteCache::enabled())
+        local_arena_ = std::make_shared<PathArena>();
 }
 
 bool
 PathBinder::bind(Flow &flow)
 {
-    PathSetRef set;
-    if (use_cache_) {
-        set = RouteCache::global().paths(graph_, flow.src, flow.dst);
-    } else {
-        PathSetRef &slot =
-            local_[((std::uint64_t)flow.src << 32) | flow.dst];
-        if (!slot)
-            slot = canonicalPathSet(graph_, flow.src, flow.dst);
-        set = slot;
-    }
-    const std::vector<Path> &paths = set->paths;
+    PathSetRef set =
+        local_arena_
+            ? PathSetRef(local_arena_,
+                         &local_arena_->fill(graph_, flow.src, flow.dst))
+            : RouteCache::global().paths(graph_, flow.src, flow.dst);
+    const PathList paths = set->paths;
     if (paths.empty()) {
         flow.paths = {};
         flow.weights = {};
@@ -142,7 +138,7 @@ PathBinder::bind(Flow &flow)
         break;
       }
     }
-    flow.paths = {&paths[pick], 1};
+    flow.paths = {paths[pick].data(), 1, paths.hops};
     flow.weights = {&kWholeFlow, 1};
     flow.pathSet = std::move(set);
     return true;
@@ -183,75 +179,41 @@ FlowSimEngine::FlowSimEngine(const Graph &graph,
     crossings_.assign(graph.edgeCount(), 0);
     bottleneck_.reset(graph.edgeCount());
 
-    // Size everything exactly up front (one counting pass) so the
-    // fill pass below never reallocates: engines are rebuilt per
-    // sweep scenario, so construction is on the measured path. The
-    // same pass computes the final per-edge subflow counts, so
-    // active_on_edge_ is complete before the fill pass runs.
-    std::size_t total_subflows = 0;
-    std::size_t total_edges = 0;
-    for (const Flow &f : flows) {
-        DSV3_ASSERT(!f.paths.empty(),
-                    "call assignPaths() before maxMinRates()");
-        for (const Path &p : f.paths) {
-            if (p.empty())
-                continue;
-            ++total_subflows;
-            total_edges += p.size();
-            for (EdgeId e : p)
-                ++active_on_edge_[e];
-        }
-    }
-    sub_flow_.reserve(total_subflows);
-    sub_edge_begin_.reserve(total_subflows);
-    sub_edge_end_.reserve(total_subflows);
-    sub_edges_.reserve(total_edges);
+    edge_sub_begin_.resize(graph.edgeCount());
+    edge_sub_count_.resize(graph.edgeCount());
 
-    // CSR offsets for the edge->subflow index (counts are final, so
-    // the fill pass scatters by cursor: edge_sub_count_ doubles as
-    // the cursor and ends back at the true count).
-    const std::size_t ecount = graph.edgeCount();
-    edge_sub_begin_.resize(ecount);
-    edge_sub_count_.assign(ecount, 0);
-    std::uint32_t off = 0;
-    std::size_t used = 0;
-    for (EdgeId e = 0; e < ecount; ++e) {
-        edge_sub_begin_[e] = off;
-        off += active_on_edge_[e];
-        if (active_on_edge_[e] != 0)
-            ++used;
-    }
-    edge_sub_pool_.resize(off);
-    used_edges_.reserve(used);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        bool local = true;
-        flow_sub_begin_[i] = (std::uint32_t)sub_flow_.size();
-        for (const Path &p : flows[i].paths) {
-            if (p.empty())
-                continue; // src == dst: local, infinite rate
-            local = false;
-            auto s = (std::uint32_t)sub_flow_.size();
-            sub_flow_.push_back((std::uint32_t)i);
-            sub_edge_begin_.push_back((std::uint32_t)sub_edges_.size());
-            sub_edges_.insert(sub_edges_.end(), p.begin(), p.end());
-            sub_edge_end_.push_back((std::uint32_t)sub_edges_.size());
-            for (EdgeId e : p) {
-                if (edge_sub_count_[e] == 0)
-                    used_edges_.push_back(e);
-                edge_sub_pool_[edge_sub_begin_[e] +
-                               edge_sub_count_[e]++] = s;
-            }
-        }
-        flow_sub_end_[i] = (std::uint32_t)sub_flow_.size();
-        local_[i] = local;
-    }
-    std::sort(used_edges_.begin(), used_edges_.end());
-
-    active_subflows_ = sub_flow_.size();
+    // Subflows in flow order, then one scatter into the edge index
+    // (the pass attachFlow() defers to solve()).
+    std::size_t paths = 0;
+    for (const Flow &f : flows)
+        paths += f.paths.size();
+    sub_flow_.reserve(paths);
+    sub_path_.reserve(paths);
+    for (std::size_t i = 0; i < n; ++i)
+        addSubflows(i);
     sub_alive_.assign(sub_flow_.size(), true);
     sub_rate_.assign(sub_flow_.size(), 0.0);
     frozen_stamp_.assign(sub_flow_.size(), 0);
+    rebuildEdgeIndex();
+}
+
+void
+FlowSimEngine::addSubflows(std::size_t flow)
+{
+    DSV3_ASSERT(!flows_[flow].paths.empty(),
+                "call assignPaths() before maxMinRates()");
+    flow_sub_begin_[flow] = (std::uint32_t)sub_flow_.size();
+    for (Path p : flows_[flow].paths) {
+        if (p.empty())
+            continue; // src == dst: local, infinite rate
+        sub_flow_.push_back((std::uint32_t)flow);
+        sub_path_.push_back(p);
+        for (EdgeId e : p)
+            ++active_on_edge_[e];
+    }
+    flow_sub_end_[flow] = (std::uint32_t)sub_flow_.size();
+    local_[flow] = flow_sub_begin_[flow] == flow_sub_end_[flow];
+    active_subflows_ += flow_sub_end_[flow] - flow_sub_begin_[flow];
 }
 
 void
@@ -265,9 +227,8 @@ FlowSimEngine::removeFlow(std::size_t flow)
     for (std::uint32_t s = flow_sub_begin_[flow];
          s < flow_sub_end_[flow]; ++s) {
         sub_alive_[s] = false;
-        for (std::uint32_t k = sub_edge_begin_[s];
-             k < sub_edge_end_[s]; ++k)
-            --active_on_edge_[sub_edges_[k]];
+        for (EdgeId e : sub_path_[s])
+            --active_on_edge_[e];
         --active_subflows_;
     }
     flowStats().flowsRetired.inc();
@@ -281,9 +242,8 @@ FlowSimEngine::detachFlow(std::size_t flow)
     for (std::uint32_t s = flow_sub_begin_[flow];
          s < flow_sub_end_[flow]; ++s) {
         sub_alive_[s] = false;
-        for (std::uint32_t k = sub_edge_begin_[s];
-             k < sub_edge_end_[s]; ++k)
-            --active_on_edge_[sub_edges_[k]];
+        for (EdgeId e : sub_path_[s])
+            --active_on_edge_[e];
         --active_subflows_;
     }
     flow_sub_begin_[flow] = 0;
@@ -298,31 +258,16 @@ FlowSimEngine::attachFlow(std::size_t flow)
     DSV3_ASSERT(alive_[flow], "cannot attach a retired flow");
     DSV3_ASSERT(flow_sub_begin_[flow] == flow_sub_end_[flow],
                 "attachFlow() without a matching detachFlow()");
-    bool local = true;
-    flow_sub_begin_[flow] = (std::uint32_t)sub_flow_.size();
-    for (const Path &p : flows_[flow].paths) {
-        if (p.empty())
-            continue;
-        local = false;
-        sub_flow_.push_back((std::uint32_t)flow);
-        sub_edge_begin_.push_back((std::uint32_t)sub_edges_.size());
-        sub_edges_.insert(sub_edges_.end(), p.begin(), p.end());
-        sub_edge_end_.push_back((std::uint32_t)sub_edges_.size());
-        sub_alive_.push_back(true);
-        sub_rate_.push_back(0.0);
-        frozen_stamp_.push_back(0);
-        for (EdgeId e : p)
-            ++active_on_edge_[e];
-        ++active_subflows_;
-    }
-    flow_sub_end_[flow] = (std::uint32_t)sub_flow_.size();
-    local_[flow] = local;
+    addSubflows(flow);
+    sub_alive_.resize(sub_flow_.size(), true);
+    sub_rate_.resize(sub_flow_.size(), 0.0);
+    frozen_stamp_.resize(sub_flow_.size(), 0);
     // Splicing the new subflows into each edge's CSR segment would
     // relocate (copy) whole segments -- quadratic under a failover
     // wave that reattaches hundreds of flows. Instead leave the index
     // stale and let the next solve()/collectBrokenFlows() rebuild it
     // in one O(live) pass.
-    if (!local)
+    if (!local_[flow])
         edge_index_dirty_ = true;
 }
 
@@ -351,12 +296,9 @@ FlowSimEngine::rebuildEdgeIndex()
          ++s) {
         if (!sub_alive_[s])
             continue;
-        for (std::uint32_t k = sub_edge_begin_[s];
-             k < sub_edge_end_[s]; ++k) {
-            EdgeId e = sub_edges_[k];
+        for (EdgeId e : sub_path_[s])
             edge_sub_pool_[edge_sub_begin_[e] +
                            edge_sub_count_[e]++] = s;
-        }
     }
     edge_index_dirty_ = false;
 }
@@ -453,12 +395,9 @@ FlowSimEngine::solve()
             sub_rate_[s] = best_share;
             frozen_stamp_[s] = solve_stamp_;
             --unfrozen;
-            for (std::uint32_t k = sub_edge_begin_[s];
-                 k < sub_edge_end_[s]; ++k) {
-                const EdgeId e = sub_edges_[k];
+            for (EdgeId e : sub_path_[s])
                 if (crossings_[e]++ == 0)
                     touched_.push_back(e);
-            }
         }
         edge_sub_count_[best_edge] = w;
         // Each touched edge takes its k crossings as k sequential

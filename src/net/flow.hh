@@ -15,7 +15,8 @@
  *    table).
  *
  * A routed flow views its paths inside the shared, immutable PathSet
- * they came from (see route_cache.hh) rather than copying them.
+ * they came from (see route_cache.hh) rather than copying them, and
+ * so does FlowSimEngine.
  *
  * Rates come from max-min fair sharing (progressive water-filling) of
  * directed link capacities; completion uses an event loop that re-fills
@@ -36,8 +37,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/winner_tree.hh"
@@ -64,9 +65,10 @@ struct Flow
     std::uint64_t qp = 0; //!< queue-pair id; feeds the ECMP hash
 
     // Bound by assignPaths() / PathBinder: read-only views into the
-    // immutable PathSet the policy selected from, which pathSet keeps
+    // immutable PathSet the policy selected from. pathSet pins that
+    // set's arena, so one live flow keeps its whole route-cache table
     // alive. Copying a Flow copies the views and shares the pin.
-    std::span<const Path> paths;     //!< one (ECMP/STATIC) or many
+    PathList paths;                  //!< one (ECMP/STATIC) or many
     std::span<const double> weights; //!< fraction of traffic per path
     PathSetRef pathSet = {};
 };
@@ -75,11 +77,11 @@ struct Flow
  * Path selection for one routing call; assignPaths(), failover
  * rerouting and DeepEP all bind flows through it. Candidate sets come
  * from the process RouteCache (canonical sorted shortest-path sets
- * shared across calls and sweeps); with the cache disabled a
- * call-local store of canonicalPathSet() sets stands in. Selection
- * (ECMP hash pick, ADAPTIVE even split, STATIC table) is per-binder
- * state either way, so results are byte-identical whether the cache
- * is cold, warm, or off.
+ * shared across calls and sweeps); with the cache disabled the binder
+ * fills one arena of its own with the same sets, one per bind.
+ * Selection (ECMP hash pick, ADAPTIVE even split, STATIC table) is
+ * per-binder state either way, so results are byte-identical whether
+ * the cache is cold, warm, or off.
  */
 class PathBinder
 {
@@ -106,11 +108,10 @@ class PathBinder
     const Graph &graph_;
     const RoutePolicy policy_;
     const std::uint64_t seed_;
-    const bool use_cache_;
     const bool static_table_;
     std::vector<std::uint32_t> static_load_; //!< per edge, STATIC table
-    /** Cache-off store, keyed (src << 32) | dst. */
-    std::unordered_map<std::uint64_t, PathSetRef> local_;
+    /** The sets this binder filled itself; null with the cache on. */
+    std::shared_ptr<PathArena> local_arena_;
 };
 
 /**
@@ -157,8 +158,10 @@ struct FlowSimResult
  * clamped subtractions, so every edge sees the same floating-point
  * operation sequence.
  *
- * The graph and flow vector must outlive the engine; the flows' path
- * sets must not change while the engine is alive, except through the
+ * The engine copies no edges: each subflow is a view into the path
+ * set its flow pins (Flow::pathSet). So the graph and flow vector
+ * must outlive the engine, and the flows' path sets must not change
+ * while the engine is alive, except through the
  * detachFlow()/attachFlow() rebinding protocol (fault failover).
  * Capacity changes on the graph (fault injection) are picked up by
  * the next solve(), which re-reads every live edge's capacity.
@@ -182,9 +185,9 @@ class FlowSimEngine
      * Release a live flow's subflows without retiring the flow, so
      * the caller may rebind its path set (fault failover). Call
      * sequence: detachFlow(i); rebind flows[i]; attachFlow(i). The
-     * engine copies path edges into its own pool at attach time, so
-     * the flow's PathSet is free to go away at any point after
-     * attachFlow() returns.
+     * engine views the edges of the set flows[i] pins and never
+     * reads a detached subflow's edges again, so rebinding may drop
+     * the old pin.
      */
     void detachFlow(std::size_t flow);
 
@@ -219,21 +222,21 @@ class FlowSimEngine
     FlowSimResult run();
 
   private:
+    /** Append @p flow's non-empty paths as subflows (no edge index). */
+    void addSubflows(std::size_t flow);
+
     /** Re-derive the edge CSR from the live subflows. */
     void rebuildEdgeIndex();
 
     const Graph &graph_;
     const std::vector<Flow> &flows_;
 
-    // SoA subflow storage: parallel per-subflow arrays plus one flat
-    // edge pool, so the water-fill inner loop (freeze a subflow, walk
-    // its edges) reads contiguous memory instead of chasing Path
-    // pointers. sub_edges_[sub_edge_begin_[s] .. sub_edge_end_[s])
-    // are subflow s's edges, in path order.
-    std::vector<std::uint32_t> sub_flow_;       //!< subflow -> flow
-    std::vector<std::uint32_t> sub_edge_begin_; //!< pool range start
-    std::vector<std::uint32_t> sub_edge_end_;   //!< pool range end
-    std::vector<EdgeId> sub_edges_;             //!< flat edge pool
+    // SoA subflow storage: parallel per-subflow arrays. A subflow's
+    // edges are a view into its flow's pinned path set; a cold fill
+    // appends sets in flow order, so the solver still walks them in
+    // mostly contiguous memory.
+    std::vector<std::uint32_t> sub_flow_; //!< subflow -> flow
+    std::vector<Path> sub_path_;          //!< subflow -> its edges
     /**
      * flow -> contiguous subflow-id range [begin, end). A flow's
      * subflows are always consecutive ids: the constructor emits them

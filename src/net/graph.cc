@@ -131,7 +131,7 @@ Graph::nodesOfKind(NodeKind kind) const
 }
 
 double
-pathLatency(const Graph &graph, const Path &path)
+pathLatency(const Graph &graph, Path path)
 {
     double total = 0.0;
     for (EdgeId e : path)
@@ -140,7 +140,7 @@ pathLatency(const Graph &graph, const Path &path)
 }
 
 double
-pathCapacity(const Graph &graph, const Path &path)
+pathCapacity(const Graph &graph, Path path)
 {
     double cap = std::numeric_limits<double>::infinity();
     for (EdgeId e : path)
@@ -230,33 +230,40 @@ sourceDag(const Graph &graph, NodeId src)
 
 } // namespace
 
-std::vector<Path>
-shortestPaths(const Graph &graph, NodeId src, NodeId dst,
+void
+shortestPaths(const Graph &graph, NodeId src, NodeId dst, PathBuffer &out,
               std::size_t max_paths, bool *truncated)
 {
     DSV3_ASSERT(src < graph.nodeCount() && dst < graph.nodeCount());
+    DSV3_ASSERT(max_paths > 0, "shortestPaths needs max_paths >= 1");
     if (truncated)
         *truncated = false;
+    out.edges.clear();
+    out.count = src == dst ? 1 : 0; // the self pair: one empty path
+    out.hops = 0;
     if (src == dst)
-        return {Path{}};
+        return;
 
     const SourceDag &dag = sourceDag(graph, src);
     if (dag.dist[dst] == kUnreached)
-        return {};
+        return;
 
     // Expand the DAG from dst backwards (DFS), bounded by max_paths.
-    std::vector<Path> paths;
-    Path current;
-    // Iterative DFS stack: (node, next-parent-index).
+    // Every path has dist[dst] hops, so the edge taken at DFS depth d
+    // is hop (hops - 1 - d) of the path being built.
+    const std::uint32_t hops = dag.dist[dst];
+    out.hops = hops;
     struct Frame { NodeId node; std::size_t idx; };
-    std::vector<Frame> stack;
-    stack.push_back({dst, 0});
+    thread_local std::vector<Frame> stack;
+    thread_local std::vector<EdgeId> current;
+    stack.assign(1, {dst, 0});
+    current.resize(hops);
     while (!stack.empty()) {
         Frame &top = stack.back();
         if (top.node == src) {
-            Path p(current.rbegin(), current.rend());
-            paths.push_back(std::move(p));
-            if (paths.size() >= max_paths) {
+            out.edges.insert(out.edges.end(), current.begin(),
+                             current.end());
+            if (++out.count >= max_paths) {
                 static obs::Counter &c_truncated =
                     obs::Registry::global().counter(
                         "net.graph.paths_truncated");
@@ -271,22 +278,17 @@ shortestPaths(const Graph &graph, NodeId src, NodeId dst,
                 break;
             }
             stack.pop_back();
-            if (!current.empty())
-                current.pop_back();
             continue;
         }
         const EdgeSpan parents = dag.parentsOf(top.node);
         if (top.idx >= parents.size()) {
             stack.pop_back();
-            if (!current.empty())
-                current.pop_back();
             continue;
         }
-        EdgeId e = parents[top.idx++];
-        current.push_back(e);
+        const EdgeId e = parents[top.idx++];
+        current[hops - stack.size()] = e;
         stack.push_back({graph.edge(e).from, 0});
     }
-    return paths;
 }
 
 } // namespace dsv3::net

@@ -23,12 +23,19 @@
  * which are down, so degrading a link's bandwidth does not move the
  * fingerprint, and repairing a downed link returns the fingerprint to
  * its previous value exactly.
+ *
+ * Paths are views, never owned vectors: a Path is a std::span of edge
+ * ids, and a PathList is equal-length paths back to back in one flat
+ * run, which is all a shortest-path set needs. shortestPaths() fills
+ * a reusable PathBuffer; the route cache's arenas hold the lists that
+ * flows and the flow engine view.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,18 +74,11 @@ struct Edge
     double latency;   //!< propagation+forwarding seconds for this hop
 };
 
-/** Lightweight view of one node's outgoing edge ids (CSR row). */
-struct EdgeSpan
-{
-    const EdgeId *first = nullptr;
-    std::size_t count = 0;
+/** A run of edge ids viewed in place, such as one node's CSR row. */
+using EdgeSpan = std::span<const EdgeId>;
 
-    const EdgeId *begin() const { return first; }
-    const EdgeId *end() const { return first + count; }
-    std::size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-    EdgeId operator[](std::size_t i) const { return first[i]; }
-};
+/** A path: its edge ids from src to dst, viewed in place. */
+using Path = EdgeSpan;
 
 class Graph
 {
@@ -165,22 +165,68 @@ class Graph
     std::uint64_t down_fold_ = 0;
 };
 
-/** A path is a sequence of edge ids from src to dst. */
-using Path = std::vector<EdgeId>;
+/**
+ * Equal-length paths stored back to back: path p is
+ * first[p * hops, (p + 1) * hops). Every path of one shortest-path
+ * set has the same hop count, so a set needs no per-path offsets. A
+ * view: whoever hands one out keeps its edges alive.
+ */
+struct PathList
+{
+    struct Iterator
+    {
+        const EdgeId *first;
+        std::size_t hops;
+        std::size_t index;
+
+        Path operator*() const { return {first + index * hops, hops}; }
+        Iterator &operator++() { ++index; return *this; }
+        bool operator==(const Iterator &o) const { return index == o.index; }
+    };
+
+    const EdgeId *first = nullptr;
+    std::uint32_t count = 0;
+    std::uint32_t hops = 0;
+
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    Path operator[](std::size_t p) const { return {first + p * hops, hops}; }
+    Path edges() const { return {first, (std::size_t)count * hops}; }
+    Iterator begin() const { return {first, hops, 0}; }
+    Iterator end() const { return {first, hops, count}; }
+};
+
+/** shortestPaths()' result: a PathList over storage it owns. */
+struct PathBuffer
+{
+    std::vector<EdgeId> edges;
+    std::uint32_t count = 0;
+    std::uint32_t hops = 0;
+
+    PathList list() const { return {edges.data(), count, hops}; }
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    Path operator[](std::size_t p) const { return list()[p]; }
+    PathList::Iterator begin() const { return list().begin(); }
+    PathList::Iterator end() const { return list().end(); }
+    bool operator==(const PathBuffer &) const = default;
+};
 
 /** Sum of per-hop latencies along a path. */
-double pathLatency(const Graph &graph, const Path &path);
+double pathLatency(const Graph &graph, Path path);
 
 /** Minimum capacity along a path. */
-double pathCapacity(const Graph &graph, const Path &path);
+double pathCapacity(const Graph &graph, Path path);
 
 /**
- * Enumerate all shortest paths (by hop count) from @p src to @p dst.
- * Edges with zero capacity (faulted, see Graph::setEdgeCapacity) are
- * treated as absent, so the result is the shortest *surviving* route
- * set; an empty result means src and dst are partitioned.
- * @p max_paths bounds the expansion for safety; hitting the bound
- * warns once, bumps `net.graph.paths_truncated`, and sets
+ * Enumerate all shortest paths (by hop count) from @p src to @p dst
+ * into @p out, in DFS order, reusing its storage. Edges with zero
+ * capacity (faulted, see Graph::setEdgeCapacity) are treated as
+ * absent, so the result is the shortest *surviving* route set; an
+ * empty result means src and dst are partitioned, and src == dst
+ * yields one empty path.
+ * @p max_paths (at least 1) bounds the expansion for safety; hitting
+ * the bound warns once, bumps `net.graph.paths_truncated`, and sets
  * @p truncated (when non-null) so callers/caches can tell a complete
  * enumeration from a clipped one. Truncation is deterministic: the
  * DAG expansion order is fixed, so the same graph yields the same
@@ -194,8 +240,18 @@ double pathCapacity(const Graph &graph, const Path &path);
  * everything BFS reads: up/down flips move the fingerprint and
  * capacity-only changes do not matter to it.
  */
-std::vector<Path> shortestPaths(const Graph &graph, NodeId src,
-                                NodeId dst, std::size_t max_paths = 512,
-                                bool *truncated = nullptr);
+void shortestPaths(const Graph &graph, NodeId src, NodeId dst,
+                   PathBuffer &out, std::size_t max_paths,
+                   bool *truncated);
+
+/** The same enumeration into a fresh buffer. */
+inline PathBuffer
+shortestPaths(const Graph &graph, NodeId src, NodeId dst,
+              std::size_t max_paths = 512, bool *truncated = nullptr)
+{
+    PathBuffer out;
+    shortestPaths(graph, src, dst, out, max_paths, truncated);
+    return out;
+}
 
 } // namespace dsv3::net

@@ -43,20 +43,40 @@ std::atomic<int> g_enabled{-1}; // -1 = read env on first use
 
 } // namespace
 
-PathSetRef
-canonicalPathSet(const Graph &graph, NodeId src, NodeId dst,
-                 std::size_t max_paths)
+const PathSet &
+PathArena::append(const PathBuffer &found, bool complete,
+                  std::size_t max_paths)
 {
+    // Canonical order: sort views of the DFS-order paths, copy them in.
+    thread_local std::vector<Path> order;
+    order.clear();
+    for (Path p : found)
+        order.push_back(p);
+    std::ranges::sort(order, std::ranges::lexicographical_compare);
+    auto *edges = static_cast<EdgeId *>(edges_.allocate(
+        found.edges.size() * sizeof(EdgeId), alignof(EdgeId)));
+    EdgeId *at = edges;
+    for (Path p : order)
+        at = std::copy(p.begin(), p.end(), at);
+    const std::size_t n = found.size();
+    auto *weights = static_cast<double *>(
+        sets_.allocate(n * sizeof(double), alignof(double)));
+    std::fill_n(weights, n, 1.0 / (double)n);
+    return *new (sets_.allocate(sizeof(PathSet), alignof(PathSet)))
+        PathSet{{edges, found.count, found.hops},
+                {weights, n},
+                complete,
+                (std::uint32_t)max_paths};
+}
+
+const PathSet &
+PathArena::fill(const Graph &graph, NodeId src, NodeId dst,
+                std::size_t max_paths)
+{
+    thread_local PathBuffer found;
     bool truncated = false;
-    auto ps = std::make_shared<PathSet>();
-    ps->paths = shortestPaths(graph, src, dst, max_paths, &truncated);
-    std::sort(ps->paths.begin(), ps->paths.end());
-    if (!ps->paths.empty())
-        ps->weights.assign(ps->paths.size(),
-                           1.0 / (double)ps->paths.size());
-    ps->complete = !truncated;
-    ps->maxPaths = (std::uint32_t)max_paths;
-    return ps;
+    shortestPaths(graph, src, dst, found, max_paths, &truncated);
+    return append(found, !truncated, max_paths);
 }
 
 RouteCache &
@@ -147,21 +167,29 @@ RouteCache::paths(const Graph &graph, NodeId src, NodeId dst,
             if (entry != it->second.entries.end() &&
                 usableFor(*entry->second, max_paths)) {
                 stats.hits.inc();
-                return entry->second;
+                return {it->second.arena, entry->second};
             }
         }
     }
 
-    // Miss: enumerate fresh, canonicalize, publish.
+    // Miss: enumerate outside the lock into per-thread scratch, then
+    // append to the table's arena under it.
     stats.misses.inc();
     DSV3_TRACE_SPAN("net.route_cache.fill", "pair", pk);
-    PathSetRef ps = canonicalPathSet(graph, src, dst, max_paths);
-    // Insert-if-absent: a racing writer's bytes are identical, and an
-    // existing entry with a *different* truncation bound must not be
-    // clobbered (nor returned -- this set answers the caller's bound).
+    thread_local PathBuffer found;
+    bool truncated = false;
+    shortestPaths(graph, src, dst, found, max_paths, &truncated);
     std::lock_guard<std::mutex> lock(mu_);
-    tableFor(key).entries.emplace(pk, ps);
-    return ps;
+    Table &table = tableFor(key);
+    // A racing fill of the same pair published identical bytes. An
+    // entry with a *different* truncation bound is neither clobbered
+    // nor returned: this set answers the caller's bound.
+    auto entry = table.entries.find(pk);
+    if (entry != table.entries.end() && usableFor(*entry->second, max_paths))
+        return {table.arena, entry->second};
+    const PathSet &set = table.arena->append(found, !truncated, max_paths);
+    table.entries.emplace(pk, &set);
+    return {table.arena, &set};
 }
 
 } // namespace dsv3::net

@@ -1,7 +1,8 @@
 /**
  * @file
  * Process-level cache of canonicalized shortest-path sets, keyed by
- * topology fingerprint (see Graph::fingerprint()).
+ * topology fingerprint (see Graph::fingerprint()), with one
+ * append-only PathArena per fingerprint's table.
  *
  * Every headline sweep (Fig 5 all-to-all, Fig 8 RoCE routing, the
  * Sec 6.1 fault sweep) rebuilds structurally identical clusters and
@@ -28,17 +29,19 @@
  * canonical sort and cannot be emulated from a differently-bounded
  * set. Complete entries serve any request whose bound admits them.
  *
- * Routed flows pin their sets: Flow::paths/weights are views into a
- * PathSet, and Flow::pathSet holds a PathSetRef to it, so clear(), an
- * LRU eviction or a topology change never frees paths a flow still
- * routes over. Sets are immutable once published, which is what
- * makes sharing them across flows, calls and threads safe.
+ * A miss enumerates into per-thread scratch outside the cache lock,
+ * then appends the sorted set to its table's arena under the lock: a
+ * few appends instead of a heap vector per path. A PathSet is a
+ * record of views into the arena, and a PathSetRef pins the whole
+ * arena, so clear(), an LRU eviction or a topology change frees a
+ * table's few blocks once the last flow, engine or caller viewing any
+ * of its sets lets go. Sets are immutable once published, which is
+ * what makes sharing them across flows, calls and threads safe.
  *
  * Counters: net.route_cache.{hits,misses,evictions}. The fill path
  * carries a trace span. Disable with DSV3_ROUTE_CACHE=0 (or
- * setEnabled(false)); the callers then fall back to per-call local
- * stores of the same canonicalPathSet() sets, whose misses share the
- * same per-source DAG.
+ * setEnabled(false)); the callers then fill one call-local arena with
+ * the same sets, whose misses share the same per-source DAG.
  */
 
 #pragma once
@@ -46,7 +49,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -54,28 +59,52 @@
 
 namespace dsv3::net {
 
-/** One (src, dst) shortest-path set in canonical (sorted) order. */
+/** One (src, dst) shortest-path set, sorted, viewing its PathArena. */
 struct PathSet
 {
-    std::vector<Path> paths;
+    PathList paths;
     /** 1/paths.size() per path: ADAPTIVE's even split, viewed by flows. */
-    std::vector<double> weights;
+    std::span<const double> weights;
     /** Enumeration finished without hitting max_paths. */
     bool complete = true;
     /** The bound the set was clipped at (meaningful when !complete). */
     std::uint32_t maxPaths = 0;
 };
 
-using PathSetRef = std::shared_ptr<const PathSet>;
-
 /**
- * Enumerate (src, dst)'s shortest paths on @p graph into a fresh
- * canonical set: shortestPaths() with the same bound, sorted, with
- * its even-split weights. Both the cache's fill and the cache-off
- * fallback build their sets here.
+ * Append-only, chunked storage for path sets: records, edges and
+ * weights. Nothing it hands out ever moves, and it is all freed at
+ * once. Chunks start small and grow geometrically, so small tables
+ * stay small. Edges fill chunks of their own, so sets filled in flow
+ * order lie back to back for the solver. Appends are not
+ * synchronized; the route cache makes them under its lock.
  */
-PathSetRef canonicalPathSet(const Graph &graph, NodeId src, NodeId dst,
-                            std::size_t max_paths = 512);
+class PathArena
+{
+  public:
+    /**
+     * Enumerate (src, dst)'s shortest paths on @p graph, bounded by
+     * @p max_paths, into per-thread scratch and append() them. The
+     * route cache runs the two steps apart, outside and inside its
+     * lock.
+     */
+    const PathSet &fill(const Graph &graph, NodeId src, NodeId dst,
+                        std::size_t max_paths = 512);
+
+    /**
+     * Append @p found, shortestPaths()' answer under @p max_paths, as
+     * one canonical set; @p complete is false when it was clipped.
+     */
+    const PathSet &append(const PathBuffer &found, bool complete,
+                          std::size_t max_paths);
+
+  private:
+    std::pmr::monotonic_buffer_resource edges_;
+    std::pmr::monotonic_buffer_resource sets_; //!< records and weights
+};
+
+/** A set, as an aliasing pointer that pins its whole arena. */
+using PathSetRef = std::shared_ptr<const PathSet>;
 
 class RouteCache
 {
@@ -90,7 +119,7 @@ class RouteCache
     /**
      * The canonical shortest-path set for (src, dst) on @p graph,
      * served from cache or enumerated fresh. Byte-identical to
-     * canonicalPathSet() with the same bound. The returned set is
+     * PathArena::fill() with the same bound. The returned set is
      * immutable and safe to hold across later topology mutation.
      */
     PathSetRef paths(const Graph &graph, NodeId src, NodeId dst,
@@ -105,7 +134,8 @@ class RouteCache
   private:
     struct Table
     {
-        std::unordered_map<std::uint64_t, PathSetRef> entries;
+        std::unordered_map<std::uint64_t, const PathSet *> entries;
+        std::shared_ptr<PathArena> arena = std::make_shared<PathArena>();
         std::uint64_t touch = 0; //!< LRU stamp
     };
 

@@ -14,6 +14,7 @@
 #include "fault/schedule.hh"
 #include "net/cluster.hh"
 #include "net/flow.hh"
+#include "obs/registry.hh"
 
 namespace dsv3::fault {
 namespace {
@@ -220,7 +221,9 @@ TEST(Failover, StaticTakesFirstCanonicalSurvivor)
     engine.solve();
 
     g.setEdgeCapacity(at, 0.0);
-    std::vector<net::Path> survivors = net::shortestPaths(g, s, t);
+    std::vector<std::vector<net::EdgeId>> survivors;
+    for (net::Path p : net::shortestPaths(g, s, t))
+        survivors.emplace_back(p.begin(), p.end());
     std::sort(survivors.begin(), survivors.end());
     ASSERT_EQ(survivors.size(), 2u);
 
@@ -229,7 +232,7 @@ TEST(Failover, StaticTakesFirstCanonicalSurvivor)
     EXPECT_EQ(fo.rerouted, flows.size());
     for (const net::Flow &f : flows) {
         ASSERT_EQ(f.paths.size(), 1u);
-        EXPECT_EQ(f.paths[0], survivors[0]);
+        EXPECT_TRUE(std::ranges::equal(f.paths[0], survivors[0]));
         EXPECT_EQ(f.weights[0], 1.0);
     }
     const std::vector<double> &rates = engine.solve();
@@ -240,7 +243,67 @@ TEST(Failover, StaticTakesFirstCanonicalSurvivor)
     // differs, so the check above tells the two apart.
     std::vector<net::Flow> greedy = flows;
     assignPaths(g, greedy, net::RoutePolicy::STATIC);
-    EXPECT_EQ(greedy[1].paths[0], survivors[1]);
+    EXPECT_TRUE(std::ranges::equal(greedy[1].paths[0], survivors[1]));
+}
+
+/** Route one pair on each of @p n new fingerprints. */
+void
+fillOtherTables(std::size_t n)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        net::Graph g;
+        const net::NodeId s = g.addNode(net::NodeKind::GPU, "s");
+        const net::NodeId t = g.addNode(net::NodeKind::GPU, "t");
+        for (std::size_t m = 0; m <= k; ++m) {
+            const net::NodeId relay = g.addNode(net::NodeKind::LEAF, "m");
+            g.addEdge(s, relay, 1.0, 1e-6);
+            g.addEdge(relay, t, 1.0, 1e-6);
+        }
+        (void)net::RouteCache::global().paths(g, s, t);
+    }
+}
+
+TEST(Failover, EvictedTablesMatchCacheOff)
+{
+    // After failover, untouched flows view the healthy table's sets
+    // and rerouted ones the degraded table's. Evicting both tables
+    // between fault injection and the re-solve must change nothing:
+    // the flows' pins keep them alive.
+    const bool cache_was = net::RouteCache::enabled();
+    obs::Counter &evictions =
+        obs::Registry::global().counter("net.route_cache.evictions");
+    auto failAndRun = [&](bool cached) {
+        net::RouteCache::setEnabled(cached);
+        net::RouteCache::global().clear();
+        net::Cluster c = smallCluster();
+        std::vector<net::Flow> flows = allToAll(c);
+        assignPaths(c.graph, flows, net::RoutePolicy::ADAPTIVE);
+        net::FlowSimEngine engine(c.graph, flows);
+        engine.solve();
+        FaultInjector inj(c);
+        FaultEvent plane;
+        plane.kind = FaultKind::PLANE_DOWN;
+        plane.plane = 0;
+        inj.apply(plane);
+        FailoverResult fo = failoverReroute(c, flows, engine,
+                                            net::RoutePolicy::ADAPTIVE);
+        EXPECT_GT(fo.rerouted, 0u);
+        EXPECT_LT(fo.rerouted, flows.size());
+        const std::uint64_t evicted = evictions.value();
+        fillOtherTables(64); // 66 tables: healthy and degraded go
+        if (cached) {
+            EXPECT_GE(evictions.value(), evicted + 2);
+        }
+        return engine.run();
+    };
+    const net::FlowSimResult want = failAndRun(false);
+    const net::FlowSimResult got = failAndRun(true);
+    net::RouteCache::global().clear();
+    net::RouteCache::setEnabled(cache_was);
+    EXPECT_EQ(got.rates, want.rates);
+    EXPECT_EQ(got.finishTimes, want.finishTimes);
+    EXPECT_EQ(got.makespan, want.makespan);
+    EXPECT_EQ(got.epochs, want.epochs);
 }
 
 TEST(Failover, EcmpRerouteIsDeterministic)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "net/flow.hh"
@@ -66,7 +67,7 @@ TEST(AssignPaths, EcmpSeedChangesSelection)
         std::vector<Flow> b = a;
         assignPaths(f.g, a, RoutePolicy::ECMP, 1);
         assignPaths(f.g, b, RoutePolicy::ECMP, 2);
-        differs += a[0].paths[0] != b[0].paths[0];
+        differs += !std::ranges::equal(a[0].paths[0], b[0].paths[0]);
     }
     EXPECT_GT(differs, 4); // different hash seeds move some flows
 }

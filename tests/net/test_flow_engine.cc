@@ -14,6 +14,7 @@
 
 #include "common/rng.hh"
 #include "net/flow.hh"
+#include "obs/registry.hh"
 
 namespace dsv3::net {
 namespace {
@@ -23,7 +24,7 @@ namespace {
 struct RefSubflow
 {
     std::size_t flow;
-    const Path *path;
+    Path path;
     double rate = 0.0;
     bool frozen = false;
 };
@@ -39,7 +40,7 @@ referenceWaterFill(const Graph &graph,
         if (sf.frozen)
             continue;
         ++unfrozen;
-        for (EdgeId e : *sf.path)
+        for (EdgeId e : sf.path)
             ++active_on_edge[e];
     }
 
@@ -65,7 +66,7 @@ referenceWaterFill(const Graph &graph,
             if (sf.frozen || done[i])
                 continue;
             bool crosses = false;
-            for (EdgeId e : *sf.path) {
+            for (EdgeId e : sf.path) {
                 if (e == best_edge) {
                     crosses = true;
                     break;
@@ -76,7 +77,7 @@ referenceWaterFill(const Graph &graph,
             sf.rate = best_share;
             done[i] = true;
             --unfrozen;
-            for (EdgeId e : *sf.path) {
+            for (EdgeId e : sf.path) {
                 residual[e] -= best_share;
                 if (residual[e] < 0.0)
                     residual[e] = 0.0;
@@ -97,7 +98,7 @@ referenceMaxMinRates(const Graph &graph, const std::vector<Flow> &flows)
         for (const Path &p : flows[i].paths) {
             if (p.empty())
                 continue;
-            subflows.push_back({i, &p, 0.0, false});
+            subflows.push_back({i, p, 0.0, false});
         }
     }
     std::vector<double> residual(graph.edgeCount());
@@ -304,6 +305,62 @@ TEST(FlowSimEngine, RemoveFlowIsIdempotent)
     EXPECT_EQ(engine.activeFlows(), flows.size() - 1);
     EXPECT_FALSE(engine.flowActive(0));
     EXPECT_TRUE(engine.flowActive(1));
+}
+
+/** Route one pair on each of @p n new fingerprints. */
+void
+fillOtherTables(std::size_t n)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        Fabric other = makeFabric(1, k + 2, 1);
+        (void)RouteCache::global().paths(other.g, other.hosts[0],
+                                         other.hosts[1]);
+    }
+}
+
+TEST(FlowSimEngine, ViewsOutliveCacheClearAndEviction)
+{
+    // The engine views the edges of the sets its flows pin. Dropping
+    // the cache's references between construction and run(), by
+    // clear() or by LRU eviction, must not move a bit of the result,
+    // which must equal a cache-off engine's.
+    const bool cache_was = RouteCache::enabled();
+    obs::Counter &evictions =
+        obs::Registry::global().counter("net.route_cache.evictions");
+    obs::Counter &misses =
+        obs::Registry::global().counter("net.route_cache.misses");
+    Fabric f = makeFabric(4, 4, 4);
+    RouteCache::setEnabled(false);
+    auto off = allToAll(f);
+    assignPaths(f.g, off, RoutePolicy::ADAPTIVE);
+    const FlowSimResult want = simulateFlows(f.g, off);
+    RouteCache::setEnabled(true);
+
+    for (bool evict : {false, true}) {
+        RouteCache::global().clear();
+        auto flows = allToAll(f);
+        assignPaths(f.g, flows, RoutePolicy::ADAPTIVE);
+        FlowSimEngine engine(f.g, flows);
+        const std::uint64_t evicted = evictions.value();
+        if (evict)
+            fillOtherTables(64); // 65 tables: this one is the LRU
+        else
+            RouteCache::global().clear();
+        const FlowSimResult got = engine.run();
+        EXPECT_EQ(got.rates, want.rates) << "evict " << evict;
+        EXPECT_EQ(got.finishTimes, want.finishTimes) << "evict " << evict;
+        EXPECT_EQ(got.makespan, want.makespan);
+        EXPECT_EQ(got.peakUtilization, want.peakUtilization);
+        EXPECT_EQ(got.epochs, want.epochs);
+        if (evict) {
+            EXPECT_GT(evictions.value(), evicted);
+            const std::uint64_t missed = misses.value();
+            (void)RouteCache::global().paths(f.g, f.hosts[0], f.hosts[1]);
+            EXPECT_EQ(misses.value(), missed + 1); // the table was gone
+        }
+    }
+    RouteCache::global().clear();
+    RouteCache::setEnabled(cache_was);
 }
 
 TEST(FlowSimEngine, SimulateMatchesWrapperPath)

@@ -40,14 +40,14 @@ diamond(double cap_top = 10.0, double cap_bottom = 10.0)
  * oracle: a fresh BFS from src that stops expanding past dst's level,
  * then a DFS from dst back over the parent lists.
  */
-std::vector<Path>
+std::vector<std::vector<EdgeId>>
 referenceShortestPaths(const Graph &graph, NodeId src, NodeId dst,
                        std::size_t max_paths, bool *truncated)
 {
     if (truncated)
         *truncated = false;
     if (src == dst)
-        return {Path{}};
+        return {std::vector<EdgeId>{}};
 
     constexpr std::uint32_t kInf = 0xffffffffu;
     std::vector<std::uint32_t> dist(graph.nodeCount(), kInf);
@@ -76,15 +76,15 @@ referenceShortestPaths(const Graph &graph, NodeId src, NodeId dst,
     if (dist[dst] == kInf)
         return {};
 
-    std::vector<Path> paths;
-    Path current;
+    std::vector<std::vector<EdgeId>> paths;
+    std::vector<EdgeId> current;
     struct Frame { NodeId node; std::size_t idx; };
     std::vector<Frame> stack;
     stack.push_back({dst, 0});
     while (!stack.empty()) {
         Frame &top = stack.back();
         if (top.node == src) {
-            Path p(current.rbegin(), current.rend());
+            std::vector<EdgeId> p(current.rbegin(), current.rend());
             paths.push_back(std::move(p));
             if (paths.size() >= max_paths) {
                 if (truncated)
@@ -109,6 +109,16 @@ referenceShortestPaths(const Graph &graph, NodeId src, NodeId dst,
     return paths;
 }
 
+/** Paths as owned vectors, comparable with the oracle's. */
+std::vector<std::vector<EdgeId>>
+vec(const PathBuffer &paths)
+{
+    std::vector<std::vector<EdgeId>> out;
+    for (Path p : paths)
+        out.emplace_back(p.begin(), p.end());
+    return out;
+}
+
 /**
  * shortestPaths() must return the oracle's unsorted vector and
  * truncation flag. Reports the first mismatch; true when all agree.
@@ -120,7 +130,7 @@ matchesReference(const Graph &g, NodeId src, NodeId dst,
     bool want_trunc = false, got_trunc = false;
     auto want = referenceShortestPaths(g, src, dst, max_paths, &want_trunc);
     auto got = shortestPaths(g, src, dst, max_paths, &got_trunc);
-    if (got == want && got_trunc == want_trunc)
+    if (vec(got) == want && got_trunc == want_trunc)
         return true;
     ADD_FAILURE() << src << "->" << dst << " max_paths " << max_paths
                   << ": " << got.size() << " paths (truncated "
@@ -141,16 +151,17 @@ expectAllPairsMatchReference(const Graph &g)
 {
     for (NodeId src = 0; src < g.nodeCount(); ++src) {
         for (NodeId dst = 0; dst < g.nodeCount(); ++dst) {
-            const std::vector<Path> full =
+            const std::vector<std::vector<EdgeId>> full =
                 referenceShortestPaths(g, src, dst, 512, nullptr);
             for (std::size_t bound : {1, 2, 512}) {
                 const std::size_t n = std::min(bound, full.size());
-                const std::vector<Path> want(full.begin(),
-                                             full.begin() + n);
+                const std::vector<std::vector<EdgeId>> want(
+                    full.begin(), full.begin() + n);
                 // The self pair is a single empty path, never clipped.
                 const bool want_trunc = src != dst && full.size() >= bound;
                 bool got_trunc = false;
-                if (shortestPaths(g, src, dst, bound, &got_trunc) != want ||
+                if (vec(shortestPaths(g, src, dst, bound, &got_trunc)) !=
+                        want ||
                     got_trunc != want_trunc) {
                     ADD_FAILURE() << src << "->" << dst << " max_paths "
                                   << bound << " differs from the oracle";
@@ -282,7 +293,7 @@ TEST(ShortestPaths, SlotKeyTracksSourceGraphAndTopology)
 
     // An edge on the first route goes down and comes back up between
     // calls from the same source.
-    const std::vector<Path> healthy = shortestPaths(g1, a, b);
+    const PathBuffer healthy = shortestPaths(g1, a, b);
     ASSERT_GT(healthy.size(), 1u);
     const EdgeId cut = healthy[0][1];
     const double cap = g1.edge(cut).capacity;
@@ -412,6 +423,16 @@ TEST(ShortestPaths, MaxPathsBounds)
     EXPECT_FALSE(truncated);
 }
 
+TEST(ShortestPathsDeathTest, RejectsZeroBound)
+{
+    // A zero bound cannot hold a single path. Left unchecked it
+    // returned one path flagged as clipped, which the route cache
+    // would then have kept as an incomplete set.
+    Graph g = diamond();
+    EXPECT_DEATH((void)shortestPaths(g, 0, 3, 0), "max_paths >= 1");
+    EXPECT_DEATH((void)shortestPaths(g, 1, 1, 0), "max_paths >= 1");
+}
+
 TEST(Graph, CsrAdjacencyMatchesInsertionOrder)
 {
     // outEdges() must list a node's edges in ascending global edge id
@@ -464,7 +485,7 @@ TEST(PathMetrics, LatencyAndCapacity)
     NodeId c = g.addNode(NodeKind::GPU, "c");
     EdgeId e1 = g.addEdge(a, b, 10.0, 1e-6);
     EdgeId e2 = g.addEdge(b, c, 4.0, 2e-6);
-    Path p = {e1, e2};
+    std::vector<EdgeId> p = {e1, e2};
     EXPECT_DOUBLE_EQ(pathLatency(g, p), 3e-6);
     EXPECT_DOUBLE_EQ(pathCapacity(g, p), 4.0);
 }

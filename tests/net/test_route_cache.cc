@@ -12,6 +12,7 @@
 #include <memory>
 #include <span>
 
+#include "common/thread_pool.hh"
 #include "net/cluster.hh"
 #include "net/flow.hh"
 #include "net/graph.hh"
@@ -27,22 +28,32 @@ counterValue(const char *name)
     return obs::Registry::global().counter(name).value();
 }
 
-/** Fresh enumeration in the cache's canonical order. */
-std::vector<Path>
-canonicalPaths(const Graph &g, NodeId src, NodeId dst,
-               std::size_t max_paths = 512)
-{
-    auto found = shortestPaths(g, src, dst, max_paths);
-    std::sort(found.begin(), found.end());
-    return found;
-}
-
-/** A flow's path or weight view as a comparable vector. */
+/** A path or weight view as a comparable vector. */
 template <typename T>
 std::vector<T>
 vec(std::span<const T> view)
 {
     return {view.begin(), view.end()};
+}
+
+/** A path list as comparable vectors. */
+std::vector<std::vector<EdgeId>>
+vec(PathList paths)
+{
+    std::vector<std::vector<EdgeId>> out;
+    for (Path p : paths)
+        out.push_back(vec(p));
+    return out;
+}
+
+/** Fresh enumeration in the cache's canonical order. */
+std::vector<std::vector<EdgeId>>
+canonicalPaths(const Graph &g, NodeId src, NodeId dst,
+               std::size_t max_paths = 512)
+{
+    auto found = vec(shortestPaths(g, src, dst, max_paths).list());
+    std::sort(found.begin(), found.end());
+    return found;
 }
 
 /** Diamond: s -> {a, b} -> t, two equal-cost paths. */
@@ -84,7 +95,7 @@ TEST_F(RouteCacheTest, WarmHitReturnsSameSet)
     auto first = RouteCache::global().paths(g, 0, 3);
     ASSERT_EQ(first->paths.size(), 2u);
     EXPECT_TRUE(first->complete);
-    EXPECT_EQ(first->paths, canonicalPaths(g, 0, 3));
+    EXPECT_EQ(vec(first->paths), canonicalPaths(g, 0, 3));
 
     std::uint64_t hits = counterValue("net.route_cache.hits");
     auto second = RouteCache::global().paths(g, 0, 3);
@@ -118,8 +129,8 @@ TEST_F(RouteCacheTest, EdgeDownDerivesFilteredSet)
     // set minus the path through the downed edge.
     EXPECT_NE(degraded.get(), healthy.get());
     ASSERT_EQ(degraded->paths.size(), 1u);
-    EXPECT_EQ(degraded->paths, canonicalPaths(g, 0, 3));
-    EXPECT_EQ(degraded->paths[0], healthy->paths[1]);
+    EXPECT_EQ(vec(degraded->paths), canonicalPaths(g, 0, 3));
+    EXPECT_EQ(vec(degraded->paths[0]), vec(healthy->paths[1]));
     EXPECT_EQ(RouteCache::global().paths(g, 0, 3).get(), degraded.get());
     // The healthy entry is untouched (old fingerprint still keyed).
     EXPECT_EQ(healthy->paths.size(), 2u);
@@ -151,7 +162,7 @@ TEST_F(RouteCacheTest, EmptySurvivorsFallBackToBfs)
     auto rerouted = RouteCache::global().paths(g, s, t);
     ASSERT_EQ(rerouted->paths.size(), 1u);
     EXPECT_EQ(rerouted->paths[0].size(), 3u);
-    EXPECT_EQ(rerouted->paths, canonicalPaths(g, s, t));
+    EXPECT_EQ(vec(rerouted->paths), canonicalPaths(g, s, t));
 }
 
 TEST_F(RouteCacheTest, RepairReturnsByteIdenticalToColdCache)
@@ -175,7 +186,7 @@ TEST_F(RouteCacheTest, RepairReturnsByteIdenticalToColdCache)
     // And against a genuinely cold cache: same bytes.
     RouteCache::global().clear();
     auto cold = RouteCache::global().paths(g, 0, 3);
-    EXPECT_EQ(cold->paths, after->paths);
+    EXPECT_EQ(vec(cold->paths), vec(after->paths));
 }
 
 TEST_F(RouteCacheTest, DegradedCapacityDoesNotInvalidate)
@@ -192,7 +203,7 @@ TEST_F(RouteCacheTest, DegradedCapacityDoesNotInvalidate)
     EXPECT_EQ(g.fingerprint(), fp);
     auto during = RouteCache::global().paths(g, 0, 3);
     EXPECT_EQ(before.get(), during.get());
-    EXPECT_EQ(during->paths, canonicalPaths(g, 0, 3));
+    EXPECT_EQ(vec(during->paths), canonicalPaths(g, 0, 3));
 }
 
 TEST_F(RouteCacheTest, TruncatedEnumerationIsDeterministic)
@@ -215,7 +226,7 @@ TEST_F(RouteCacheTest, TruncatedEnumerationIsDeterministic)
     EXPECT_GT(counterValue("net.graph.paths_truncated"), trunc);
     EXPECT_FALSE(bounded->complete);
     ASSERT_EQ(bounded->paths.size(), 2u);
-    EXPECT_EQ(bounded->paths, canonicalPaths(g, s, t, 2));
+    EXPECT_EQ(vec(bounded->paths), canonicalPaths(g, s, t, 2));
     // Warm repeat with the same bound: cached, identical.
     auto again = RouteCache::global().paths(g, s, t, 2);
     EXPECT_EQ(bounded.get(), again.get());
@@ -224,7 +235,7 @@ TEST_F(RouteCacheTest, TruncatedEnumerationIsDeterministic)
     auto full = RouteCache::global().paths(g, s, t, 512);
     EXPECT_TRUE(full->complete);
     EXPECT_EQ(full->paths.size(), 3u);
-    EXPECT_EQ(full->paths, canonicalPaths(g, s, t, 512));
+    EXPECT_EQ(vec(full->paths), canonicalPaths(g, s, t, 512));
 }
 
 TEST_F(RouteCacheTest, AssignPathsMatchesCacheOff)
@@ -297,7 +308,7 @@ TEST_F(RouteCacheTest, StaticKthPathStableUnderCacheReuse)
 
     auto kth = [&](std::vector<Flow> flows) {
         assignPaths(c.graph, flows, RoutePolicy::STATIC);
-        std::vector<Path> picks;
+        std::vector<std::vector<EdgeId>> picks;
         for (const Flow &f : flows)
             picks.push_back(vec(f.paths).at(0));
         return picks;
@@ -396,6 +407,74 @@ TEST_F(RouteCacheTest, FlowViewsSurviveCopyAndDestroy)
         original.reset();
         expectMatchesCacheOff(c.graph, copy, policy);
     }
+}
+
+TEST_F(RouteCacheTest, ArenaGrowthLeavesEarlySetsInPlace)
+{
+    // A table's arena grows by adding chunks, never by moving what it
+    // holds: a set handed out before the table filled many more
+    // chunks keeps its address and its bytes.
+    Cluster c = buildCluster([] {
+        ClusterConfig cc;
+        cc.fabric = Fabric::MRFT;
+        cc.hosts = 4;
+        return cc;
+    }());
+    const NodeId src = c.gpus.front(), dst = c.gpus.back();
+    const PathSetRef first = RouteCache::global().paths(c.graph, src, dst);
+    const EdgeId *first_edges = first->paths.edges().data();
+    const auto want_paths = vec(first->paths);
+    const auto want_weights = vec(first->weights);
+
+    std::size_t bytes = 0;
+    for (NodeId s : c.gpus)
+        for (NodeId d : c.gpus) {
+            const PathSetRef set = RouteCache::global().paths(c.graph, s, d);
+            bytes += set->paths.edges().size_bytes() +
+                     set->weights.size_bytes();
+        }
+    ASSERT_GT(bytes, 64u * 1024); // far past the first chunk
+
+    const PathSetRef again = RouteCache::global().paths(c.graph, src, dst);
+    EXPECT_EQ(again.get(), first.get());
+    EXPECT_EQ(again->paths.edges().data(), first_edges);
+    EXPECT_EQ(vec(first->paths), want_paths);
+    EXPECT_EQ(vec(first->weights), want_weights);
+    EXPECT_EQ(vec(first->paths), canonicalPaths(c.graph, src, dst));
+}
+
+TEST_F(RouteCacheTest, ConcurrentFillsMatchSerialEnumeration)
+{
+    // Parallel sweeps fill one table from several threads: each miss
+    // enumerates outside the cache lock and appends under it. Every
+    // call's sets must equal a serial fresh enumeration of the pair.
+    Cluster c = buildCluster([] {
+        ClusterConfig cc;
+        cc.fabric = Fabric::MRFT;
+        cc.hosts = 4;
+        return cc;
+    }());
+    constexpr std::size_t kCalls = 8;
+    std::vector<std::vector<Flow>> calls(kCalls);
+    parallelFor(kCalls, [&](std::size_t k) {
+        // Each call starts from a different source, so calls race on
+        // the same misses.
+        std::vector<Flow> flows;
+        for (std::size_t i = 0; i < c.gpus.size(); ++i)
+            for (NodeId dst : c.gpus) {
+                Flow f;
+                f.src = c.gpus[(i + 5 * k) % c.gpus.size()];
+                f.dst = dst;
+                f.bytes = 1e6;
+                flows.push_back(f);
+            }
+        assignPaths(c.graph, flows, RoutePolicy::ADAPTIVE);
+        calls[k] = std::move(flows);
+    });
+    for (const std::vector<Flow> &flows : calls)
+        for (const Flow &f : flows)
+            ASSERT_EQ(vec(f.paths), canonicalPaths(c.graph, f.src, f.dst))
+                << f.src << "->" << f.dst;
 }
 
 TEST_F(RouteCacheTest, FingerprintTracksStructureNotCapacity)
