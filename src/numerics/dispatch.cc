@@ -42,9 +42,9 @@ namespace {
     X(logfmtEncodeLog)                                                 \
     X(logfmtEncodeLinear)                                              \
     X(logfmtDecode)                                                    \
-    X(dotTile)                                                         \
-    X(dotTileF32)                                                      \
-    X(mulSpan)                                                         \
+    X(dotLanes)                                                        \
+    X(dotLanesF32)                                                     \
+    X(fp22FoldLanes)                                                   \
     X(absBitsMax)                                                      \
     X(truncSum)
 

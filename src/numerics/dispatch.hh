@@ -16,7 +16,8 @@
  *   other:   scalar.
  *
  * DSV3_KERNEL_DISPATCH=scalar|avx2|avx512|neon forces a specific
- * table (for testing, bisection, and the CI forced-scalar job).
+ * table (for testing, bisection, and the forced-dispatch golden
+ * ctests).
  * Naming an ISA the host cannot run warns once and falls back to the
  * best available path -- it never crashes and never silently picks
  * scalar.
@@ -154,16 +155,33 @@ struct KernelTable
                          std::uint32_t sign_bit, const double *mag,
                          double *out) = nullptr;
 
-    // -- GEMM inner-kernel family ----------------------------------
-    /** Pinned-order tile dot product == fastmath::pinnedDot. */
-    double (*dotTile)(const double *a, const double *b,
-                      std::size_t n) = nullptr;
-    /** Pinned-order BF16-pipeline dot == fastmath::pinnedDotF32. */
-    float (*dotTileF32)(const double *a, const double *b,
-                        std::size_t n) = nullptr;
-    /** out[i] = a[i] * b[i] (FP22 product groups). */
-    void (*mulSpan)(const double *a, const double *b, double *out,
-                    std::size_t n) = nullptr;
+    // -- GEMM lane family -------------------------------------------
+    // Each entry computes `cols` adjacent output cells of one A row
+    // over one K range of length n: cell c reduces a[0..n) against
+    // the B column b[c], b[c + ldb], ..., b[c + (n - 1) * ldb] (B
+    // row-major, read in place). Every cell runs its own scalar
+    // sequence, starting at the range start, so a SIMD entry may hold
+    // one cell per lane.
+    /** out[c] = fastmath::pinnedDot(a, b + c, n, ldb). */
+    void (*dotLanes)(const double *a, const double *b, std::size_t ldb,
+                     std::size_t n, std::size_t cols,
+                     double *out) = nullptr;
+    /** out[c] = fastmath::pinnedDotF32(a, b + c, n, ldb). */
+    void (*dotLanesF32)(const double *a, const double *b,
+                        std::size_t ldb, std::size_t n, std::size_t cols,
+                        float *out) = nullptr;
+    /**
+     * FP22 tensor-core fold: for each group of @p group >= 1
+     * products a[k] * b[c + k * ldb] (the last may be short), in K
+     * order, reg[c] = Fp22Register::add(alignedGroupSum(group)) on
+     * the register value reg[c] the caller holds per cell.
+     */
+    void (*fp22FoldLanes)(const double *a, const double *b,
+                          std::size_t ldb, std::size_t n,
+                          std::size_t group, std::size_t cols,
+                          double *reg) = nullptr;
+
+    // -- FP22 group-sum helpers (alignedGroupSum) --------------------
     /** Branchless max over the magnitude bits of each element. */
     std::uint64_t (*absBitsMax)(const double *in,
                                 std::size_t n) = nullptr;

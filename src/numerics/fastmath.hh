@@ -27,12 +27,13 @@
  *        s2[i] = s1[i] + s1[i+2]       (i = 0..1)
  *        dot   = s2[0] + s2[1]
  *
- *    The lane count is 8 on every ISA -- AVX-512 holds it in one
- *    register, AVX2 in two, NEON in four -- so tile sums are
- *    bit-identical across ISAs, thread widths, and this scalar
- *    reference. pinnedDotF32 is the BF16-pipeline variant: the same
- *    order with float lanes (each product converted to float before
- *    the lane add), matching the emulated FP32 accumulator.
+ *    The lane count is 8 on every ISA -- the SIMD GEMM kernels put
+ *    one output cell in each vector lane and its eight k-lanes in
+ *    eight registers -- so tile sums are bit-identical across ISAs,
+ *    thread widths, and this scalar reference. pinnedDotF32 is the
+ *    BF16-pipeline variant: the same order with float lanes (each
+ *    product converted to float before the lane add), matching the
+ *    emulated FP32 accumulator.
  *
  *  - roundHalfUpPinned(): round-to-nearest, halves up, as
  *    floor(x + 0.5). For 0 <= x < 2^51 (the only domain LogFMT feeds
@@ -189,8 +190,7 @@ inline constexpr std::size_t kDotLanes = 8;
 
 /**
  * Canonical tile dot product sum(a[i] * b[i * bstride]) in the pinned
- * 8-lane FMA order. bstride lets the readable oracles walk an
- * unpacked column; the dispatched kernels always use bstride == 1.
+ * 8-lane FMA order. bstride walks a column of a row-major B.
  */
 inline double
 pinnedDot(const double *a, const double *b, std::size_t n,

@@ -34,38 +34,36 @@ gemmStats()
 
 /** Output rows per parallelFor task. */
 constexpr std::size_t kRowBlock = 8;
+/**
+ * Output columns per lane-kernel call: one cell per SIMD lane, and a
+ * tileK x kColBlock panel of B (16 KiB at tileK 128) stays in L1
+ * across the rows of a block.
+ */
+constexpr std::size_t kColBlock = 16;
 
 /**
- * Return @p src (rows x cols, row-major) transposed, so a GEMM's B
- * operand becomes k-major: out[j * rows + kk] = src[kk * cols + j].
- * Blocked to keep both streams cache-resident.
+ * Row padding of the B operands gemmBf16 and gemmQuantized build, in
+ * doubles (one cache line). At a power-of-two n the rows of a column
+ * block otherwise fall into a few cache sets (n = 64 puts a 128 x 16
+ * panel into 16 of a 64-set L1), and the panel leaves L1 between rows.
  */
-AlignedVector<double>
-transposed(const double *src, std::size_t rows, std::size_t cols)
-{
-    constexpr std::size_t B = 32;
-    AlignedVector<double> out(rows * cols);
-    for (std::size_t r0 = 0; r0 < rows; r0 += B) {
-        const std::size_t r1 = std::min(rows, r0 + B);
-        for (std::size_t c0 = 0; c0 < cols; c0 += B) {
-            const std::size_t c1 = std::min(cols, c0 + B);
-            for (std::size_t r = r0; r < r1; ++r)
-                for (std::size_t c = c0; c < c1; ++c)
-                    out[c * rows + r] = src[r * cols + c];
-        }
-    }
-    return out;
-}
+constexpr std::size_t kLdbPad = 8;
 
-/** Run fn(i_lo, i_hi) over kRowBlock-row slices of [0, m) in parallel. */
+/**
+ * Run fn(i_lo, i_hi, j_lo, j_hi) over kRowBlock x kColBlock blocks of
+ * the m x n output: row blocks in parallel, column blocks in order.
+ */
 void
-forRowBlocks(std::size_t m,
-             const std::function<void(std::size_t, std::size_t)> &fn)
+forBlocks(std::size_t m, std::size_t n,
+          const std::function<void(std::size_t, std::size_t,
+                                   std::size_t, std::size_t)> &fn)
 {
     const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
     parallelFor(blocks, [&](std::size_t blk) {
         const std::size_t i_lo = blk * kRowBlock;
-        fn(i_lo, std::min(m, i_lo + kRowBlock));
+        const std::size_t i_hi = std::min(m, i_lo + kRowBlock);
+        for (std::size_t j_lo = 0; j_lo < n; j_lo += kColBlock)
+            fn(i_lo, i_hi, j_lo, std::min(n, j_lo + kColBlock));
     });
 }
 
@@ -77,20 +75,18 @@ gemmRef(const Matrix &a, const Matrix &b)
     DSV3_ASSERT(a.cols() == b.rows());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     Matrix c(m, n);
-    // Same pinned 8-lane k reduction as gemmRefScalar -- only the B
-    // layout and the row partitioning change, so the result is
+    // Each cell is gemmRefScalar's pinned 8-lane k reduction over all
+    // of K; only the row partitioning changes, so the result is
     // byte-identical at any thread count and under any dispatch table.
-    const AlignedVector<double> bt =
-        transposed(b.data().data(), k, n);
     const double *ad = a.data().data();
+    const double *bd = b.data().data();
     double *cd = c.data().data();
     const KernelTable &kt = kernels();
-    forRowBlocks(m, [&](std::size_t i_lo, std::size_t i_hi) {
-        for (std::size_t i = i_lo; i < i_hi; ++i) {
-            const double *arow = ad + i * k;
-            for (std::size_t j = 0; j < n; ++j)
-                cd[i * n + j] = kt.dotTile(arow, bt.data() + j * k, k);
-        }
+    forBlocks(m, n, [&](std::size_t i_lo, std::size_t i_hi,
+                        std::size_t j_lo, std::size_t j_hi) {
+        for (std::size_t i = i_lo; i < i_hi; ++i)
+            kt.dotLanes(ad + i * k, bd + j_lo, n, k, j_hi - j_lo,
+                        cd + i * n + j_lo);
     });
     return c;
 }
@@ -101,21 +97,25 @@ gemmBf16(const Matrix &a, const Matrix &b)
     DSV3_ASSERT(a.cols() == b.rows());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
 
-    // Pre-quantize operands to BF16 in bulk, then pack B k-major.
-    AlignedVector<double> aq(m * k), bq(k * n);
+    // Pre-quantize operands to BF16 in bulk, B into padded rows.
+    const std::size_t ldb = n + kLdbPad;
+    AlignedVector<double> aq(m * k), bq(k * ldb);
     quantizeSpan(kBF16, a.data(), aq.data());
-    quantizeSpan(kBF16, b.data(), bq.data());
-    const AlignedVector<double> bt = transposed(bq.data(), k, n);
+    for (std::size_t kk = 0; kk < k; ++kk)
+        quantizeSpan(kBF16, {b.data().data() + kk * n, n},
+                     bq.data() + kk * ldb);
 
     Matrix c(m, n);
     double *cd = c.data().data();
     const KernelTable &kt = kernels();
-    forRowBlocks(m, [&](std::size_t i_lo, std::size_t i_hi) {
+    forBlocks(m, n, [&](std::size_t i_lo, std::size_t i_hi,
+                        std::size_t j_lo, std::size_t j_hi) {
+        float out[kColBlock];
         for (std::size_t i = i_lo; i < i_hi; ++i) {
-            const double *arow = aq.data() + i * k;
-            for (std::size_t j = 0; j < n; ++j)
-                cd[i * n + j] =
-                    (double)kt.dotTileF32(arow, bt.data() + j * k, k);
+            kt.dotLanesF32(aq.data() + i * k, bq.data() + j_lo, ldb, k,
+                           j_hi - j_lo, out);
+            for (std::size_t j = j_lo; j < j_hi; ++j)
+                cd[i * n + j] = (double)out[j - j_lo];
         }
     });
     return c;
@@ -139,130 +139,89 @@ gemmQuantized(const Matrix &a, const Matrix &b, const GemmOptions &options)
                     "FP22-only accumulation cannot fold fine-grained "
                     "scales (no promotion step exists)");
     }
+    if (options.accum != AccumMode::FP32)
+        DSV3_ASSERT(group > 0, "FP22 accumulation needs groupSize > 0");
 
     QuantizedMatrix aq(a, *options.fmt, ga, tile_k);
     QuantizedMatrix bq(b, *options.fmt, gb, tile_k);
 
     // Decode the raw (unscaled) operand values once in bulk (a LUT
-    // gather for FP8 formats), then pack B k-major so both inner-loop
-    // streams are contiguous.
-    AlignedVector<double> araw(m * k), btmp(k * n);
+    // gather for FP8 formats), B into padded rows. The lane kernels
+    // read B row-major: a row of one column block is a lane vector.
+    const std::size_t ldb = n + kLdbPad;
+    AlignedVector<double> araw(m * k), braw(k * ldb);
     aq.decodeRawInto(araw.data());
-    bq.decodeRawInto(btmp.data());
-    const AlignedVector<double> bt =
-        transposed(btmp.data(), k, n);
-    btmp.clear();
-    btmp.shrink_to_fit();
+    for (std::size_t kk = 0; kk < k; ++kk)
+        decodeSpan(*options.fmt, {bq.codes().data() + kk * n, n},
+                   braw.data() + kk * ldb);
 
     // Hoist the scale grids out of the inner loops: ascale is (row x
-    // tile), bscale_t is (col x tile) to match the packed B.
+    // tile), bscale is (tile x col) to match B's layout.
     const std::size_t num_tiles = (k + tile_k - 1) / tile_k;
     AlignedVector<double> ascale(m * num_tiles);
-    AlignedVector<double> bscale_t(n * num_tiles);
+    AlignedVector<double> bscale(num_tiles * n);
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t t = 0; t < num_tiles; ++t)
             ascale[i * num_tiles + t] = aq.scale(i, t * tile_k);
-    for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t t = 0; t < num_tiles; ++t)
-            bscale_t[j * num_tiles + t] = bq.scale(t * tile_k, j);
+    for (std::size_t t = 0; t < num_tiles; ++t)
+        for (std::size_t j = 0; j < n; ++j)
+            bscale[t * n + j] = bq.scale(t * tile_k, j);
 
     Matrix c(m, n);
     double *cd = c.data().data();
 
-    // The AccumMode switch is hoisted to once per row block; each arm
-    // keeps the scalar reference's exact operation order per output
-    // cell (tile-major, the pinned 8-lane reduction inside the tile,
-    // products grouped per `group` for the tensor-core model), so
-    // results are byte-identical to gemmQuantizedRef at any thread
-    // count and under any dispatch table.
+    // Block, then K tile, then row: each lane-kernel call covers one
+    // row's cells of the column block over one tile. Every cell keeps
+    // the scalar reference's exact operation order (tile-major, the
+    // pinned 8-lane reduction inside the tile, products grouped per
+    // `group` from the tile start for the tensor-core model, FP32
+    // promotion per tile), so results are byte-identical to
+    // gemmQuantizedRef at any thread count and under any dispatch
+    // table.
     const KernelTable &kt = kernels();
-    forRowBlocks(m, [&](std::size_t i_lo, std::size_t i_hi) {
-        // Tensor-core product group; the instruction width is 32 on
-        // real hardware, so the stack buffer covers every sane config.
-        alignas(64) double stack_buf[64];
-        AlignedVector<double> heap_buf;
-        double *pbuf = stack_buf;
-        if (group > 64) {
-            heap_buf.resize(group);
-            pbuf = heap_buf.data();
+    forBlocks(m, n, [&](std::size_t i_lo, std::size_t i_hi,
+                        std::size_t j_lo, std::size_t j_hi) {
+        const std::size_t cols = j_hi - j_lo;
+        float fp32_accum[kRowBlock][kColBlock] = {};
+        // FP22_NO_PROMOTION: one register per cell across all of K.
+        double whole_k[kRowBlock][kColBlock] = {};
+        for (std::size_t t = 0; t < num_tiles; ++t) {
+            const std::size_t k_lo = t * tile_k;
+            const std::size_t len = std::min(k, k_lo + tile_k) - k_lo;
+            const double *bt = braw.data() + k_lo * ldb + j_lo;
+            const double *bs = bscale.data() + t * n + j_lo;
+            for (std::size_t i = i_lo; i < i_hi; ++i) {
+                const double *arow = araw.data() + i * k + k_lo;
+                const double as = ascale[i * num_tiles + t];
+                float *acc = fp32_accum[i - i_lo];
+                double tile[kColBlock] = {};
+                switch (options.accum) {
+                  case AccumMode::FP32:
+                    kt.dotLanes(arow, bt, ldb, len, cols, tile);
+                    break;
+                  case AccumMode::FP22:
+                    kt.fp22FoldLanes(arow, bt, ldb, len, group, cols,
+                                     tile);
+                    break;
+                  case AccumMode::FP22_NO_PROMOTION:
+                    // No promotion: the registers carry across tiles.
+                    kt.fp22FoldLanes(arow, bt, ldb, len, group, cols,
+                                     whole_k[i - i_lo]);
+                    continue;
+                }
+                // Promotion: CUDA cores fold the dequant scales.
+                for (std::size_t c = 0; c < cols; ++c)
+                    acc[c] += (float)(tile[c] * (as * bs[c]));
+            }
         }
-
-        switch (options.accum) {
-          case AccumMode::FP32:
-            for (std::size_t i = i_lo; i < i_hi; ++i) {
-                const double *arow = araw.data() + i * k;
-                const double *as = ascale.data() + i * num_tiles;
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double *brow = bt.data() + j * k;
-                    const double *bs = bscale_t.data() + j * num_tiles;
-                    float fp32_accum = 0.0f;
-                    for (std::size_t t = 0; t < num_tiles; ++t) {
-                        const std::size_t k_lo = t * tile_k;
-                        const std::size_t k_hi =
-                            std::min(k, k_lo + tile_k);
-                        const double combined_scale = as[t] * bs[t];
-                        const double tile_sum = kt.dotTile(
-                            arow + k_lo, brow + k_lo, k_hi - k_lo);
-                        fp32_accum += (float)(tile_sum * combined_scale);
-                    }
-                    cd[i * n + j] = (double)fp32_accum;
-                }
+        for (std::size_t i = i_lo; i < i_hi; ++i) {
+            for (std::size_t j = j_lo; j < j_hi; ++j) {
+                cd[i * n + j] =
+                    options.accum == AccumMode::FP22_NO_PROMOTION
+                    ? whole_k[i - i_lo][j - j_lo] *
+                          (ascale[i * num_tiles] * bscale[j])
+                    : (double)fp32_accum[i - i_lo][j - j_lo];
             }
-            break;
-
-          case AccumMode::FP22:
-            for (std::size_t i = i_lo; i < i_hi; ++i) {
-                const double *arow = araw.data() + i * k;
-                const double *as = ascale.data() + i * num_tiles;
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double *brow = bt.data() + j * k;
-                    const double *bs = bscale_t.data() + j * num_tiles;
-                    float fp32_accum = 0.0f;
-                    for (std::size_t t = 0; t < num_tiles; ++t) {
-                        const std::size_t k_lo = t * tile_k;
-                        const std::size_t k_hi =
-                            std::min(k, k_lo + tile_k);
-                        const double combined_scale = as[t] * bs[t];
-                        Fp22Register reg;
-                        for (std::size_t kk = k_lo; kk < k_hi;) {
-                            const std::size_t lim =
-                                std::min(k_hi, kk + group);
-                            const std::size_t cnt = lim - kk;
-                            kt.mulSpan(arow + kk, brow + kk, pbuf, cnt);
-                            kk = lim;
-                            reg.add(alignedGroupSum({pbuf, cnt}));
-                        }
-                        // Promotion: CUDA cores fold the dequant scales.
-                        fp32_accum +=
-                            (float)(reg.value() * combined_scale);
-                    }
-                    cd[i * n + j] = (double)fp32_accum;
-                }
-            }
-            break;
-
-          case AccumMode::FP22_NO_PROMOTION:
-            for (std::size_t i = i_lo; i < i_hi; ++i) {
-                const double *arow = araw.data() + i * k;
-                const double *as = ascale.data() + i * num_tiles;
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double *brow = bt.data() + j * k;
-                    const double *bs = bscale_t.data() + j * num_tiles;
-                    Fp22Register whole_k;
-                    for (std::size_t kk = 0; kk < k;) {
-                        const std::size_t k_hi = std::min(
-                            k, (kk / tile_k) * tile_k + tile_k);
-                        const std::size_t lim =
-                            std::min(k_hi, kk + group);
-                        const std::size_t cnt = lim - kk;
-                        kt.mulSpan(arow + kk, brow + kk, pbuf, cnt);
-                        kk = lim;
-                        whole_k.add(alignedGroupSum({pbuf, cnt}));
-                    }
-                    cd[i * n + j] = whole_k.value() * (as[0] * bs[0]);
-                }
-            }
-            break;
         }
     });
 
@@ -335,6 +294,8 @@ gemmQuantizedRef(const Matrix &a, const Matrix &b,
                     "FP22-only accumulation cannot fold fine-grained "
                     "scales (no promotion step exists)");
     }
+    if (options.accum != AccumMode::FP32)
+        DSV3_ASSERT(group > 0, "FP22 accumulation needs groupSize > 0");
 
     QuantizedMatrix aq(a, *options.fmt, ga, tile_k);
     QuantizedMatrix bq(b, *options.fmt, gb, tile_k);

@@ -57,7 +57,7 @@ Matrix gemmQuantized(const Matrix &a, const Matrix &b,
 
 // Scalar reference implementations: the original unblocked,
 // single-threaded triple loops, kept verbatim (and stats/trace-free)
-// as the oracles the packed + parallel kernels above are golden-tested
+// as the oracles the blocked + parallel kernels above are golden-tested
 // against. gemmRef/gemmBf16/gemmQuantized must return byte-identical
 // matrices to these at every thread width.
 Matrix gemmRefScalar(const Matrix &a, const Matrix &b);

@@ -801,75 +801,215 @@ logfmtDecodeAvx2(const std::uint32_t *codes, std::size_t n,
 }
 
 // ---------------------------------------------------------------
-// GEMM inner-kernel family
+// GEMM lane family and FP22 group-sum helpers
 // ---------------------------------------------------------------
 
-double
-dotTileAvx2(const double *a, const double *b, std::size_t n)
+// One output cell per lane: lane c of a vector holds cell c0 + c
+// and runs that cell's scalar sequence. Columns past the last full
+// vector run the scalar entry.
+
+/** fastmath::pinnedDot's fixed tree over its eight k-lanes. */
+template <class V, class Add>
+inline V
+pinnedTree(const V (&lane)[8], Add add)
 {
-    // fastmath::pinnedDot's 8 lanes live in two ymm registers.
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i),
-                               _mm256_loadu_pd(b + i), acc0);
-        acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4),
-                               _mm256_loadu_pd(b + i + 4), acc1);
-    }
-    alignas(32) double lane[fastmath::kDotLanes];
-    _mm256_store_pd(lane, acc0);
-    _mm256_store_pd(lane + 4, acc1);
-    for (std::size_t l = 0; i + l < n; ++l)
-        lane[l] = std::fma(a[i + l], b[i + l], lane[l]);
-    double s1[4], s2[2];
-    for (std::size_t j = 0; j < 4; ++j)
-        s1[j] = lane[j] + lane[j + 4];
-    for (std::size_t j = 0; j < 2; ++j)
-        s2[j] = s1[j] + s1[j + 2];
-    return s2[0] + s2[1];
+    return add(add(add(lane[0], lane[4]), add(lane[2], lane[6])),
+               add(add(lane[1], lane[5]), add(lane[3], lane[7])));
 }
 
-float
-dotTileF32Avx2(const double *a, const double *b, std::size_t n)
+/**
+ * fastmath::pinnedDot for 4 * W cells in W registers. Their 8 * W
+ * k-lane sums do not fit in sixteen registers at W = 4, so each pass
+ * over K keeps two k-lanes (rows 8j + 2q and 8j + 2q + 1); every row
+ * of B is still read once.
+ */
+template <int W>
+void
+dotChunkAvx2(const double *a, const double *b, std::size_t ldb,
+             std::size_t n, double *out)
 {
-    __m128 acc0 = _mm_setzero_ps();
-    __m128 acc1 = _mm_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        acc0 = _mm_add_ps(
-            acc0, _mm256_cvtpd_ps(
-                      _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                    _mm256_loadu_pd(b + i))));
-        acc1 = _mm_add_ps(
-            acc1, _mm256_cvtpd_ps(
-                      _mm256_mul_pd(_mm256_loadu_pd(a + i + 4),
-                                    _mm256_loadu_pd(b + i + 4))));
+    __m256d lane[W][8];
+    for (std::size_t q = 0; q < 4; ++q) {
+        __m256d acc[W][2];
+#pragma GCC unroll 4
+        for (int v = 0; v < W; ++v)
+            acc[v][0] = acc[v][1] = _mm256_setzero_pd();
+        for (std::size_t k = 2 * q; k < n; k += 8) {
+#pragma GCC unroll 2
+            for (std::size_t l = 0; l < 2; ++l) {
+                if (k + l < n) {
+                    const __m256d ak = _mm256_set1_pd(a[k + l]);
+                    const double *bk = b + (k + l) * ldb;
+#pragma GCC unroll 4
+                    for (int v = 0; v < W; ++v)
+                        acc[v][l] = _mm256_fmadd_pd(
+                            ak, _mm256_loadu_pd(bk + 4 * v), acc[v][l]);
+                }
+            }
+        }
+#pragma GCC unroll 4
+        for (int v = 0; v < W; ++v) {
+            lane[v][2 * q] = acc[v][0];
+            lane[v][2 * q + 1] = acc[v][1];
+        }
     }
-    alignas(16) float lane[fastmath::kDotLanes];
-    _mm_store_ps(lane, acc0);
-    _mm_store_ps(lane + 4, acc1);
-    for (std::size_t l = 0; i + l < n; ++l)
-        lane[l] += (float)(a[i + l] * b[i + l]);
-    float s1[4], s2[2];
-    for (std::size_t j = 0; j < 4; ++j)
-        s1[j] = lane[j] + lane[j + 4];
-    for (std::size_t j = 0; j < 2; ++j)
-        s2[j] = s1[j] + s1[j + 2];
-    return s2[0] + s2[1];
+    for (int v = 0; v < W; ++v)
+        _mm256_storeu_pd(out + 4 * v,
+                         pinnedTree(lane[v], [](__m256d x, __m256d y) {
+                             return _mm256_add_pd(x, y);
+                         }));
 }
 
 void
-mulSpanAvx2(const double *a, const double *b, double *out,
-            std::size_t n)
+dotLanesAvx2(const double *a, const double *b, std::size_t ldb,
+             std::size_t n, std::size_t cols, double *out)
 {
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(out + i,
-                         _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                       _mm256_loadu_pd(b + i)));
-    for (; i < n; ++i)
-        out[i] = a[i] * b[i];
+    std::size_t c0 = 0;
+    for (; c0 + 16 <= cols; c0 += 16)
+        dotChunkAvx2<4>(a, b + c0, ldb, n, out + c0);
+    for (; c0 + 4 <= cols; c0 += 4)
+        dotChunkAvx2<1>(a, b + c0, ldb, n, out + c0);
+    if (c0 < cols)
+        detail::scalarKernelTable()->dotLanes(a, b + c0, ldb, n,
+                                              cols - c0, out + c0);
+}
+
+void
+dotLanesF32Avx2(const double *a, const double *b, std::size_t ldb,
+                std::size_t n, std::size_t cols, float *out)
+{
+    std::size_t c0 = 0;
+    for (; c0 + 8 <= cols; c0 += 8) {
+        const double *bc = b + c0;
+        // Eight float cells per register; their products come from
+        // two double registers.
+        __m256 acc[8];
+        for (__m256 &v : acc)
+            v = _mm256_setzero_ps();
+        auto step = [&](std::size_t k, std::size_t l) {
+            const __m256d ak = _mm256_set1_pd(a[k]);
+            const double *bk = bc + k * ldb;
+            acc[l] = _mm256_add_ps(
+                acc[l],
+                _mm256_set_m128(
+                    _mm256_cvtpd_ps(
+                        _mm256_mul_pd(ak, _mm256_loadu_pd(bk + 4))),
+                    _mm256_cvtpd_ps(
+                        _mm256_mul_pd(ak, _mm256_loadu_pd(bk)))));
+        };
+        std::size_t k = 0;
+        for (; k + 8 <= n; k += 8)
+#pragma GCC unroll 8
+            for (std::size_t l = 0; l < 8; ++l)
+                step(k + l, l);
+#pragma GCC unroll 8
+        for (std::size_t l = 0; l < 8; ++l)
+            if (k + l < n)
+                step(k + l, l);
+        _mm256_storeu_ps(out + c0, pinnedTree(acc, [](__m256 x,
+                                                      __m256 y) {
+                             return _mm256_add_ps(x, y);
+                         }));
+    }
+    if (c0 < cols)
+        detail::scalarKernelTable()->dotLanesF32(a, b + c0, ldb, n,
+                                                 cols - c0, out + c0);
+}
+
+/**
+ * alignedGroupSum + Fp22Register::add per lane, by the argument of
+ * fp22FoldLanesAvx512. The max uses _mm256_max_pd on the magnitudes
+ * (their order is the bit order), which drops NaN products; a NaN
+ * then reaches the group sum, so the new register value is NaN and
+ * the lane takes the scalar path anyway.
+ */
+void
+fp22FoldLanesAvx2(const double *a, const double *b, std::size_t ldb,
+                  std::size_t n, std::size_t group, std::size_t cols,
+                  double *reg)
+{
+    const __m256d abs_mask =
+        _mm256_castsi256_pd(_mm256_set1_epi64x((long long)kAbsMask));
+    const __m256i keep_m13 = _mm256_set1_epi64x(~((1LL << 39) - 1));
+    const int trunc = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+    std::size_t c0 = 0;
+    for (; c0 + 4 <= cols; c0 += 4) {
+        const double *bc = b + c0;
+        __m256d r = _mm256_loadu_pd(reg + c0);
+        for (std::size_t k0 = 0; k0 < n; k0 += group) {
+            const std::size_t cnt = std::min(group, n - k0);
+            const double *ag = a + k0;
+            const double *bg = bc + k0 * ldb;
+            auto product = [&](std::size_t i) {
+                return _mm256_mul_pd(_mm256_set1_pd(ag[i]),
+                                     _mm256_loadu_pd(bg + i * ldb));
+            };
+            __m256d mx0 = _mm256_setzero_pd(), mx1 = mx0;
+            std::size_t i = 0;
+            for (; i + 2 <= cnt; i += 2) {
+                mx0 = _mm256_max_pd(_mm256_and_pd(product(i), abs_mask),
+                                    mx0);
+                mx1 = _mm256_max_pd(
+                    _mm256_and_pd(product(i + 1), abs_mask), mx1);
+            }
+            if (i < cnt)
+                mx0 = _mm256_max_pd(_mm256_and_pd(product(i), abs_mask),
+                                    mx0);
+            const __m256i e = _mm256_srli_epi64(
+                _mm256_castpd_si256(_mm256_max_pd(mx0, mx1)), 52);
+            const __m256i fast = _mm256_and_si256(
+                _mm256_cmpgt_epi64(e, _mm256_set1_epi64x(12)),
+                _mm256_cmpgt_epi64(_mm256_set1_epi64x(2006), e));
+            const __m256d quantum = _mm256_castsi256_pd(_mm256_slli_epi64(
+                _mm256_sub_epi64(e, _mm256_set1_epi64x(12)), 52));
+            const __m256d inv = _mm256_castsi256_pd(_mm256_slli_epi64(
+                _mm256_sub_epi64(_mm256_set1_epi64x(2058), e), 52));
+            __m256d s0 = _mm256_setzero_pd(), s1 = s0;
+            for (i = 0; i + 2 <= cnt; i += 2) {
+                s0 = _mm256_add_pd(
+                    s0, _mm256_round_pd(_mm256_mul_pd(product(i), inv),
+                                        trunc));
+                s1 = _mm256_add_pd(
+                    s1, _mm256_round_pd(
+                            _mm256_mul_pd(product(i + 1), inv), trunc));
+            }
+            if (i < cnt)
+                s0 = _mm256_add_pd(
+                    s0, _mm256_round_pd(_mm256_mul_pd(product(i), inv),
+                                        trunc));
+            const __m256i next = _mm256_castpd_si256(_mm256_add_pd(
+                r, _mm256_mul_pd(_mm256_add_pd(s0, s1), quantum)));
+            const __m256i mag = _mm256_and_si256(
+                next, _mm256_castpd_si256(abs_mask));
+            const __m256i nexp = _mm256_srli_epi64(mag, 52);
+            const __m256i ok = _mm256_and_si256(
+                fast,
+                _mm256_or_si256(
+                    _mm256_and_si256(
+                        _mm256_cmpgt_epi64(nexp,
+                                           _mm256_set1_epi64x(1022 - 126)),
+                        _mm256_cmpgt_epi64(
+                            _mm256_set1_epi64x(1024 + 127), nexp)),
+                    _mm256_cmpeq_epi64(mag, _mm256_setzero_si256())));
+            r = _mm256_blendv_pd(
+                r, _mm256_castsi256_pd(_mm256_and_si256(next, keep_m13)),
+                _mm256_castsi256_pd(ok));
+            if (const int slow =
+                    ~_mm256_movemask_pd(_mm256_castsi256_pd(ok)) & 0xf) {
+                alignas(32) double lane[4];
+                _mm256_store_pd(lane, r);
+                for (int l = 0; l < 4; ++l)
+                    if (slow >> l & 1)
+                        detail::scalarKernelTable()->fp22FoldLanes(
+                            ag, bg + l, ldb, cnt, cnt, 1, lane + l);
+                r = _mm256_load_pd(lane);
+            }
+        }
+        _mm256_storeu_pd(reg + c0, r);
+    }
+    if (c0 < cols)
+        detail::scalarKernelTable()->fp22FoldLanes(
+            a, b + c0, ldb, n, group, cols - c0, reg + c0);
 }
 
 std::uint64_t
@@ -938,9 +1078,9 @@ const KernelTable kAvx2Table = [] {
     t.logfmtEncodeLog = logfmtEncodeLogAvx2;
     t.logfmtEncodeLinear = logfmtEncodeLinearAvx2;
     t.logfmtDecode = logfmtDecodeAvx2;
-    t.dotTile = dotTileAvx2;
-    t.dotTileF32 = dotTileF32Avx2;
-    t.mulSpan = mulSpanAvx2;
+    t.dotLanes = dotLanesAvx2;
+    t.dotLanesF32 = dotLanesF32Avx2;
+    t.fp22FoldLanes = fp22FoldLanesAvx2;
     t.absBitsMax = absBitsMaxAvx2;
     t.truncSum = truncSumAvx2;
     return t;

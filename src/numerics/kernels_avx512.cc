@@ -9,7 +9,7 @@
  * detail::quantizeCore, lane-parallel), the float entries perform the
  * pinned operation sequences of numerics/fastmath.hh lane-wise with
  * one correctly-rounded instruction per pinned operation. No fused
- * multiply-add appears outside dotTile, mirroring the scalar
+ * multiply-add appears outside dotLanes, mirroring the scalar
  * definitions (the repo builds with -ffp-contract=off so the compiler
  * cannot introduce any).
  *
@@ -38,10 +38,12 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "numerics/fastmath.hh"
 #include "numerics/kernels.hh"
@@ -675,72 +677,255 @@ logfmtDecodeAvx512(const std::uint32_t *codes, std::size_t n,
 }
 
 // ---------------------------------------------------------------
-// GEMM inner-kernel family
+// GEMM lane family and FP22 group-sum helpers
 // ---------------------------------------------------------------
 
-double
-dotTileAvx512(const double *a, const double *b, std::size_t n)
+// One output cell per lane: lane c of a chunk holds cell c0 + c and
+// runs that cell's scalar sequence. A chunk is V = 2 registers (16
+// cells, so each broadcast of a[k] feeds two registers and each k
+// reads two adjacent cache lines of B) or, for the last eight or
+// fewer cells, V = 1. Out-of-range lanes load zeros and are never
+// stored.
+
+/** Live-lane masks of a V-register chunk with @p left cells left. */
+template <int V>
+inline void
+chunkMasks(std::size_t left, __mmask8 (&live)[V])
 {
-    __m512d acc = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm512_fmadd_pd(_mm512_loadu_pd(a + i),
-                              _mm512_loadu_pd(b + i), acc);
-    if (i < n) {
-        const __mmask8 t = tailMask8(n - i);
-        acc = _mm512_mask3_fmadd_pd(_mm512_maskz_loadu_pd(t, a + i),
-                                    _mm512_maskz_loadu_pd(t, b + i),
-                                    acc, t);
-    }
-    // The pinned tree of fastmath::pinnedDot: lane[j] + lane[j+4],
-    // then + s1[j+2], then the final pair.
-    const __m256d s1 = _mm256_add_pd(_mm512_castpd512_pd256(acc),
-                                     _mm512_extractf64x4_pd(acc, 1));
-    const __m128d s2 = _mm_add_pd(_mm256_castpd256_pd128(s1),
-                                  _mm256_extractf128_pd(s1, 1));
-    return _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
+    for (int v = 0; v < V; ++v)
+        live[v] = tailMask8(left > 8u * v ? left - 8u * v : 0);
 }
 
-float
-dotTileF32Avx512(const double *a, const double *b, std::size_t n)
+/**
+ * chunk(V, c0) over [0, cols): 16-cell chunks, then the last eight or
+ * fewer cells (V = std::integral_constant<int, 2 or 1>).
+ */
+template <class Chunk>
+inline void
+forChunks(std::size_t cols, Chunk chunk)
 {
-    __m256 acc = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm256_add_ps(
-            acc, _mm512_cvtpd_ps(_mm512_mul_pd(
-                     _mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i))));
-    if (i < n) {
-        const __mmask8 t = tailMask8(n - i);
-        acc = _mm256_mask_add_ps(
-            acc, t, acc,
-            _mm512_cvtpd_ps(
-                _mm512_mul_pd(_mm512_maskz_loadu_pd(t, a + i),
-                              _mm512_maskz_loadu_pd(t, b + i))));
+    std::size_t c0 = 0;
+    for (; c0 + 8 < cols; c0 += 16)
+        chunk(std::integral_constant<int, 2>{}, c0);
+    if (c0 < cols)
+        chunk(std::integral_constant<int, 1>{}, c0);
+}
+
+template <bool F32>
+struct DotAcc
+{
+    using type = __m512d; //!< eight double k-lane sums
+};
+
+template <>
+struct DotAcc<true>
+{
+    using type = __m256; //!< eight float k-lane sums
+};
+
+/**
+ * One dot chunk: fastmath::pinnedDot per cell, or with F32
+ * pinnedDotF32 (each double product rounded to float before its
+ * float lane add).
+ */
+template <int V, bool F32>
+void
+dotChunk(const double *a, const double *b, std::size_t ldb,
+         std::size_t n, std::size_t left,
+         std::conditional_t<F32, float, double> *out)
+{
+    using Acc = typename DotAcc<F32>::type;
+    __mmask8 live[V];
+    chunkMasks(left, live);
+    // acc[v][l] holds k-lane l (k mod 8) of register v's cells.
+    Acc acc[V][8];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+#pragma GCC unroll 8
+        for (int l = 0; l < 8; ++l)
+            acc[v][l] = Acc{};
+    const auto step = [&](std::size_t k, int l) {
+        const __m512d ak = _mm512_set1_pd(a[k]);
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v) {
+            const __m512d bk =
+                _mm512_maskz_loadu_pd(live[v], b + k * ldb + 8 * v);
+            if constexpr (F32)
+                acc[v][l] = _mm256_add_ps(
+                    acc[v][l], _mm512_cvtpd_ps(_mm512_mul_pd(ak, bk)));
+            else
+                acc[v][l] = _mm512_fmadd_pd(ak, bk, acc[v][l]);
+        }
+    };
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8)
+#pragma GCC unroll 8
+        for (int l = 0; l < 8; ++l)
+            step(k + l, l);
+#pragma GCC unroll 8
+    for (int l = 0; l < 8; ++l)
+        if (k + l < n)
+            step(k + l, l);
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+        const auto add = [](Acc x, Acc y) {
+            if constexpr (F32)
+                return _mm256_add_ps(x, y);
+            else
+                return _mm512_add_pd(x, y);
+        };
+        const Acc *l = acc[v];
+        const Acc dot = add(add(add(l[0], l[4]), add(l[2], l[6])),
+                            add(add(l[1], l[5]), add(l[3], l[7])));
+        if constexpr (F32)
+            _mm256_mask_storeu_ps(out + 8 * v, live[v], dot);
+        else
+            _mm512_mask_storeu_pd(out + 8 * v, live[v], dot);
     }
-    const __m128 s1 = _mm_add_ps(_mm256_castps256_ps128(acc),
-                                 _mm256_extractf128_ps(acc, 1));
-    const __m128 s2 = _mm_add_ps(s1, _mm_movehl_ps(s1, s1));
-    return _mm_cvtss_f32(
-        _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x1)));
 }
 
 void
-mulSpanAvx512(const double *a, const double *b, double *out,
-              std::size_t n)
+dotLanesAvx512(const double *a, const double *b, std::size_t ldb,
+               std::size_t n, std::size_t cols, double *out)
 {
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm512_storeu_pd(out + i,
-                         _mm512_mul_pd(_mm512_loadu_pd(a + i),
-                                       _mm512_loadu_pd(b + i)));
-    if (i < n) {
-        const __mmask8 t = tailMask8(n - i);
-        _mm512_mask_storeu_pd(
-            out + i, t,
-            _mm512_mul_pd(_mm512_maskz_loadu_pd(t, a + i),
-                          _mm512_maskz_loadu_pd(t, b + i)));
+    forChunks(cols, [&](auto v, std::size_t c0) {
+        dotChunk<decltype(v)::value, false>(a, b + c0, ldb, n, cols - c0,
+                                            out + c0);
+    });
+}
+
+void
+dotLanesF32Avx512(const double *a, const double *b, std::size_t ldb,
+                  std::size_t n, std::size_t cols, float *out)
+{
+    forChunks(cols, [&](auto v, std::size_t c0) {
+        dotChunk<decltype(v)::value, true>(a, b + c0, ldb, n, cols - c0,
+                                           out + c0);
+    });
+}
+
+/**
+ * alignedGroupSum + Fp22Register::add per lane. A lane whose group
+ * is inside alignedGroupSum's truncSum gate with a normal quantum --
+ * biased max exponent in [13, 2005] -- sums exactly, so it adds the
+ * truncated terms as integers and scales once; a lane whose new
+ * register value is zero or E8M13-normal truncates by clearing the
+ * low 39 significand bits. Every other lane reruns the scalar entry
+ * for that lane and group only.
+ */
+template <int V>
+void
+fp22FoldChunk(const double *a, const double *b, std::size_t ldb,
+              std::size_t n, std::size_t group, std::size_t left,
+              double *reg)
+{
+    const __m512i abs_mask = _mm512_set1_epi64((long long)kAbsMask);
+    const __m512i keep_m13 = _mm512_set1_epi64(~((1LL << 39) - 1));
+    const __m512i zero = _mm512_setzero_si512();
+    __mmask8 live[V];
+    chunkMasks(left, live);
+    __m512d r[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+        r[v] = _mm512_maskz_loadu_pd(live[v], reg + 8 * v);
+    for (std::size_t k0 = 0; k0 < n; k0 += group) {
+        const std::size_t cnt = std::min(group, n - k0);
+        const double *ag = a + k0;
+        const double *bg = b + k0 * ldb;
+        // Pass 1: the max magnitude bits (absBitsMax) per lane.
+        __m512i mx[V];
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v)
+            mx[v] = zero;
+        const double *bk = bg;
+        for (std::size_t i = 0; i < cnt; ++i, bk += ldb) {
+            const __m512d ak = _mm512_set1_pd(ag[i]);
+#pragma GCC unroll 2
+            for (int v = 0; v < V; ++v)
+                mx[v] = _mm512_max_epu64(
+                    mx[v],
+                    _mm512_and_si512(
+                        _mm512_castpd_si512(_mm512_mul_pd(
+                            ak, _mm512_maskz_loadu_pd(live[v],
+                                                      bk + 8 * v))),
+                        abs_mask));
+        }
+        __mmask8 fast[V];
+        __m512d quantum[V], inv[V];
+        __m512i sum[V];
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v) {
+            const __m512i e = _mm512_srli_epi64(mx[v], 52);
+            fast[v] = _mm512_mask_cmple_epu64_mask(
+                live[v], _mm512_sub_epi64(e, _mm512_set1_epi64(13)),
+                _mm512_set1_epi64(2005 - 13));
+            // quantum = 2^(max_e - 13), 1/quantum = 2^(13 - max_e),
+            // with max_e = e - 1022 (frexp convention).
+            quantum[v] = _mm512_castsi512_pd(_mm512_slli_epi64(
+                _mm512_sub_epi64(e, _mm512_set1_epi64(12)), 52));
+            inv[v] = _mm512_castsi512_pd(_mm512_slli_epi64(
+                _mm512_sub_epi64(_mm512_set1_epi64(2058), e), 52));
+            sum[v] = zero;
+        }
+        // Pass 2: sum trunc(p / quantum) as int64. On a fast lane
+        // every term is an integer below 2^13 in magnitude and the
+        // sum stays below 2^53, so converting it back is exact.
+        bk = bg;
+        for (std::size_t i = 0; i < cnt; ++i, bk += ldb) {
+            const __m512d ak = _mm512_set1_pd(ag[i]);
+#pragma GCC unroll 2
+            for (int v = 0; v < V; ++v)
+                sum[v] = _mm512_add_epi64(
+                    sum[v],
+                    _mm512_cvttpd_epi64(_mm512_mul_pd(
+                        _mm512_mul_pd(ak, _mm512_maskz_loadu_pd(
+                                              live[v], bk + 8 * v)),
+                        inv[v])));
+        }
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v) {
+            const __m512i next = _mm512_castpd_si512(_mm512_add_pd(
+                r[v], _mm512_mul_pd(_mm512_cvtepi64_pd(sum[v]),
+                                    quantum[v])));
+            // quantizeTruncateFast(kFP22, .) keeps zeros and clears
+            // the low 39 bits of values with exponent in [-126, 127].
+            const __m512i mag = _mm512_and_si512(next, abs_mask);
+            const __mmask8 ok =
+                fast[v] &
+                (_mm512_cmple_epu64_mask(
+                     _mm512_sub_epi64(_mm512_srli_epi64(mag, 52),
+                                      _mm512_set1_epi64(1023 - 126)),
+                     _mm512_set1_epi64(126 + 127)) |
+                 _mm512_cmpeq_epi64_mask(mag, zero));
+            r[v] = _mm512_mask_mov_pd(
+                r[v], ok,
+                _mm512_castsi512_pd(_mm512_and_si512(next, keep_m13)));
+            if (const unsigned slow = live[v] & ~ok) {
+                alignas(64) double lane[8];
+                _mm512_store_pd(lane, r[v]);
+                for (unsigned l = 0; l < 8; ++l)
+                    if (slow >> l & 1)
+                        detail::scalarKernelTable()->fp22FoldLanes(
+                            ag, bg + 8 * v + l, ldb, cnt, cnt, 1,
+                            lane + l);
+                r[v] = _mm512_load_pd(lane);
+            }
+        }
     }
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+        _mm512_mask_storeu_pd(reg + 8 * v, live[v], r[v]);
+}
+
+void
+fp22FoldLanesAvx512(const double *a, const double *b, std::size_t ldb,
+                    std::size_t n, std::size_t group, std::size_t cols,
+                    double *reg)
+{
+    forChunks(cols, [&](auto v, std::size_t c0) {
+        fp22FoldChunk<decltype(v)::value>(a, b + c0, ldb, n, group,
+                                          cols - c0, reg + c0);
+    });
 }
 
 std::uint64_t
@@ -810,9 +995,9 @@ const KernelTable kAvx512Table = [] {
     t.logfmtEncodeLog = logfmtEncodeLogAvx512;
     t.logfmtEncodeLinear = logfmtEncodeLinearAvx512;
     t.logfmtDecode = logfmtDecodeAvx512;
-    t.dotTile = dotTileAvx512;
-    t.dotTileF32 = dotTileF32Avx512;
-    t.mulSpan = mulSpanAvx512;
+    t.dotLanes = dotLanesAvx512;
+    t.dotLanesF32 = dotLanesF32Avx512;
+    t.fp22FoldLanes = fp22FoldLanesAvx512;
     t.absBitsMax = absBitsMaxAvx512;
     t.truncSum = truncSumAvx512;
     return t;

@@ -5,10 +5,10 @@
  * NEON is part of the aarch64 baseline, so no per-TU flags are
  * needed; on non-aarch64 targets this TU collapses to a nullptr
  * provider. This table deliberately implements only the
- * straightforwardly bit-exact float entries -- the pinned GEMM
- * reductions, elementwise multiplies, and the exact-by-contract FP22
- * sums. The codec and log/exp entries are left null and gap-filled
- * with the scalar implementations by the dispatcher, which keeps the
+ * straightforwardly bit-exact float entries -- the dequantize scale
+ * and the exact-by-contract FP22 group-sum helpers. The codec,
+ * log/exp and GEMM lane entries are left null and gap-filled with
+ * the scalar implementations by the dispatcher, which keeps the
  * bit-exactness argument on this (rarely exercised) path trivial:
  * every op below is a single correctly-rounded instruction matching
  * the pinned scalar sequence, with ragged tails running the scalar
@@ -26,92 +26,10 @@
 #include <cmath>
 #include <cstdint>
 
-#include "numerics/fastmath.hh"
-
 namespace dsv3::numerics {
 namespace {
 
 constexpr std::uint64_t kAbsMask = 0x7fffffffffffffffULL;
-
-double
-dotTileNeon(const double *a, const double *b, std::size_t n)
-{
-    // fastmath::pinnedDot's 8 lanes live in four q registers.
-    float64x2_t acc01 = vdupq_n_f64(0.0);
-    float64x2_t acc23 = vdupq_n_f64(0.0);
-    float64x2_t acc45 = vdupq_n_f64(0.0);
-    float64x2_t acc67 = vdupq_n_f64(0.0);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        acc01 = vfmaq_f64(acc01, vld1q_f64(a + i), vld1q_f64(b + i));
-        acc23 = vfmaq_f64(acc23, vld1q_f64(a + i + 2),
-                          vld1q_f64(b + i + 2));
-        acc45 = vfmaq_f64(acc45, vld1q_f64(a + i + 4),
-                          vld1q_f64(b + i + 4));
-        acc67 = vfmaq_f64(acc67, vld1q_f64(a + i + 6),
-                          vld1q_f64(b + i + 6));
-    }
-    double lane[fastmath::kDotLanes];
-    vst1q_f64(lane, acc01);
-    vst1q_f64(lane + 2, acc23);
-    vst1q_f64(lane + 4, acc45);
-    vst1q_f64(lane + 6, acc67);
-    for (std::size_t l = 0; i + l < n; ++l)
-        lane[l] = std::fma(a[i + l], b[i + l], lane[l]);
-    double s1[4], s2[2];
-    for (std::size_t j = 0; j < 4; ++j)
-        s1[j] = lane[j] + lane[j + 4];
-    for (std::size_t j = 0; j < 2; ++j)
-        s2[j] = s1[j] + s1[j + 2];
-    return s2[0] + s2[1];
-}
-
-float
-dotTileF32Neon(const double *a, const double *b, std::size_t n)
-{
-    float32x4_t acc03 = vdupq_n_f32(0.0f);
-    float32x4_t acc47 = vdupq_n_f32(0.0f);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        // Each double product rounds to float before its lane add,
-        // like fastmath::pinnedDotF32.
-        const float64x2_t p01 =
-            vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-        const float64x2_t p23 =
-            vmulq_f64(vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
-        const float64x2_t p45 =
-            vmulq_f64(vld1q_f64(a + i + 4), vld1q_f64(b + i + 4));
-        const float64x2_t p67 =
-            vmulq_f64(vld1q_f64(a + i + 6), vld1q_f64(b + i + 6));
-        acc03 = vaddq_f32(
-            acc03, vcombine_f32(vcvt_f32_f64(p01), vcvt_f32_f64(p23)));
-        acc47 = vaddq_f32(
-            acc47, vcombine_f32(vcvt_f32_f64(p45), vcvt_f32_f64(p67)));
-    }
-    float lane[fastmath::kDotLanes];
-    vst1q_f32(lane, acc03);
-    vst1q_f32(lane + 4, acc47);
-    for (std::size_t l = 0; i + l < n; ++l)
-        lane[l] += (float)(a[i + l] * b[i + l]);
-    float s1[4], s2[2];
-    for (std::size_t j = 0; j < 4; ++j)
-        s1[j] = lane[j] + lane[j + 4];
-    for (std::size_t j = 0; j < 2; ++j)
-        s2[j] = s1[j] + s1[j + 2];
-    return s2[0] + s2[1];
-}
-
-void
-mulSpanNeon(const double *a, const double *b, double *out,
-            std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_f64(out + i,
-                  vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-    for (; i < n; ++i)
-        out[i] = a[i] * b[i];
-}
 
 void
 scaleSpanNeon(double *inout, double s, std::size_t n)
@@ -168,9 +86,6 @@ truncSumNeon(const double *in, std::size_t n, double inv_quantum,
 const KernelTable kNeonTable = [] {
     KernelTable t;
     t.isa = KernelIsa::NEON;
-    t.dotTile = dotTileNeon;
-    t.dotTileF32 = dotTileF32Neon;
-    t.mulSpan = mulSpanNeon;
     t.scaleSpan = scaleSpanNeon;
     t.absBitsMax = absBitsMaxNeon;
     t.truncSum = truncSumNeon;

@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "numerics/dispatch.hh"
 #include "numerics/fastmath.hh"
+#include "numerics/fp22.hh"
 #include "numerics/kernels.hh"
 
 namespace dsv3::numerics {
@@ -189,24 +191,40 @@ logfmtDecodeScalar(const std::uint32_t *codes, std::size_t n,
     }
 }
 
-double
-dotTileScalar(const double *a, const double *b, std::size_t n)
+void
+dotLanesScalar(const double *a, const double *b, std::size_t ldb,
+               std::size_t n, std::size_t cols, double *out)
 {
-    return fastmath::pinnedDot(a, b, n);
-}
-
-float
-dotTileF32Scalar(const double *a, const double *b, std::size_t n)
-{
-    return fastmath::pinnedDotF32(a, b, n);
+    for (std::size_t c = 0; c < cols; ++c)
+        out[c] = fastmath::pinnedDot(a, b + c, n, ldb);
 }
 
 void
-mulSpanScalar(const double *a, const double *b, double *out,
-              std::size_t n)
+dotLanesF32Scalar(const double *a, const double *b, std::size_t ldb,
+                  std::size_t n, std::size_t cols, float *out)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = a[i] * b[i];
+    for (std::size_t c = 0; c < cols; ++c)
+        out[c] = fastmath::pinnedDotF32(a, b + c, n, ldb);
+}
+
+void
+fp22FoldLanesScalar(const double *a, const double *b, std::size_t ldb,
+                    std::size_t n, std::size_t group, std::size_t cols,
+                    double *reg)
+{
+    static const FormatKernels &fp22 = formatKernels(kFP22);
+    thread_local std::vector<double> products;
+    products.resize(std::min(n, group));
+    for (std::size_t c = 0; c < cols; ++c) {
+        for (std::size_t k0 = 0; k0 < n; k0 += group) {
+            const std::size_t cnt = std::min(group, n - k0);
+            for (std::size_t i = 0; i < cnt; ++i)
+                products[i] = a[k0 + i] * b[(k0 + i) * ldb + c];
+            // Fp22Register::add: the sum re-truncated to E8M13.
+            reg[c] = quantizeTruncateFast(
+                fp22, reg[c] + alignedGroupSum({products.data(), cnt}));
+        }
+    }
 }
 
 std::uint64_t
@@ -245,9 +263,9 @@ const KernelTable kScalarTable = [] {
     t.logfmtEncodeLog = logfmtEncodeLogScalar;
     t.logfmtEncodeLinear = logfmtEncodeLinearScalar;
     t.logfmtDecode = logfmtDecodeScalar;
-    t.dotTile = dotTileScalar;
-    t.dotTileF32 = dotTileF32Scalar;
-    t.mulSpan = mulSpanScalar;
+    t.dotLanes = dotLanesScalar;
+    t.dotLanesF32 = dotLanesF32Scalar;
+    t.fp22FoldLanes = fp22FoldLanesScalar;
     t.absBitsMax = absBitsMaxScalar;
     t.truncSum = truncSumScalar;
     return t;

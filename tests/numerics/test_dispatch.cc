@@ -329,33 +329,100 @@ TEST_P(DispatchTest, LogFamilyMatchesScalar)
     }
 }
 
+/** Bit-compare per-cell lane-kernel results @p got against @p want. */
+template <class T>
+void
+expectLanesEqual(const std::vector<T> &got, const std::vector<T> &want,
+                 const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+        if constexpr (sizeof(T) == 8) {
+            ASSERT_EQ(dbits(got[c]), dbits(want[c])) << what << " c=" << c;
+        } else {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[c]),
+                      std::bit_cast<std::uint32_t>(want[c]))
+                << what << " c=" << c;
+        }
+    }
+}
+
+/**
+ * fp22FoldLanes of table @p t against scalar over one A row and a
+ * row-major B panel with leading dimension @p ldb, from register
+ * values @p reg.
+ */
+void
+expectFp22FoldMatches(const KernelTable &t, const KernelTable &scalar,
+                      const std::vector<double> &a,
+                      const std::vector<double> &b, std::size_t ldb,
+                      std::size_t cols, std::size_t group,
+                      const std::vector<double> &reg,
+                      const std::string &what)
+{
+    std::vector<double> got = reg, want = reg;
+    t.fp22FoldLanes(a.data(), b.data(), ldb, a.size(), group, cols,
+                    got.data());
+    scalar.fp22FoldLanes(a.data(), b.data(), ldb, a.size(), group, cols,
+                         want.data());
+    expectLanesEqual(got, want,
+                     what + " group=" + std::to_string(group));
+}
+
 TEST_P(DispatchTest, GemmFamilyMatchesScalar)
 {
     DSV3_REQUIRE_ISA_TABLE(t);
     Rng rng(0x93e);
-    for (std::size_t n : kLengths) {
-        // Finite operands: tile dots feed FP32/BF16 accumulation.
-        std::vector<double> a(n), b(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            a[i] = rng.normal();
-            b[i] = rng.normal();
+    const FormatKernels &fp22 = formatKernels(kFP22);
+    // K lengths off multiples of 8 and of every group size, plus
+    // exact multiples.
+    const std::size_t lengths[] = {0, 1, 5, 8, 13, 31, 32, 33, 97, 130};
+    const std::size_t groups[] = {1, 7, 32, 48, 64, 96};
+    for (std::size_t cols = 1; cols <= 17; ++cols) {
+        // B is read in place from a wider matrix.
+        const std::size_t ldb = cols + 3;
+        for (std::size_t n : lengths) {
+            const std::string what = "cols=" + std::to_string(cols) +
+                                     " n=" + std::to_string(n);
+            // Finite operands: the dots feed FP32/BF16 accumulation.
+            // Each B column gets its own binade spread so FP22 groups
+            // see varied max exponents.
+            std::vector<double> a(n), b(n * ldb);
+            for (double &x : a)
+                x = rng.normal();
+            for (std::size_t j = 0; j < ldb; ++j) {
+                const int e = (int)rng.nextBounded(41) - 20;
+                for (std::size_t k = 0; k < n; ++k)
+                    b[k * ldb + j] = std::ldexp(rng.normal(), e);
+            }
+
+            std::vector<double> d_v(cols, -7.0), d_s(cols, -7.0);
+            t->dotLanes(a.data(), b.data(), ldb, n, cols, d_v.data());
+            oracle().dotLanes(a.data(), b.data(), ldb, n, cols,
+                              d_s.data());
+            expectLanesEqual(d_v, d_s, "dotLanes " + what);
+
+            std::vector<float> f_v(cols, -7.0f), f_s(cols, -7.0f);
+            t->dotLanesF32(a.data(), b.data(), ldb, n, cols, f_v.data());
+            oracle().dotLanesF32(a.data(), b.data(), ldb, n, cols,
+                                 f_s.data());
+            expectLanesEqual(f_v, f_s, "dotLanesF32 " + what);
+
+            // Registers start at zero (a fresh tile) or at a carried
+            // FP22 value (the no-promotion arm).
+            std::vector<double> reg(cols, 0.0);
+            if (n % 2)
+                for (double &r : reg)
+                    r = quantizeTruncateFast(fp22,
+                                             rng.normal() * 64.0);
+            for (std::size_t g : groups)
+                expectFp22FoldMatches(*t, oracle(), a, b, ldb, cols, g,
+                                      reg, "fp22FoldLanes " + what);
         }
-        ASSERT_EQ(dbits(t->dotTile(a.data(), b.data(), n)),
-                  dbits(oracle().dotTile(a.data(), b.data(), n)))
-            << "dotTile n=" << n;
-        const float f_v = t->dotTileF32(a.data(), b.data(), n);
-        const float f_s = oracle().dotTileF32(a.data(), b.data(), n);
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(f_v),
-                  std::bit_cast<std::uint32_t>(f_s))
-            << "dotTileF32 n=" << n;
+    }
 
-        std::vector<double> p_s(n + 1, -7.0), p_v(n + 1, -7.0);
-        oracle().mulSpan(a.data(), b.data(), p_s.data(), n);
-        t->mulSpan(a.data(), b.data(), p_v.data(), n);
-        for (std::size_t i = 0; i <= n; ++i)
-            ASSERT_EQ(dbits(p_v[i]), dbits(p_s[i]))
-                << "mulSpan n=" << n << " i=" << i;
-
+    // The group-sum helpers alignedGroupSum still calls.
+    for (std::size_t n : kLengths) {
         const std::vector<double> wild = fuzzInputs(rng, n);
         ASSERT_EQ(t->absBitsMax(wild.data(), n),
                   oracle().absBitsMax(wild.data(), n))
@@ -374,6 +441,77 @@ TEST_P(DispatchTest, GemmFamilyMatchesScalar)
                   dbits(oracle().truncSum(prod.data(), n, inv_quantum,
                                           quantum)))
             << "truncSum n=" << n;
+    }
+}
+
+/**
+ * Every lane the SIMD FP22 fold cannot take on its fast path -- a
+ * group outside alignedGroupSum's truncSum gate or with a subnormal
+ * quantum, or a register value that is not zero or E8M13-normal --
+ * must run the scalar sequence. Each column below forces one such
+ * case next to ordinary lanes; the asserts on the products and on
+ * the scalar results show each case reached the regime it names.
+ */
+TEST_P(DispatchTest, Fp22FoldFallbackLanesMatchScalar)
+{
+    DSV3_REQUIRE_ISA_TABLE(t);
+    Rng rng(0xf22);
+    enum Col : std::size_t
+    {
+        ZERO,          // all products +0 (absBitsMax == 0)
+        NEG_ZERO,      // all products -0
+        NAN_PROD,      // one NaN product
+        INF_PROD,      // one +Inf product
+        INF_MINUS_INF, // +Inf and -Inf in one group: the sum is NaN
+        SUB_QUANTUM,   // max product < 2^-1010: quantum subnormal
+        OUT_OF_GATE,   // products >= 2^983: past the truncSum gate
+        SATURATE,      // fast group sums; the register overflows
+        BELOW_FP22,    // fast group sums; the register stays < 2^-126
+        kCases,
+    };
+    const std::size_t cols = kCases + 3; // ordinary lanes after them
+    for (std::size_t n : {std::size_t{64}, std::size_t{77}}) {
+        // Positive A keeps each case's products one-signed.
+        std::vector<double> a(n), b(n * cols);
+        for (double &x : a)
+            x = std::fabs(rng.normal()) + 0.5;
+        for (double &x : b)
+            x = rng.normal();
+        for (std::size_t k = 0; k < n; ++k) {
+            double *row = b.data() + k * cols;
+            const double u = std::fabs(rng.normal()) + 1.0;
+            row[ZERO] = 0.0;
+            row[NEG_ZERO] = -0.0;
+            row[SUB_QUANTUM] = std::ldexp(rng.normal(), -1016);
+            row[OUT_OF_GATE] = std::ldexp(u, 990);
+            row[SATURATE] = std::ldexp(u, 126);
+            row[BELOW_FP22] = std::ldexp(u, -140);
+            ASSERT_LT(std::fabs(a[k] * row[SUB_QUANTUM]), 0x1p-1010);
+            ASSERT_GE(a[k] * row[OUT_OF_GATE], 0x1p983);
+        }
+        b[3 * cols + NAN_PROD] = std::numeric_limits<double>::quiet_NaN();
+        b[5 * cols + INF_PROD] = kInf;
+        b[1 * cols + INF_MINUS_INF] = kInf;
+        b[2 * cols + INF_MINUS_INF] = -kInf;
+
+        for (std::size_t g : {std::size_t{7}, std::size_t{32},
+                              std::size_t{96}}) {
+            const std::vector<double> zero(cols, 0.0);
+            expectFp22FoldMatches(*t, oracle(), a, b, cols, cols, g,
+                                  zero, "n=" + std::to_string(n));
+            std::vector<double> want(cols, 0.0);
+            oracle().fp22FoldLanes(a.data(), b.data(), cols, n, g, cols,
+                                   want.data());
+            EXPECT_EQ(dbits(want[ZERO]), dbits(0.0));
+            EXPECT_EQ(dbits(want[NEG_ZERO]), dbits(0.0));
+            EXPECT_TRUE(std::isnan(want[NAN_PROD]));
+            EXPECT_EQ(want[INF_PROD], kInf);
+            EXPECT_TRUE(std::isnan(want[INF_MINUS_INF]));
+            EXPECT_EQ(want[OUT_OF_GATE], kFP22.maxFinite());
+            EXPECT_EQ(want[SATURATE], kFP22.maxFinite());
+            EXPECT_GT(want[BELOW_FP22], 0.0);
+            EXPECT_LT(want[BELOW_FP22], 0x1p-126);
+        }
     }
 }
 
@@ -481,9 +619,9 @@ TEST(Dispatch, ActiveTableIsAvailableAndGapFilled)
         EXPECT_NE(t->logfmtEncodeLog, nullptr) << isaName(isa);
         EXPECT_NE(t->logfmtEncodeLinear, nullptr) << isaName(isa);
         EXPECT_NE(t->logfmtDecode, nullptr) << isaName(isa);
-        EXPECT_NE(t->dotTile, nullptr) << isaName(isa);
-        EXPECT_NE(t->dotTileF32, nullptr) << isaName(isa);
-        EXPECT_NE(t->mulSpan, nullptr) << isaName(isa);
+        EXPECT_NE(t->dotLanes, nullptr) << isaName(isa);
+        EXPECT_NE(t->dotLanesF32, nullptr) << isaName(isa);
+        EXPECT_NE(t->fp22FoldLanes, nullptr) << isaName(isa);
         EXPECT_NE(t->absBitsMax, nullptr) << isaName(isa);
         EXPECT_NE(t->truncSum, nullptr) << isaName(isa);
     }

@@ -157,5 +157,20 @@ TEST(GemmQuantizedDeath, NoPromotionRejectsFineGrained)
     EXPECT_DEATH((void)gemmQuantized(a, b, opt), "fine-grained");
 }
 
+TEST(GemmQuantizedDeath, Fp22RejectsEmptyGroups)
+{
+    Matrix a = randomMatrix(2, 64, 18);
+    Matrix b = randomMatrix(64, 2, 19);
+    GemmOptions opt;
+    opt.groupSize = 0;
+    for (AccumMode mode :
+         {AccumMode::FP22, AccumMode::FP22_NO_PROMOTION}) {
+        opt.accum = mode;
+        opt.fineGrained = mode == AccumMode::FP22;
+        EXPECT_DEATH((void)gemmQuantized(a, b, opt), "groupSize");
+        EXPECT_DEATH((void)gemmQuantizedRef(a, b, opt), "groupSize");
+    }
+}
+
 } // namespace
 } // namespace dsv3::numerics

@@ -390,11 +390,21 @@ TEST(Kernels, GemmQuantizedMatchesScalarReferenceAtAnyWidth)
                 opt.accum = mode;
                 opt.fineGrained =
                     mode != AccumMode::FP22_NO_PROMOTION;
-                Matrix want = gemmQuantizedRef(a, b, opt);
-                for (std::size_t w : widths) {
-                    WidthGuard guard(w);
-                    Matrix got = gemmQuantized(a, b, opt);
-                    expectBitEqual(got, want, accumModeName(mode));
+                for (const std::size_t tile_k : {64, 128}) {
+                    for (const std::size_t group : {32, 48, 96}) {
+                        opt.tileK = tile_k;
+                        opt.groupSize = group;
+                        const std::string what =
+                            std::string(accumModeName(mode)) +
+                            " tileK=" + std::to_string(tile_k) +
+                            " group=" + std::to_string(group);
+                        Matrix want = gemmQuantizedRef(a, b, opt);
+                        for (std::size_t w : widths) {
+                            WidthGuard guard(w);
+                            Matrix got = gemmQuantized(a, b, opt);
+                            expectBitEqual(got, want, what.c_str());
+                        }
+                    }
                 }
             }
         }
