@@ -1,6 +1,7 @@
 #include "net/flow.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -26,6 +27,8 @@ struct FlowStats
         obs::Registry::global().counter("net.flow.solves");
     obs::Counter &solverIterations = obs::Registry::global().counter(
         "net.flow.solver_iterations");
+    obs::Counter &roundsReused =
+        obs::Registry::global().counter("net.flow.rounds_reused");
     obs::Counter &epochs =
         obs::Registry::global().counter("net.flow.epochs");
     obs::Counter &flowsRetired =
@@ -175,7 +178,8 @@ FlowSimEngine::FlowSimEngine(const Graph &graph,
 
     active_on_edge_.assign(graph.edgeCount(), 0);
     residual_.assign(graph.edgeCount(), 0.0);
-    scratch_active_.assign(graph.edgeCount(), 0);
+    frozen_on_edge_.assign(graph.edgeCount(), 0);
+    schedule_capacity_.assign(graph.edgeCount(), 0.0);
     crossings_.assign(graph.edgeCount(), 0);
     bottleneck_.reset(graph.edgeCount());
 
@@ -193,8 +197,24 @@ FlowSimEngine::FlowSimEngine(const Graph &graph,
         addSubflows(i);
     sub_alive_.assign(sub_flow_.size(), true);
     sub_rate_.assign(sub_flow_.size(), 0.0);
-    frozen_stamp_.assign(sub_flow_.size(), 0);
+    frozen_round_.assign(sub_flow_.size(), 0);
     rebuildEdgeIndex();
+    undo_ = std::move(spareUndo());
+    spareUndo() = {};
+}
+
+FlowSimEngine::~FlowSimEngine()
+{
+    UndoLog &spare = spareUndo();
+    if (undo_.capacity > spare.capacity)
+        spare = std::move(undo_);
+}
+
+FlowSimEngine::UndoLog &
+FlowSimEngine::spareUndo()
+{
+    thread_local UndoLog spare;
+    return spare;
 }
 
 void
@@ -217,6 +237,22 @@ FlowSimEngine::addSubflows(std::size_t flow)
 }
 
 void
+FlowSimEngine::releaseSubflows(std::size_t flow)
+{
+    for (std::uint32_t s = flow_sub_begin_[flow];
+         s < flow_sub_end_[flow]; ++s) {
+        sub_alive_[s] = false;
+        for (EdgeId e : sub_path_[s])
+            --active_on_edge_[e];
+        --active_subflows_;
+        // Unfrozen (0) only when no schedule holds s yet; then the
+        // next solve() starts at round 0 anyway.
+        if (frozen_round_[s] != 0)
+            resume_round_ = std::min(resume_round_, frozen_round_[s] - 1);
+    }
+}
+
+void
 FlowSimEngine::removeFlow(std::size_t flow)
 {
     DSV3_ASSERT(flow < flows_.size());
@@ -224,13 +260,7 @@ FlowSimEngine::removeFlow(std::size_t flow)
         return;
     alive_[flow] = false;
     --active_flows_;
-    for (std::uint32_t s = flow_sub_begin_[flow];
-         s < flow_sub_end_[flow]; ++s) {
-        sub_alive_[s] = false;
-        for (EdgeId e : sub_path_[s])
-            --active_on_edge_[e];
-        --active_subflows_;
-    }
+    releaseSubflows(flow);
     flowStats().flowsRetired.inc();
 }
 
@@ -239,13 +269,7 @@ FlowSimEngine::detachFlow(std::size_t flow)
 {
     DSV3_ASSERT(flow < flows_.size());
     DSV3_ASSERT(alive_[flow], "cannot detach a retired flow");
-    for (std::uint32_t s = flow_sub_begin_[flow];
-         s < flow_sub_end_[flow]; ++s) {
-        sub_alive_[s] = false;
-        for (EdgeId e : sub_path_[s])
-            --active_on_edge_[e];
-        --active_subflows_;
-    }
+    releaseSubflows(flow);
     flow_sub_begin_[flow] = 0;
     flow_sub_end_[flow] = 0;
     local_[flow] = false;
@@ -261,7 +285,9 @@ FlowSimEngine::attachFlow(std::size_t flow)
     addSubflows(flow);
     sub_alive_.resize(sub_flow_.size(), true);
     sub_rate_.resize(sub_flow_.size(), 0.0);
-    frozen_stamp_.resize(sub_flow_.size(), 0);
+    frozen_round_.resize(sub_flow_.size(), 0);
+    // New subflows can bottleneck any round of the last schedule.
+    resume_round_ = 0;
     // Splicing the new subflows into each edge's CSR segment would
     // relocate (copy) whole segments -- quadratic under a failover
     // wave that reattaches hundreds of flows. Instead leave the index
@@ -336,20 +362,59 @@ FlowSimEngine::collectBrokenFlows(std::vector<std::size_t> &out)
             out.push_back(i);
 }
 
+std::uint32_t
+FlowSimEngine::resumeRound() const
+{
+    if (resume_round_ == 0)
+        return 0;
+    // Bit patterns, so that even a +0 -> -0 change restarts.
+    for (EdgeId e : used_edges_) {
+        if (active_on_edge_[e] > 0 &&
+            std::bit_cast<std::uint64_t>(graph_.edge(e).capacity) !=
+                std::bit_cast<std::uint64_t>(schedule_capacity_[e]))
+            return 0;
+    }
+    return resume_round_;
+}
+
 const std::vector<double> &
 FlowSimEngine::solve()
 {
+    const std::uint32_t resume = resumeRound();
     DSV3_TRACE_SPAN("net.flow.solve", "active_subflows",
-                    active_subflows_);
+                    active_subflows_, "resume_round", resume);
     if (edge_index_dirty_)
         rebuildEdgeIndex();
-    const std::uint64_t iters_before = iterations_;
-    ++solve_stamp_;
     std::fill(rates_.begin(), rates_.end(), 0.0);
     for (std::size_t i = 0; i < flows_.size(); ++i) {
         if (alive_[i] && local_[i])
             rates_[i] = std::numeric_limits<double>::infinity();
     }
+
+    // Rewind the last schedule to round `resume`. No subflow removed
+    // since froze before it, so those rounds are the ones a fresh
+    // solve would repeat (DESIGN.md "Flow engine internals"). Undo
+    // the later rounds' edge updates, latest first, so every edge
+    // ends in its state before round `resume`, and unfreeze their
+    // subflows. A restart (resume 0) re-seeds every edge below.
+    std::size_t cursor = 0;
+    if (resume > 0) {
+        cursor = round_end_[resume - 1];
+        for (std::size_t i = round_end_.back(); i-- > cursor;) {
+            const UndoEntry &u = undo_.entries[i];
+            residual_[u.edge] = u.residual;
+            frozen_on_edge_[u.edge] = u.frozen;
+        }
+    }
+    round_end_.resize(resume);
+    // Branch-free, so it vectorizes. Every subflow retired since
+    // froze after `resume`, so the ones still frozen are all live.
+    std::size_t still_frozen = 0;
+    for (std::uint32_t &round : frozen_round_) {
+        round = round > resume ? 0 : round;
+        still_frozen += round != 0;
+    }
+    std::size_t unfrozen = active_subflows_ - still_frozen;
 
     // Bottleneck candidates keyed by fair share: the tree's top is the
     // least share, lowest edge id on ties -- exactly the edge a full
@@ -361,20 +426,23 @@ FlowSimEngine::solve()
         if (active_on_edge_[e] == 0)
             continue;
         used_edges_[used_out++] = e;
-        residual_[e] = graph_.edge(e).capacity;
-        scratch_active_[e] = active_on_edge_[e];
-        bottleneck_.set(e, residual_[e] / (double)scratch_active_[e]);
+        if (resume == 0) {
+            residual_[e] = schedule_capacity_[e] = graph_.edge(e).capacity;
+            frozen_on_edge_[e] = 0;
+        }
+        const std::uint32_t left = active_on_edge_[e] - frozen_on_edge_[e];
+        if (left > 0)
+            bottleneck_.set(e, residual_[e] / (double)left);
     }
     used_edges_.resize(used_out);
 
-    std::size_t unfrozen = active_subflows_;
     while (unfrozen > 0) {
         const std::size_t top = bottleneck_.top();
         DSV3_ASSERT(top != WinnerTree<double>::kNone,
                     "active subflow crosses no edge");
         const EdgeId best_edge = (EdgeId)top;
         const double best_share = bottleneck_.key(best_edge);
-        ++iterations_;
+        const std::uint32_t stamp = (std::uint32_t)round_end_.size() + 1;
 
         // Freeze every unfrozen subflow crossing the bottleneck, in
         // subflow-id order (the order the full rescan froze them in),
@@ -390,41 +458,61 @@ FlowSimEngine::solve()
             if (!sub_alive_[s])
                 continue; // retired or rebound away
             edge_sub_pool_[seg + w++] = s;
-            if (frozen_stamp_[s] == solve_stamp_)
+            if (frozen_round_[s] != 0)
                 continue;
             sub_rate_[s] = best_share;
-            frozen_stamp_[s] = solve_stamp_;
+            frozen_round_[s] = stamp;
             --unfrozen;
             for (EdgeId e : sub_path_[s])
                 if (crossings_[e]++ == 0)
                     touched_.push_back(e);
         }
         edge_sub_count_[best_edge] = w;
+        // Room for this round's undo entries, grown geometrically and
+        // never zero-filled, so the update loop below writes through a
+        // bare cursor.
+        if (cursor + touched_.size() > undo_.capacity) {
+            UndoLog grown;
+            grown.capacity =
+                std::max(2 * undo_.capacity, cursor + touched_.size());
+            grown.entries =
+                std::make_unique_for_overwrite<UndoEntry[]>(grown.capacity);
+            std::copy_n(undo_.entries.get(), cursor, grown.entries.get());
+            undo_ = std::move(grown);
+        }
+        UndoEntry *const undo = undo_.entries.get();
         // Each touched edge takes its k crossings as k sequential
         // clamped subtractions -- the floating-point sequence freezing
-        // one subflow at a time produces -- then one tree update.
+        // one subflow at a time produces -- then one tree update. Its
+        // prior state goes to the undo log first.
         for (EdgeId e : touched_) {
             const std::uint32_t k = crossings_[e];
             crossings_[e] = 0;
             double r = residual_[e];
+            undo[cursor++] = {e, frozen_on_edge_[e], r};
             for (std::uint32_t j = 0; j < k; ++j) {
                 r -= best_share;
                 if (r < 0.0)
                     r = 0.0;
             }
             residual_[e] = r;
-            scratch_active_[e] -= k;
-            if (scratch_active_[e] == 0)
+            frozen_on_edge_[e] += k;
+            const std::uint32_t left = active_on_edge_[e] - frozen_on_edge_[e];
+            if (left == 0)
                 bottleneck_.clear(e);
             else
-                bottleneck_.set(e, r / (double)scratch_active_[e]);
+                bottleneck_.set(e, r / (double)left);
         }
+        round_end_.push_back(cursor);
         // The bottleneck edge must now be drained of active subflows.
-        DSV3_ASSERT(scratch_active_[best_edge] == 0);
+        DSV3_ASSERT(active_on_edge_[best_edge] == frozen_on_edge_[best_edge]);
     }
+    // Every live edge drained: the unfrozen count was exact.
+    DSV3_ASSERT(bottleneck_.top() == WinnerTree<double>::kNone);
 
     // Sum per-flow in subflow-id order, matching the reference
-    // accumulation order bit for bit.
+    // accumulation order bit for bit. Subflows frozen before `resume`
+    // kept their rates.
     for (std::size_t i = 0; i < flows_.size(); ++i) {
         if (!alive_[i])
             continue;
@@ -433,9 +521,13 @@ FlowSimEngine::solve()
             rates_[i] += sub_rate_[s];
     }
 
+    // The count is the schedule's length, as a fresh solve's would be.
+    resume_round_ = (std::uint32_t)round_end_.size();
+    iterations_ += resume_round_;
     FlowStats &stats = flowStats();
     stats.solves.inc();
-    stats.solverIterations.inc(iterations_ - iters_before);
+    stats.solverIterations.inc(resume_round_);
+    stats.roundsReused.inc(resume);
     return rates_;
 }
 

@@ -30,8 +30,9 @@
  * throwaway engine.
  *
  * The engine reports itself under "net.flow.*" in the stats registry
- * (solver iterations, epochs, retired flows) and brackets
- * build/solve/run with trace spans; see DESIGN.md "Observability".
+ * (solver iterations, rounds reused from the last schedule, epochs,
+ * retired flows) and brackets build/solve/run with trace spans; see
+ * DESIGN.md "Observability".
  */
 
 #pragma once
@@ -138,7 +139,10 @@ struct FlowSimResult
     double peakUtilization = 0.0;
     /** Completion epochs the event loop stepped through. */
     std::size_t epochs = 0;
-    /** Total bottleneck-freeze iterations across all solves. */
+    /**
+     * Water-fill schedule rounds across all solves, reused or computed
+     * (FlowSimEngine::solverIterations()).
+     */
     std::uint64_t solverIterations = 0;
 };
 
@@ -158,6 +162,14 @@ struct FlowSimResult
  * clamped subtractions, so every edge sees the same floating-point
  * operation sequence.
  *
+ * solve() keeps its schedule (the rounds, and an undo log of each
+ * round's edge updates). When only removeFlow() or detachFlow() ran
+ * since, the next solve() rewinds it to the first round that froze a
+ * removed subflow and water-fills from there: the rounds before it are
+ * the ones a fresh solve would repeat bit for bit. An attachFlow() or
+ * a capacity change restarts the schedule at round 0. DESIGN.md "Flow
+ * engine internals" gives the argument.
+ *
  * The engine copies no edges: each subflow is a view into the path
  * set its flow pins (Flow::pathSet). So the graph and flow vector
  * must outlive the engine, and the flows' path sets must not change
@@ -170,6 +182,10 @@ class FlowSimEngine
 {
   public:
     FlowSimEngine(const Graph &graph, const std::vector<Flow> &flows);
+    /** Leaves the undo log to the next engine built on this thread. */
+    ~FlowSimEngine();
+    FlowSimEngine(const FlowSimEngine &) = delete;
+    FlowSimEngine &operator=(const FlowSimEngine &) = delete;
 
     /**
      * Max-min rates for the currently active flows. Active local flows
@@ -212,6 +228,12 @@ class FlowSimEngine
     bool flowActive(std::size_t flow) const { return alive_[flow]; }
     std::size_t activeFlows() const { return active_flows_; }
     std::size_t subflowCount() const { return sub_flow_.size(); }
+    /**
+     * Water-fill rounds summed over every solve() so far. Each solve
+     * adds its whole schedule's length, the rounds it reused from the
+     * last schedule as well as those it computed, so the count equals
+     * a fresh engine's.
+     */
     std::uint64_t solverIterations() const { return iterations_; }
 
     /**
@@ -227,6 +249,18 @@ class FlowSimEngine
 
     /** Re-derive the edge CSR from the live subflows. */
     void rebuildEdgeIndex();
+
+    /**
+     * Release @p flow's subflows (removeFlow()/detachFlow()) and lower
+     * resume_round_ to the earliest round that froze one of them.
+     */
+    void releaseSubflows(std::size_t flow);
+
+    /**
+     * First round the next solve() must compute: resume_round_, or 0
+     * when a live edge's capacity changed since the schedule started.
+     */
+    std::uint32_t resumeRound() const;
 
     const Graph &graph_;
     const std::vector<Flow> &flows_;
@@ -277,12 +311,52 @@ class FlowSimEngine
 
     std::vector<double> rates_;    //!< per flow, filled by solve()
 
-    // Scratch reused across solves (sized once).
-    std::vector<double> residual_;
+    // The last solve()'s schedule, kept for the next one to resume.
+    std::vector<double> residual_;             //!< per edge
     std::vector<double> sub_rate_;             //!< per subflow
-    std::vector<std::uint32_t> scratch_active_;
-    std::vector<std::uint32_t> frozen_stamp_;  //!< per subflow
-    std::uint32_t solve_stamp_ = 0;
+    /** Per subflow: 1 + the round that froze it, 0 while unfrozen. */
+    std::vector<std::uint32_t> frozen_round_;
+    /**
+     * Per edge: frozen subflows crossing it, so its unfrozen count is
+     * active_on_edge_[e] - frozen_on_edge_[e].
+     */
+    std::vector<std::uint32_t> frozen_on_edge_;
+    /** Per edge: its capacity when the schedule started (round 0). */
+    std::vector<double> schedule_capacity_;
+    /** An edge's state before a round that touched it. */
+    struct UndoEntry
+    {
+        EdgeId edge;
+        std::uint32_t frozen; //!< frozen_on_edge_
+        double residual;
+    };
+    /** Entries never zero-filled: solve() writes before it reads. */
+    struct UndoLog
+    {
+        std::unique_ptr<UndoEntry[]> entries;
+        std::size_t capacity = 0;
+    };
+    /**
+     * Undo log, round after round: round i's entries end at
+     * round_end_[i]. solve() grows it geometrically, at most once per
+     * round. An engine takes its thread's spare log when built and
+     * leaves the larger of the two there when destroyed, so successive
+     * engines write into memory that is already mapped: growing a
+     * fresh log (allocations, copies, page faults) added about 1 ms to
+     * a new engine's first solve of the 128-GPU MRFT all-to-all on a
+     * 4-vCPU x86 container.
+     */
+    UndoLog undo_;
+    static UndoLog &spareUndo();
+    std::vector<std::size_t> round_end_;
+    /**
+     * First round of the last schedule the next solve() must compute:
+     * the schedule's length after a solve, lowered by removeFlow() and
+     * detachFlow() to the earliest round of the flow's subflows, and
+     * set to 0 by attachFlow().
+     */
+    std::uint32_t resume_round_ = 0;
+
     /**
      * Bottleneck candidates: fair share per edge with unfrozen
      * subflows. Every solve() drains it, so it starts each solve

@@ -4,15 +4,18 @@
  * rates bit-identical to the classic full-rescan water-fill it
  * replaced. The reference implementation below is a verbatim copy of
  * the seed solver (rebuild subflows per call, rescan every edge per
- * bottleneck iteration).
+ * bottleneck iteration). Solves that resume the last schedule are held
+ * to a fresh engine, whose first solve always starts at round 0.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/rng.hh"
+#include "net/cluster.hh"
 #include "net/flow.hh"
 #include "obs/registry.hh"
 
@@ -287,11 +290,190 @@ TEST(FlowSimEngine, ObservabilityCounters)
     for (auto &fl : flows)
         fl.bytes = 10.0 + 90.0 * rng.nextDouble();
     assignPaths(f.g, flows, RoutePolicy::ADAPTIVE);
+    obs::Counter &iters =
+        obs::Registry::global().counter("net.flow.solver_iterations");
+    obs::Counter &reused =
+        obs::Registry::global().counter("net.flow.rounds_reused");
+    const std::uint64_t iters_before = iters.value();
+    const std::uint64_t reused_before = reused.value();
     auto sim = simulateFlows(f.g, flows);
     // Staggered sizes force multiple completion epochs, each running
     // at least one bottleneck-freeze iteration.
     EXPECT_GT(sim.epochs, 1u);
     EXPECT_GE(sim.solverIterations, (std::uint64_t)sim.epochs);
+    // The counter sums each solve's schedule length, reused rounds
+    // included; later epochs resume the last schedule past round 0.
+    EXPECT_EQ(iters.value() - iters_before, sim.solverIterations);
+    EXPECT_GT(reused.value() - reused_before, 0u);
+    EXPECT_LT(reused.value() - reused_before, sim.solverIterations);
+}
+
+/** A graph and the endpoints flows run between. */
+struct Topology
+{
+    Graph g;
+    std::vector<NodeId> hosts;
+};
+
+/**
+ * Trial @p trial's topology: a random leaf-spine fabric, every other
+ * one with uniform capacities so that many fair shares tie, and an
+ * 8-GPU MPFT and MRFT cluster at the end of each cycle of 8.
+ */
+Topology
+trialTopology(std::uint64_t trial, Rng &rng)
+{
+    if (trial % 8 >= 6) {
+        ClusterConfig cfg;
+        cfg.fabric = trial % 8 == 6 ? net::Fabric::MPFT : net::Fabric::MRFT;
+        cfg.hosts = 4;
+        cfg.gpusPerHost = 2;
+        cfg.planes = 2;
+        cfg.switchRadix = 8;
+        Cluster c = buildCluster(cfg);
+        return {std::move(c.graph), c.gpus};
+    }
+    const bool uniform = trial % 2 == 0;
+    Fabric f = makeFabric(1 + rng.nextBounded(4), 1 + rng.nextBounded(4),
+                          1 + rng.nextBounded(3), 10.0,
+                          uniform ? 10.0 : rng.uniform(2.0, 12.0));
+    return {std::move(f.g), std::move(f.hosts)};
+}
+
+/** Random pairs over @p hosts, some local, some of zero bytes. */
+std::vector<Flow>
+trialFlows(const std::vector<NodeId> &hosts, Rng &rng)
+{
+    std::vector<Flow> flows;
+    std::uint64_t qp = 0;
+    for (NodeId src : hosts) {
+        for (NodeId dst : hosts) {
+            if (src == dst ? !rng.bernoulli(0.2) : !rng.bernoulli(0.6))
+                continue;
+            const double bytes =
+                rng.bernoulli(0.1) ? 0.0 : rng.uniform(1.0, 100.0);
+            flows.push_back({src, dst, bytes, qp++, {}, {}});
+        }
+    }
+    return flows;
+}
+
+TEST(FlowSimEngine, ResumedSolvesMatchFreshEngine)
+{
+    // Random retirements, capacity changes and reroutes between
+    // solves. After every step each rate must equal, bit for bit, a
+    // fresh engine's over the same live flows, and the solve must
+    // count the fresh engine's iterations.
+    obs::Counter &reused_counter =
+        obs::Registry::global().counter("net.flow.rounds_reused");
+    const std::uint64_t reused_at_start = reused_counter.value();
+    std::size_t resumed_inside = 0; // 0 < reused < last schedule
+    std::size_t solves = 0;
+    const RoutePolicy policies[] = {RoutePolicy::ECMP,
+                                    RoutePolicy::ADAPTIVE,
+                                    RoutePolicy::STATIC};
+
+    for (std::uint64_t trial = 0; trial < 96; ++trial) {
+        Rng rng(trial + 1);
+        Topology topo = trialTopology(trial, rng);
+        Graph &g = topo.g;
+        std::vector<Flow> flows = trialFlows(topo.hosts, rng);
+        if (flows.empty())
+            continue;
+        assignPaths(g, flows, policies[trial % 3], trial);
+        std::vector<double> healthy(g.edgeCount());
+        for (EdgeId e = 0; e < g.edgeCount(); ++e)
+            healthy[e] = g.edge(e).capacity;
+
+        FlowSimEngine engine(g, flows);
+        std::uint64_t last_schedule = 0;
+        for (int step = 0; step < 24 && engine.activeFlows() > 0;
+             ++step) {
+            const std::uint64_t iters = engine.solverIterations();
+            const std::uint64_t reused = reused_counter.value();
+            const std::vector<double> rates = engine.solve();
+            const std::uint64_t schedule = engine.solverIterations() - iters;
+            const std::uint64_t resume = reused_counter.value() - reused;
+            ++solves;
+            if (resume > 0 && resume < last_schedule)
+                ++resumed_inside;
+            last_schedule = schedule;
+
+            std::vector<Flow> live;
+            std::vector<std::size_t> ids;
+            for (std::size_t i = 0; i < flows.size(); ++i) {
+                if (engine.flowActive(i)) {
+                    live.push_back(flows[i]);
+                    ids.push_back(i);
+                } else {
+                    ASSERT_EQ(rates[i], 0.0) << "retired flow " << i;
+                }
+            }
+            FlowSimEngine fresh(g, live);
+            const std::vector<double> &want = fresh.solve();
+            ASSERT_EQ(schedule, fresh.solverIterations())
+                << "trial " << trial << " step " << step;
+            for (std::size_t k = 0; k < ids.size(); ++k)
+                ASSERT_EQ(std::memcmp(&rates[ids[k]], &want[k],
+                                      sizeof(double)),
+                          0)
+                    << "trial " << trial << " step " << step << " flow "
+                    << ids[k] << ": " << rates[ids[k]] << " vs "
+                    << want[k];
+
+            switch (rng.nextBounded(5)) {
+              case 0: // retire a random subset
+                for (std::size_t i : ids)
+                    if (rng.bernoulli(0.2))
+                        engine.removeFlow(i);
+                break;
+              case 1: { // retire the fastest flows, as run() does
+                double fastest = 0.0;
+                for (std::size_t i : ids)
+                    if (std::isfinite(rates[i]))
+                        fastest = std::max(fastest, rates[i]);
+                for (std::size_t i : ids)
+                    if (rates[i] == fastest)
+                        engine.removeFlow(i);
+                break;
+              }
+              case 2: { // take a link down, restore it, or degrade it
+                const EdgeId e = (EdgeId)rng.nextBounded(g.edgeCount());
+                switch (rng.nextBounded(4)) {
+                  case 0: // down, as +0 or -0
+                    g.setEdgeCapacity(e, rng.bernoulli(0.5) ? 0.0 : -0.0);
+                    break;
+                  case 1:
+                    g.setEdgeCapacity(e, healthy[e]);
+                    break;
+                  default:
+                    g.setEdgeCapacity(e, g.edge(e).capacity *
+                                             rng.uniform(0.25, 1.0));
+                }
+                break;
+              }
+              case 3: { // detach, rebind and attach (failover)
+                PathBinder binder(g, policies[rng.nextBounded(3)],
+                                  rng.nextU64(), rng.bernoulli(0.5));
+                for (std::size_t i : ids) {
+                    if (!rng.bernoulli(0.25))
+                        continue;
+                    engine.detachFlow(i);
+                    if (binder.bind(flows[i]))
+                        engine.attachFlow(i);
+                    else
+                        engine.removeFlow(i); // partitioned
+                }
+                break;
+              }
+              default: // nothing changed
+                break;
+            }
+        }
+    }
+    EXPECT_GT(solves, 1000u);
+    EXPECT_GT(reused_counter.value(), reused_at_start);
+    EXPECT_GT(resumed_inside, 0u);
 }
 
 TEST(FlowSimEngine, RemoveFlowIsIdempotent)
