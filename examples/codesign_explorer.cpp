@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "common/table.hh"
 #include "common/units.hh"
@@ -32,12 +33,12 @@ measureMeanM(std::size_t limit)
     cfg.topK = 8;
     cfg.groups = 8;
     cfg.topKGroups = limit;
-    moe::TopKGate gate(cfg);
     moe::ExpertPlacement placement(256, 8, 8);
     moe::RoutingStats stats(placement);
     moe::TokenScoreGenerator gen(256, 0.3, 21);
-    for (int t = 0; t < 3000; ++t)
-        stats.add(gate.route(gen.next()));
+    std::vector<std::uint32_t> experts(3000 * cfg.topK);
+    moe::TopKGate(cfg).routeStream(gen, experts);
+    stats.add(experts, cfg.topK);
     return stats.meanNodesTouched();
 }
 

@@ -123,12 +123,12 @@ reproduceEplb()
         gate.topK = 8;
         gate.groups = 8;
         gate.topKGroups = 4;
-        moe::TopKGate router(gate);
         moe::ExpertPlacement placement(256, 8, 8);
         moe::RoutingStats stats(placement);
         moe::TokenScoreGenerator gen(256, skew, 61);
-        for (int tok = 0; tok < 4000; ++tok)
-            stats.add(router.route(gen.next()));
+        std::vector<std::uint32_t> experts(4000 * gate.topK);
+        moe::TopKGate(gate).routeStream(gen, experts);
+        stats.add(experts, gate.topK);
 
         auto result = moe::balanceExperts(stats.expertLoad(), 64, 5);
         std::size_t replicated = 0;
@@ -358,18 +358,17 @@ reproduceBiasBalancing()
         moe::GateConfig cfg;
         cfg.experts = 32;
         cfg.topK = 4;
-        moe::TopKGate plain(cfg);
-        moe::BiasBalancedGate balanced(cfg, 0.02);
         moe::TokenScoreGenerator gen_a(32, skew, 41);
         moe::TokenScoreGenerator gen_b(32, skew, 41);
+        std::vector<std::uint32_t> experts(60 * 64 * cfg.topK);
+        moe::TopKGate(cfg).routeStream(gen_a, experts);
         std::vector<double> plain_load(32, 0.0);
+        for (std::uint32_t e : experts)
+            plain_load[e] += 1.0;
+        moe::BiasBalancedGate balanced(cfg, 0.02);
         for (int batch = 0; batch < 60; ++batch) {
-            for (int tok = 0; tok < 64; ++tok) {
-                auto d = plain.route(gen_a.next());
-                for (auto e : d.experts)
-                    plain_load[e] += 1.0;
-                balanced.route(gen_b.next());
-            }
+            balanced.routeStream(
+                gen_b, std::span(experts).first(64 * cfg.topK));
             balanced.updateBiases();
         }
         t.addRow({Table::fmt(skew, 1),

@@ -12,6 +12,7 @@
 #include "ep/speed_limit.hh"
 #include "model/config.hh"
 #include "model/hardware.hh"
+#include "moe/gate.hh"
 #include "moe/placement.hh"
 #include "moe/routing_stats.hh"
 #include "moe/token_gen.hh"
@@ -69,20 +70,22 @@ reproduceFigure7()
             "(4096 tokens/GPU)");
     t.setHeader({"GPUs", "Dispatch GB/s/GPU", "Combine GB/s/GPU",
                  "E[M] nodes"});
+    ep::EpWorkload w;
+    w.tokensPerGpu = 4096;
+    w.hidden = 7168;
+    w.gate.experts = 256;
+    w.gate.topK = 8;
+    w.gate.groups = 8;
+    w.gate.topKGroups = 4;
+    // Rank s draws from seed w.seed + s at every size, so the 128
+    // ranks' table serves all four clusters.
+    const std::vector<std::uint32_t> routed = ep::routeTokens(w, 128);
     for (std::size_t gpus : {16, 32, 64, 128}) {
         net::ClusterConfig cc;
         cc.fabric = net::Fabric::MPFT;
         cc.hosts = gpus / 8;
         net::Cluster cluster = buildCluster(cc);
-
-        ep::EpWorkload w;
-        w.tokensPerGpu = 4096;
-        w.hidden = 7168;
-        w.gate.experts = 256;
-        w.gate.topK = 8;
-        w.gate.groups = 8;
-        w.gate.topKGroups = 4;
-        ep::EpResult r = simulateDeepEp(cluster, w);
+        ep::EpResult r = simulateDeepEp(cluster, w, routed);
         t.addRow({Table::fmtInt(gpus),
                   Table::fmt(r.dispatchGBsPerGpu / kGB, 1),
                   Table::fmt(r.combineGBsPerGpu / kGB, 1),
@@ -108,12 +111,12 @@ reproduceNodeLimited()
         gate.topK = 8;
         gate.groups = 8;
         gate.topKGroups = limit;
-        moe::TopKGate router(gate);
         moe::ExpertPlacement placement(256, 8, 8);
         moe::RoutingStats stats(placement);
         moe::TokenScoreGenerator gen(256, 0.3, 17);
-        for (int i = 0; i < 4000; ++i)
-            stats.add(router.route(gen.next()));
+        std::vector<std::uint32_t> experts(4000 * gate.topK);
+        moe::TopKGate(gate).routeStream(gen, experts);
+        stats.add(experts, gate.topK);
 
         double time = ep::nodeLimitedIbTime(stats.meanNodesTouched(),
                                             hidden, 1.0, ib_bw);

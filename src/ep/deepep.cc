@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "moe/placement.hh"
 #include "moe/token_gen.hh"
 #include "net/flow.hh"
@@ -50,81 +51,60 @@ chooseRelayRank(const net::Cluster &cluster, std::size_t dst_host,
 
 namespace {
 
-/** Aggregated traffic matrices produced by routing all tokens. */
-struct TrafficCounts
+/** One source rank's traffic: its rows of the count matrices and
+ *  its scalar sums. */
+struct RankTraffic
 {
-    // copies[src_gpu][dst_host]: IB token copies (deduplicated).
-    std::vector<std::vector<double>> interHostCopies;
-    // deliveries[src_gpu][dst_gpu]: expert deliveries.
-    std::vector<std::vector<double>> deliveries;
-    double sumNodesTouched = 0.0;
-    double sumGpusTouched = 0.0;
+    std::vector<double> interHostCopies; //!< [dst_host] IB copies
+    std::vector<double> deliveries;      //!< [dst_gpu] expert deliveries
+    double nodesTouched = 0.0;
+    double gpusTouched = 0.0;
     double tokens = 0.0;
     double droppedDeliveries = 0.0;
 };
 
-TrafficCounts
-routeAllTokens(const net::Cluster &cluster, const EpWorkload &w,
-               const std::vector<bool> *dead)
+/**
+ * Count every live rank's routed tokens. Rank s's task writes only
+ * traffic[s], and every count is an integer-valued double, so the
+ * result is the same at any parallelFor width.
+ */
+std::vector<RankTraffic>
+countTraffic(const net::Cluster &cluster, const EpWorkload &w,
+             std::span<const std::uint32_t> routed,
+             const std::vector<bool> *dead)
 {
     const std::size_t gpus = cluster.gpus.size();
-    const std::size_t hosts = cluster.config.hosts;
-    moe::ExpertPlacement placement(w.gate.experts, hosts,
+    const std::size_t k = w.gate.topK;
+    const std::size_t per_rank = w.tokensPerGpu * k;
+    moe::ExpertPlacement placement(w.gate.experts, cluster.config.hosts,
                                    cluster.config.gpusPerHost);
-    moe::TopKGate gate(w.gate);
-
-    TrafficCounts tc;
-    tc.interHostCopies.assign(gpus, std::vector<double>(hosts, 0.0));
-    tc.deliveries.assign(gpus, std::vector<double>(gpus, 0.0));
-
-    const bool masking = dead && !dead->empty();
-    for (std::size_t src = 0; src < gpus; ++src) {
-        if (masking && (*dead)[src])
-            continue; // crashed rank: emits no tokens
-        moe::TokenScoreGenerator gen(w.gate.experts, w.popularitySkew,
-                                     w.seed + src);
-        for (std::size_t t = 0; t < w.tokensPerGpu; ++t) {
-            auto decision = gate.route(gen.next());
-            std::vector<std::uint32_t> dst_hosts, dst_gpus;
-            for (std::uint32_t e : decision.experts) {
-                dst_hosts.push_back(placement.node(e));
-                dst_gpus.push_back(placement.gpu(e));
+    std::vector<RankTraffic> traffic(gpus);
+    parallelFor(gpus, [&](std::size_t src) {
+        RankTraffic &rt = traffic[src];
+        rt.interHostCopies.assign(cluster.config.hosts, 0.0);
+        rt.deliveries.assign(gpus, 0.0);
+        if (dead && !dead->empty() && (*dead)[src])
+            return; // crashed rank: emits no tokens
+        // Deliveries to crashed expert GPUs are lost; hosts with no
+        // surviving delivery get no IB copy either.
+        std::vector<std::uint32_t> dst_gpus(k), dst_hosts(k);
+        for (std::size_t t = 0; t < per_rank; t += k) {
+            auto [n_gpus, n_hosts, dropped] = placement.footprint(
+                routed.subspan(src * per_rank + t, k), dst_gpus,
+                dst_hosts, dead);
+            rt.nodesTouched += (double)n_hosts;
+            rt.gpusTouched += (double)n_gpus;
+            rt.tokens += 1.0;
+            rt.droppedDeliveries += (double)dropped;
+            for (std::size_t i = 0; i < n_hosts; ++i) {
+                if (dst_hosts[i] != cluster.hostOf(src))
+                    rt.interHostCopies[dst_hosts[i]] += 1.0;
             }
-            auto dedup = [](std::vector<std::uint32_t> &v) {
-                std::sort(v.begin(), v.end());
-                v.erase(std::unique(v.begin(), v.end()), v.end());
-            };
-            dedup(dst_hosts);
-            dedup(dst_gpus);
-            if (masking) {
-                // Deliveries to crashed expert hosts are lost; hosts
-                // with no surviving delivery get no IB copy either.
-                std::vector<std::uint32_t> live;
-                for (std::uint32_t g : dst_gpus) {
-                    if ((*dead)[g])
-                        tc.droppedDeliveries += 1.0;
-                    else
-                        live.push_back(g);
-                }
-                dst_gpus = std::move(live);
-                dst_hosts.clear();
-                for (std::uint32_t g : dst_gpus)
-                    dst_hosts.push_back(
-                        (std::uint32_t)cluster.hostOf(g));
-                dedup(dst_hosts);
-            }
-            tc.sumNodesTouched += (double)dst_hosts.size();
-            tc.sumGpusTouched += (double)dst_gpus.size();
-            tc.tokens += 1.0;
-            for (std::uint32_t h : dst_hosts) {
-                if (h != cluster.hostOf(src))
-                    tc.interHostCopies[src][h] += 1.0;
-            }
-            for (std::uint32_t g : dst_gpus)
-                tc.deliveries[src][g] += 1.0;
+            for (std::size_t i = 0; i < n_gpus; ++i)
+                rt.deliveries[dst_gpus[i]] += 1.0;
         }
-    }
-    return tc;
+    });
+    return traffic;
 }
 
 /** One phase (dispatch or combine) timed via the fluid model. */
@@ -138,7 +118,8 @@ struct PhaseResult
 };
 
 PhaseResult
-timePhase(const net::Cluster &cluster, const TrafficCounts &tc,
+timePhase(const net::Cluster &cluster,
+          const std::vector<RankTraffic> &traffic,
           double bytes_per_token, bool reverse,
           const EpFaultModel &fm)
 {
@@ -170,7 +151,7 @@ timePhase(const net::Cluster &cluster, const TrafficCounts &tc,
         // (validated; falls back cross-plane when that GPU is dead
         // or absent on a short host).
         for (std::size_t h = 0; h < cluster.config.hosts; ++h) {
-            double copies = tc.interHostCopies[src][h];
+            double copies = traffic[src].interHostCopies[h];
             if (copies <= 0.0)
                 continue;
             std::size_t relay =
@@ -188,7 +169,7 @@ timePhase(const net::Cluster &cluster, const TrafficCounts &tc,
             // Relay fans copies out over NVLink to expert GPUs.
             for (std::size_t g = h * per_host;
                  g < (h + 1) * per_host; ++g) {
-                double deliv = tc.deliveries[src][g];
+                double deliv = traffic[src].deliveries[g];
                 if (deliv <= 0.0 || g == relay)
                     continue;
                 add(relay, g, deliv * bytes_per_token);
@@ -197,7 +178,7 @@ timePhase(const net::Cluster &cluster, const TrafficCounts &tc,
         // Intra-host deliveries go straight over NVLink.
         for (std::size_t g = src_host * per_host;
              g < (src_host + 1) * per_host; ++g) {
-            double deliv = tc.deliveries[src][g];
+            double deliv = traffic[src].deliveries[g];
             if (deliv <= 0.0)
                 continue;
             add(src, g, deliv * bytes_per_token);
@@ -258,23 +239,52 @@ timePhase(const net::Cluster &cluster, const TrafficCounts &tc,
 
 } // namespace
 
-EpResult
-simulateDeepEp(const net::Cluster &cluster, const EpWorkload &w)
+std::vector<std::uint32_t>
+routeTokens(const EpWorkload &w, std::size_t ranks)
 {
-    return simulateDeepEp(cluster, w, EpFaultModel{});
+    const std::size_t per_rank = w.tokensPerGpu * w.gate.topK;
+    std::vector<std::uint32_t> table(ranks * per_rank);
+    moe::TopKGate gate(w.gate);
+    parallelFor(ranks, [&](std::size_t s) {
+        moe::TokenScoreGenerator gen(w.gate.experts, w.popularitySkew,
+                                     w.seed + s);
+        gate.routeStream(gen, std::span(table).subspan(s * per_rank,
+                                                       per_rank));
+    });
+    return table;
 }
 
 EpResult
 simulateDeepEp(const net::Cluster &cluster, const EpWorkload &w,
                const EpFaultModel &fm)
 {
+    return simulateDeepEp(cluster, w,
+                          routeTokens(w, cluster.gpus.size()), fm);
+}
+
+EpResult
+simulateDeepEp(const net::Cluster &cluster, const EpWorkload &w,
+               std::span<const std::uint32_t> routed,
+               const EpFaultModel &fm)
+{
     DSV3_ASSERT(w.gate.experts % cluster.gpus.size() == 0,
                 "experts must divide evenly over GPUs");
+    DSV3_ASSERT(routed.size() >= cluster.gpus.size() * w.tokensPerGpu *
+                                     w.gate.topK,
+                "routed table has fewer ranks than the cluster");
     if (fm.deadRanks && !fm.deadRanks->empty())
         DSV3_ASSERT(fm.deadRanks->size() == cluster.gpus.size());
     DSV3_TRACE_SPAN("ep.deepep.simulate", "tokens_per_gpu",
                     w.tokensPerGpu, "experts", w.gate.experts);
-    TrafficCounts tc = routeAllTokens(cluster, w, fm.deadRanks);
+    const std::vector<RankTraffic> traffic =
+        countTraffic(cluster, w, routed, fm.deadRanks);
+    RankTraffic sum; // scalar sums, added in rank order
+    for (const RankTraffic &rt : traffic) {
+        sum.nodesTouched += rt.nodesTouched;
+        sum.gpusTouched += rt.gpusTouched;
+        sum.tokens += rt.tokens;
+        sum.droppedDeliveries += rt.droppedDeliveries;
+    }
 
     const double dispatch_bytes =
         (double)w.hidden *
@@ -282,9 +292,9 @@ simulateDeepEp(const net::Cluster &cluster, const EpWorkload &w,
     const double combine_bytes =
         (double)w.hidden * w.combineBytesPerElem;
 
-    PhaseResult dispatch = timePhase(cluster, tc, dispatch_bytes,
+    PhaseResult dispatch = timePhase(cluster, traffic, dispatch_bytes,
                                      /*reverse=*/false, fm);
-    PhaseResult combine = timePhase(cluster, tc, combine_bytes,
+    PhaseResult combine = timePhase(cluster, traffic, combine_bytes,
                                     /*reverse=*/true, fm);
 
     EpResult out;
@@ -292,7 +302,7 @@ simulateDeepEp(const net::Cluster &cluster, const EpWorkload &w,
     out.combineSeconds = combine.seconds;
     out.dispatchRetrySeconds = dispatch.retrySeconds;
     out.combineRetrySeconds = combine.retrySeconds;
-    out.droppedDeliveries = tc.droppedDeliveries;
+    out.droppedDeliveries = sum.droppedDeliveries;
     out.relayFallbacks = dispatch.relayFallbacks + combine.relayFallbacks;
     out.stalledTransfers = dispatch.stalled + combine.stalled;
     out.dispatchNicBytesPerGpu = dispatch.worstNicBytes;
@@ -301,10 +311,10 @@ simulateDeepEp(const net::Cluster &cluster, const EpWorkload &w,
         ? dispatch.worstNicBytes / dispatch.seconds : 0.0;
     out.combineGBsPerGpu = combine.seconds > 0.0
         ? combine.worstNicBytes / combine.seconds : 0.0;
-    out.meanNodesTouched = tc.tokens > 0.0
-        ? tc.sumNodesTouched / tc.tokens : 0.0;
-    out.meanGpusTouched = tc.tokens > 0.0
-        ? tc.sumGpusTouched / tc.tokens : 0.0;
+    out.meanNodesTouched = sum.tokens > 0.0
+        ? sum.nodesTouched / sum.tokens : 0.0;
+    out.meanGpusTouched = sum.tokens > 0.0
+        ? sum.gpusTouched / sum.tokens : 0.0;
     return out;
 }
 

@@ -29,6 +29,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "moe/gate.hh"
@@ -121,17 +123,30 @@ struct EpResult
 };
 
 /**
+ * Route ranks 0 .. @p ranks - 1 through w.gate: rank s draws
+ * w.tokensPerGpu tokens from seed w.seed + s, and its tokensPerGpu x
+ * topK experts fill the table from (s * tokensPerGpu * topK). Nothing
+ * here depends on the cluster, so one table serves every cluster of
+ * at most @p ranks GPUs. Ranks route in parallel.
+ */
+std::vector<std::uint32_t> routeTokens(const EpWorkload &workload,
+                                       std::size_t ranks);
+
+/**
  * Simulate one dispatch+combine round on @p cluster. The gate's
- * expert count must divide evenly over the cluster's GPUs.
+ * expert count must divide evenly over the cluster's GPUs. @p fault
+ * marks dead ranks and sets the retry economics; the default model
+ * is a healthy round.
  */
 EpResult simulateDeepEp(const net::Cluster &cluster,
-                        const EpWorkload &workload);
+                        const EpWorkload &workload,
+                        const EpFaultModel &fault = {});
 
-/** Degraded round: @p fault marks dead ranks and retry economics.
- *  With a default-constructed model this is byte-identical to the
- *  two-argument overload. */
+/** The same round from a routeTokens() table of at least
+ *  cluster.gpus.size() ranks. */
 EpResult simulateDeepEp(const net::Cluster &cluster,
                         const EpWorkload &workload,
-                        const EpFaultModel &fault);
+                        std::span<const std::uint32_t> routed,
+                        const EpFaultModel &fault = {});
 
 } // namespace dsv3::ep

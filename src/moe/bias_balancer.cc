@@ -1,9 +1,5 @@
 #include "moe/bias_balancer.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
-
 #include "common/logging.hh"
 #include "common/stats.hh"
 
@@ -11,13 +7,11 @@ namespace dsv3::moe {
 
 BiasBalancedGate::BiasBalancedGate(const GateConfig &cfg,
                                    double update_speed)
-    : cfg_(cfg), updateSpeed_(update_speed),
+    : gate_(cfg), updateSpeed_(update_speed),
       biases_(cfg.experts, 0.0), batchLoad_(cfg.experts, 0.0),
       totalLoad_(cfg.experts, 0.0)
 {
-    DSV3_ASSERT(cfg_.experts > 0 && cfg_.topK > 0);
-    DSV3_ASSERT(cfg_.topK <= cfg_.experts);
-    DSV3_ASSERT(cfg_.groups == 1,
+    DSV3_ASSERT(cfg.groups == 1,
                 "bias balancing implemented for ungrouped gates; "
                 "compose with node-limited routing at the EP layer");
     DSV3_ASSERT(update_speed > 0.0);
@@ -26,42 +20,26 @@ BiasBalancedGate::BiasBalancedGate(const GateConfig &cfg,
 RoutingDecision
 BiasBalancedGate::route(std::span<const double> logits)
 {
-    DSV3_ASSERT(logits.size() == cfg_.experts);
-
-    // Sigmoid affinities (DeepSeek-V3 scoring).
-    std::vector<double> scores(logits.size());
-    for (std::size_t i = 0; i < logits.size(); ++i)
-        scores[i] = 1.0 / (1.0 + std::exp(-logits[i]));
-
-    // Selection on biased scores.
-    std::vector<std::uint32_t> idx(cfg_.experts);
-    std::iota(idx.begin(), idx.end(), 0u);
-    std::partial_sort(
-        idx.begin(), idx.begin() + (std::ptrdiff_t)cfg_.topK,
-        idx.end(), [&](std::uint32_t a, std::uint32_t b) {
-            double sa = scores[a] + biases_[a];
-            double sb = scores[b] + biases_[b];
-            if (sa != sb)
-                return sa > sb;
-            return a < b;
-        });
-    idx.resize(cfg_.topK);
-
-    RoutingDecision out;
-    out.experts = idx;
-    out.weights.resize(idx.size());
-    double denom = 0.0;
-    for (std::uint32_t e : idx)
-        denom += scores[e];
-    DSV3_ASSERT(denom > 0.0);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-        // Combine weights from the *raw* scores: the bias steers
-        // selection but never the mixture (loss-free property).
-        out.weights[i] = scores[idx[i]] / denom;
-        batchLoad_[idx[i]] += 1.0;
-        totalLoad_[idx[i]] += 1.0;
-    }
+    RoutingDecision out = gate_.route(logits, biases_);
+    record(out.experts);
     return out;
+}
+
+void
+BiasBalancedGate::routeStream(TokenScoreGenerator &gen,
+                              std::span<std::uint32_t> experts)
+{
+    gate_.routeStream(gen, experts, biases_);
+    record(experts);
+}
+
+void
+BiasBalancedGate::record(std::span<const std::uint32_t> experts)
+{
+    for (std::uint32_t e : experts) {
+        batchLoad_[e] += 1.0;
+        totalLoad_[e] += 1.0;
+    }
 }
 
 void

@@ -43,6 +43,14 @@ class BiasBalancedGate
     RoutingDecision route(std::span<const double> logits);
 
     /**
+     * Route a token stream as TopKGate::routeStream() does, selecting
+     * on score + bias, and record every selection in the current
+     * batch's load counters.
+     */
+    void routeStream(TokenScoreGenerator &gen,
+                     std::span<std::uint32_t> experts);
+
+    /**
      * End-of-batch bias update: experts above the mean load get
      * bias -= gamma, below the mean get bias += gamma. Resets the
      * batch counters.
@@ -58,7 +66,9 @@ class BiasBalancedGate
     double imbalance() const;
 
   private:
-    GateConfig cfg_;
+    void record(std::span<const std::uint32_t> experts);
+
+    TopKGate gate_;
     double updateSpeed_;
     std::vector<double> biases_;
     std::vector<double> batchLoad_;

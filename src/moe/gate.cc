@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/logging.hh"
+#include "moe/token_gen.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 
@@ -12,19 +13,94 @@ namespace dsv3::moe {
 
 namespace {
 
-struct GateStats
+void
+countRouted(std::size_t tokens, std::size_t experts)
 {
-    obs::Counter &tokensRouted =
+    static obs::Counter &routed =
         obs::Registry::global().counter("moe.gate.tokens_routed");
-    obs::Counter &expertsSelected = obs::Registry::global().counter(
-        "moe.gate.experts_selected");
+    static obs::Counter &selected =
+        obs::Registry::global().counter("moe.gate.experts_selected");
+    routed.inc(tokens);
+    selected.inc(experts);
+}
+
+/** Put the k best of ids[0, n) first, in (key desc, id asc) order. */
+template <class Key>
+void
+topK(std::uint32_t *ids, std::size_t n, std::size_t k, const Key &key)
+{
+    std::partial_sort(ids, ids + k, ids + n,
+                      [&](std::uint32_t a, std::uint32_t b) {
+                          const double ka = key(a), kb = key(b);
+                          return ka != kb ? ka > kb : a < b;
+                      });
+}
+
+/** Working memory of one route() or routeStream() call. */
+struct Scratch
+{
+    explicit Scratch(const GateConfig &cfg)
+        : scores(cfg.experts), groupScore(cfg.groups),
+          member(std::min(cfg.groupTopScores, cfg.expertsPerGroup())),
+          ids(cfg.experts), groupIds(cfg.groups)
+    {
+    }
+
+    std::vector<double> scores, groupScore, member;
+    std::vector<std::uint32_t> ids, groupIds;
 };
 
-GateStats &
-gateStats()
+/**
+ * The gate's one scoring-and-selection core: scores @p logits into
+ * s.scores and writes cfg.topK experts to @p experts in
+ * (score + bias desc, id asc) order. Groups rank by raw scores.
+ */
+void
+select(const GateConfig &cfg, std::span<const double> logits,
+       std::span<const double> bias, Scratch &s,
+       std::uint32_t *experts)
 {
-    static GateStats *stats = new GateStats();
-    return *stats;
+    std::vector<double> &scores = s.scores;
+    if (cfg.scoring == GateScoring::SOFTMAX) {
+        double mx = *std::max_element(logits.begin(), logits.end());
+        double denom = 0.0;
+        for (std::size_t i = 0; i < logits.size(); ++i) {
+            scores[i] = std::exp(logits[i] - mx);
+            denom += scores[i];
+        }
+        for (auto &v : scores)
+            v /= denom;
+    } else {
+        for (std::size_t i = 0; i < logits.size(); ++i)
+            scores[i] = 1.0 / (1.0 + std::exp(-logits[i]));
+    }
+
+    // Candidate set: all experts, or only those in the winning groups.
+    std::size_t n = 0;
+    if (cfg.nodeLimited()) {
+        const std::size_t per_group = cfg.expertsPerGroup();
+        for (std::size_t g = 0; g < cfg.groups; ++g) {
+            auto first = scores.begin() + (std::ptrdiff_t)(g * per_group);
+            std::partial_sort_copy(first, first + (std::ptrdiff_t)per_group,
+                                   s.member.begin(), s.member.end(),
+                                   std::greater<>());
+            s.groupScore[g] =
+                std::accumulate(s.member.begin(), s.member.end(), 0.0);
+            s.groupIds[g] = (std::uint32_t)g;
+        }
+        topK(s.groupIds.data(), cfg.groups, cfg.topKGroups,
+             [&](std::uint32_t g) { return s.groupScore[g]; });
+        for (std::size_t w = 0; w < cfg.topKGroups; ++w)
+            for (std::size_t i = 0; i < per_group; ++i)
+                s.ids[n++] = (std::uint32_t)(s.groupIds[w] * per_group + i);
+    } else {
+        for (; n < cfg.experts; ++n)
+            s.ids[n] = (std::uint32_t)n;
+    }
+    topK(s.ids.data(), n, cfg.topK, [&](std::uint32_t e) {
+        return bias.empty() ? scores[e] : scores[e] + bias[e];
+    });
+    std::copy_n(s.ids.begin(), cfg.topK, experts);
 }
 
 } // namespace
@@ -43,106 +119,45 @@ TopKGate::TopKGate(const GateConfig &cfg) : cfg_(cfg)
     }
 }
 
-std::vector<std::uint32_t>
-TopKGate::topKIndices(std::span<const double> scores,
-                      std::span<const std::uint32_t> candidates,
-                      std::size_t k)
-{
-    std::vector<std::uint32_t> idx(candidates.begin(), candidates.end());
-    k = std::min(k, idx.size());
-    std::partial_sort(idx.begin(), idx.begin() + (std::ptrdiff_t)k,
-                      idx.end(),
-                      [&](std::uint32_t a, std::uint32_t b) {
-                          if (scores[a] != scores[b])
-                              return scores[a] > scores[b];
-                          return a < b; // deterministic tie-break
-                      });
-    idx.resize(k);
-    return idx;
-}
-
 RoutingDecision
-TopKGate::route(std::span<const double> logits) const
+TopKGate::route(std::span<const double> logits,
+                std::span<const double> bias) const
 {
     DSV3_ASSERT(logits.size() == cfg_.experts);
-    DSV3_TRACE_SPAN("moe.gate.route");
-
-    // Logits -> affinity scores.
-    std::vector<double> scores(logits.size());
-    if (cfg_.scoring == GateScoring::SOFTMAX) {
-        double mx = *std::max_element(logits.begin(), logits.end());
-        double denom = 0.0;
-        for (std::size_t i = 0; i < logits.size(); ++i) {
-            scores[i] = std::exp(logits[i] - mx);
-            denom += scores[i];
-        }
-        for (auto &s : scores)
-            s /= denom;
-    } else {
-        for (std::size_t i = 0; i < logits.size(); ++i)
-            scores[i] = 1.0 / (1.0 + std::exp(-logits[i]));
-    }
-
-    // Candidate set: all experts, or only those in the winning groups.
-    std::vector<std::uint32_t> candidates;
-    if (cfg_.nodeLimited()) {
-        const std::size_t per_group = cfg_.expertsPerGroup();
-        std::vector<double> group_score(cfg_.groups, 0.0);
-        std::vector<double> member(per_group);
-        for (std::size_t g = 0; g < cfg_.groups; ++g) {
-            for (std::size_t i = 0; i < per_group; ++i)
-                member[i] = scores[g * per_group + i];
-            std::size_t n =
-                std::min(cfg_.groupTopScores, per_group);
-            std::partial_sort(member.begin(),
-                              member.begin() + (std::ptrdiff_t)n,
-                              member.end(), std::greater<>());
-            group_score[g] = std::accumulate(
-                member.begin(), member.begin() + (std::ptrdiff_t)n, 0.0);
-        }
-        std::vector<std::uint32_t> group_ids(cfg_.groups);
-        std::iota(group_ids.begin(), group_ids.end(), 0u);
-        auto winners = topKIndices(group_score, group_ids,
-                                   cfg_.topKGroups);
-        for (std::uint32_t g : winners)
-            for (std::size_t i = 0; i < per_group; ++i)
-                candidates.push_back(
-                    (std::uint32_t)(g * per_group + i));
-    } else {
-        candidates.resize(cfg_.experts);
-        std::iota(candidates.begin(), candidates.end(), 0u);
-    }
-
+    DSV3_ASSERT(bias.empty() || bias.size() == cfg_.experts);
+    Scratch s(cfg_);
     RoutingDecision out;
-    out.experts = topKIndices(scores, candidates, cfg_.topK);
+    out.experts.resize(cfg_.topK);
+    select(cfg_, logits, bias, s, out.experts.data());
 
-    // Combine weights: selected scores normalized by their sum.
+    // Combine weights: selected raw scores normalized by their sum.
     out.weights.resize(out.experts.size());
     double denom = 0.0;
     for (std::uint32_t e : out.experts)
-        denom += scores[e];
+        denom += s.scores[e];
     DSV3_ASSERT(denom > 0.0);
     for (std::size_t i = 0; i < out.experts.size(); ++i)
-        out.weights[i] = scores[out.experts[i]] / denom;
-
-    GateStats &stats = gateStats();
-    stats.tokensRouted.inc();
-    stats.expertsSelected.inc(out.experts.size());
+        out.weights[i] = s.scores[out.experts[i]] / denom;
+    countRouted(1, out.experts.size());
     return out;
 }
 
-std::vector<std::uint32_t>
-TopKGate::groupsTouched(const RoutingDecision &d) const
+void
+TopKGate::routeStream(TokenScoreGenerator &gen,
+                      std::span<std::uint32_t> experts,
+                      std::span<const double> bias) const
 {
-    const std::size_t per_group = cfg_.expertsPerGroup();
-    std::vector<std::uint32_t> groups;
-    groups.reserve(d.experts.size());
-    for (std::uint32_t e : d.experts)
-        groups.push_back((std::uint32_t)(e / per_group));
-    std::sort(groups.begin(), groups.end());
-    groups.erase(std::unique(groups.begin(), groups.end()),
-                 groups.end());
-    return groups;
+    DSV3_ASSERT(experts.size() % cfg_.topK == 0);
+    DSV3_ASSERT(bias.empty() || bias.size() == cfg_.experts);
+    const std::size_t tokens = experts.size() / cfg_.topK;
+    DSV3_TRACE_SPAN("moe.gate.stream", "tokens", tokens);
+    Scratch s(cfg_);
+    std::vector<double> logits(cfg_.experts);
+    for (std::size_t t = 0; t < tokens; ++t) {
+        gen.next(logits);
+        select(cfg_, logits, bias, s, experts.data() + t * cfg_.topK);
+    }
+    countRouted(tokens, experts.size());
 }
 
 } // namespace dsv3::moe

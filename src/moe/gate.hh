@@ -51,6 +51,8 @@ struct RoutingDecision
     std::vector<double> weights;        //!< normalized combine weights
 };
 
+class TokenScoreGenerator;
+
 class TopKGate
 {
   public:
@@ -62,21 +64,25 @@ class TopKGate
      * Route one token given raw logits (length == cfg.experts).
      * Scores are computed per cfg.scoring; weights are re-normalized
      * over the selected experts (DeepSeek-V3 normalizes sigmoid scores
-     * by their sum).
+     * by their sum). @p bias (empty, or one per expert) is added to
+     * the scores for the final top-k selection only: group scores and
+     * combine weights use the raw scores (auxiliary-loss-free
+     * balancing).
      */
-    RoutingDecision route(std::span<const double> logits) const;
+    RoutingDecision route(std::span<const double> logits,
+                          std::span<const double> bias = {}) const;
 
-    /** Group ids a decision's experts map onto (sorted unique). */
-    std::vector<std::uint32_t>
-    groupsTouched(const RoutingDecision &d) const;
+    /**
+     * The batched routing path: draw experts.size() / topK tokens
+     * from @p gen and select each one's experts exactly as route()
+     * would, writing token t's to experts[t*topK, (t+1)*topK). Nothing
+     * is allocated per token, and the stream is one trace span.
+     */
+    void routeStream(TokenScoreGenerator &gen,
+                     std::span<std::uint32_t> experts,
+                     std::span<const double> bias = {}) const;
 
   private:
-    /** Indices of the k largest values in @p scores among candidates. */
-    static std::vector<std::uint32_t>
-    topKIndices(std::span<const double> scores,
-                std::span<const std::uint32_t> candidates,
-                std::size_t k);
-
     GateConfig cfg_;
 };
 

@@ -11,8 +11,11 @@
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace dsv3::moe {
 
@@ -42,6 +45,19 @@ class ExpertPlacement
 
     /** Global GPU index hosting @p expert. */
     std::uint32_t gpu(std::uint32_t expert) const;
+
+    /**
+     * The one nodes-touched dedup: writes the distinct GPUs serving a
+     * token's @p experts, less any marked in @p dead, ascending to
+     * @p gpus, and the distinct nodes among them to @p nodes (each
+     * with room for experts.size()). Returns {GPUs, nodes, GPUs left
+     * out as dead}.
+     */
+    std::array<std::size_t, 3>
+    footprint(std::span<const std::uint32_t> experts,
+              std::span<std::uint32_t> gpus,
+              std::span<std::uint32_t> nodes,
+              const std::vector<bool> *dead = nullptr) const;
 
   private:
     std::size_t experts_;

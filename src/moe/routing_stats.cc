@@ -1,7 +1,5 @@
 #include "moe/routing_stats.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "obs/registry.hh"
@@ -25,31 +23,29 @@ nodesTouchedDist()
 RoutingStats::RoutingStats(const ExpertPlacement &placement)
     : placement_(placement),
       nodesTouchedHist_(placement.nodes() + 1, 0),
-      expertLoad_(placement.experts(), 0.0),
-      nodeLoad_(placement.nodes(), 0.0)
+      expertLoad_(placement.experts(), 0.0)
 {
 }
 
 void
-RoutingStats::add(const RoutingDecision &decision)
+RoutingStats::add(std::span<const std::uint32_t> experts,
+                  std::size_t top_k)
 {
-    ++tokens_;
-    std::vector<std::uint32_t> nodes;
-    nodes.reserve(decision.experts.size());
-    for (std::uint32_t e : decision.experts) {
-        DSV3_ASSERT(e < placement_.experts());
-        expertLoad_[e] += 1.0;
-        nodes.push_back(placement_.node(e));
+    DSV3_ASSERT(top_k > 0 && experts.size() % top_k == 0);
+    std::vector<std::uint32_t> gpus(top_k), nodes(top_k);
+    for (std::size_t t = 0; t < experts.size(); t += top_k) {
+        auto token = experts.subspan(t, top_k);
+        for (std::uint32_t e : token) {
+            DSV3_ASSERT(e < placement_.experts());
+            expertLoad_[e] += 1.0;
+        }
+        std::size_t m = placement_.footprint(token, gpus, nodes)[1];
+        DSV3_ASSERT(m < nodesTouchedHist_.size());
+        ++tokens_;
+        ++nodesTouchedHist_[m];
+        sumNodesTouched_ += (double)m;
+        nodesTouchedDist().add((double)m);
     }
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    for (std::uint32_t n : nodes)
-        nodeLoad_[n] += 1.0;
-    std::size_t m = nodes.size();
-    DSV3_ASSERT(m < nodesTouchedHist_.size());
-    ++nodesTouchedHist_[m];
-    sumNodesTouched_ += (double)m;
-    nodesTouchedDist().add((double)m);
 }
 
 double

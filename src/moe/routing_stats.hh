@@ -2,7 +2,7 @@
  * @file
  * Routing statistics: everything Sec 4.3's argument rests on.
  *
- * Feed RoutingDecisions (plus the placement) and read back:
+ * Feed routed tokens (plus the placement) and read back:
  *  - the distribution of M = number of distinct nodes a token's routed
  *    experts land on (node-limited routing bounds this by topKGroups),
  *  - the IB dedup factor: with NVLink forwarding, a token crosses IB
@@ -14,9 +14,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "moe/gate.hh"
 #include "moe/placement.hh"
 
 namespace dsv3::moe {
@@ -26,8 +27,12 @@ class RoutingStats
   public:
     explicit RoutingStats(const ExpertPlacement &placement);
 
-    /** Accumulate one token's routing decision. */
-    void add(const RoutingDecision &decision);
+    /**
+     * Accumulate routed tokens of @p top_k experts each: token t's at
+     * experts[t*top_k, (t+1)*top_k), as TopKGate::routeStream()
+     * writes them.
+     */
+    void add(std::span<const std::uint32_t> experts, std::size_t top_k);
 
     std::size_t tokens() const { return tokens_; }
 
@@ -52,9 +57,6 @@ class RoutingStats
     /** Per-GPU token counts (each selected expert counts once). */
     std::vector<double> gpuLoad() const;
 
-    /** Per-node token counts (distinct nodes per token count once). */
-    const std::vector<double> &nodeLoad() const { return nodeLoad_; }
-
     /** max/mean of per-expert load; 1.0 = perfectly balanced. */
     double expertImbalance() const;
 
@@ -63,7 +65,6 @@ class RoutingStats
     std::size_t tokens_ = 0;
     std::vector<std::size_t> nodesTouchedHist_; //!< index m
     std::vector<double> expertLoad_;
-    std::vector<double> nodeLoad_;
     double sumNodesTouched_ = 0.0;
 };
 

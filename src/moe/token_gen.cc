@@ -1,5 +1,7 @@
 #include "moe/token_gen.hh"
 
+#include "common/logging.hh"
+
 namespace dsv3::moe {
 
 TokenScoreGenerator::TokenScoreGenerator(std::size_t experts,
@@ -11,13 +13,12 @@ TokenScoreGenerator::TokenScoreGenerator(std::size_t experts,
         b = rng_.normal(0.0, popularity_skew);
 }
 
-std::vector<double>
-TokenScoreGenerator::next()
+void
+TokenScoreGenerator::next(std::span<double> logits)
 {
-    std::vector<double> logits(base_.size());
+    DSV3_ASSERT(logits.size() == base_.size());
     for (std::size_t i = 0; i < base_.size(); ++i)
         logits[i] = base_[i] + rng_.gumbel();
-    return logits;
 }
 
 } // namespace dsv3::moe

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -39,8 +40,8 @@ class TokenScoreGenerator
     TokenScoreGenerator(std::size_t experts, double popularity_skew,
                         std::uint64_t seed = 1);
 
-    /** Gate logits for the next token. */
-    std::vector<double> next();
+    /** Write the next token's gate logits (one per expert). */
+    void next(std::span<double> logits);
 
     const std::vector<double> &baseLogits() const { return base_; }
 

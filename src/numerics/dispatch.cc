@@ -16,8 +16,6 @@ isaName(KernelIsa isa)
     switch (isa) {
       case KernelIsa::SCALAR:
         return "scalar";
-      case KernelIsa::NEON:
-        return "neon";
       case KernelIsa::AVX2:
         return "avx2";
       case KernelIsa::AVX512:
@@ -68,12 +66,6 @@ cpuSupports(KernelIsa isa)
     switch (isa) {
       case KernelIsa::SCALAR:
         return true;
-      case KernelIsa::NEON:
-#if defined(__aarch64__)
-        return true; // NEON is baseline aarch64
-#else
-        return false;
-#endif
       case KernelIsa::AVX2:
 #if defined(__x86_64__) || defined(__i386__)
         return __builtin_cpu_supports("avx2") &&
@@ -95,7 +87,7 @@ cpuSupports(KernelIsa isa)
     return false;
 }
 
-constexpr int kIsaCount = 4;
+constexpr int kIsaCount = 4; //!< tables are indexed by KernelIsa value
 
 struct ResolvedTables
 {
@@ -111,8 +103,6 @@ providerFor(KernelIsa isa)
     switch (isa) {
       case KernelIsa::SCALAR:
         return detail::scalarKernelTable();
-      case KernelIsa::NEON:
-        return detail::neonKernelTable();
       case KernelIsa::AVX2:
         return detail::avx2KernelTable();
       case KernelIsa::AVX512:
@@ -133,8 +123,9 @@ buildTables()
 #undef DSV3_CHECK
 
     unsigned mask = 0;
-    for (int i = 0; i < kIsaCount; ++i) {
-        const KernelIsa isa = (KernelIsa)i;
+    for (KernelIsa isa :
+         {KernelIsa::SCALAR, KernelIsa::AVX2, KernelIsa::AVX512}) {
+        const int i = (int)isa;
         const KernelTable *table = providerFor(isa);
         if (!table || !cpuSupports(isa))
             continue;
@@ -149,7 +140,7 @@ buildTables()
     if (choice.unknown) {
         DSV3_WARN_ONCE("DSV3_KERNEL_DISPATCH=", env ? env : "",
                        " is not a known ISA (expected scalar|avx2|"
-                       "avx512|neon); using best available: ",
+                       "avx512); using best available: ",
                        isaName(choice.isa));
     } else if (choice.unsupported) {
         DSV3_WARN_ONCE("DSV3_KERNEL_DISPATCH=", env ? env : "",
@@ -196,8 +187,7 @@ detail::chooseIsa(const char *env, unsigned available)
 {
     available |= 1u << (int)KernelIsa::SCALAR;
     KernelIsa best = KernelIsa::SCALAR;
-    for (KernelIsa isa :
-         {KernelIsa::AVX512, KernelIsa::AVX2, KernelIsa::NEON}) {
+    for (KernelIsa isa : {KernelIsa::AVX512, KernelIsa::AVX2}) {
         if (available & (1u << (int)isa)) {
             best = isa;
             break;
@@ -216,8 +206,6 @@ detail::chooseIsa(const char *env, unsigned available)
     KernelIsa requested;
     if (lowered == "scalar") {
         requested = KernelIsa::SCALAR;
-    } else if (lowered == "neon") {
-        requested = KernelIsa::NEON;
     } else if (lowered == "avx2") {
         requested = KernelIsa::AVX2;
     } else if (lowered == "avx512") {

@@ -3,7 +3,7 @@
  * Runtime CPU dispatch for the numerics kernels.
  *
  * The hot numerics loops (minifloat codecs, LogFMT log/exp, the GEMM
- * tile reductions) exist in one scalar and up to three SIMD
+ * tile reductions) exist in one scalar and up to two SIMD
  * implementations, compiled into separate translation units with
  * per-TU ISA flags (see src/CMakeLists.txt). At first use the process
  * picks one KernelTable of function pointers -- the OpenVINO
@@ -11,11 +11,9 @@
  *
  *   x86:     __builtin_cpu_supports("avx512f"/"avx2"/"fma") at
  *            runtime; the binary itself stays baseline x86-64.
- *   aarch64: NEON is part of the baseline, so the NEON table is a
- *            compile-time choice.
- *   other:   scalar.
+ *   other:   scalar (every SIMD table is fuzzed bit-identical to it).
  *
- * DSV3_KERNEL_DISPATCH=scalar|avx2|avx512|neon forces a specific
+ * DSV3_KERNEL_DISPATCH=scalar|avx2|avx512 forces a specific
  * table (for testing, bisection, and the forced-dispatch golden
  * ctests).
  * Naming an ISA the host cannot run warns once and falls back to the
@@ -44,16 +42,16 @@ namespace dsv3::numerics {
 
 struct FormatKernels;
 
-/** Dispatchable instruction-set families, worst to best. */
+/** Dispatchable instruction-set families, worst to best. The values
+ *  are the `numerics.dispatch.isa` gauge's and stay fixed. */
 enum class KernelIsa
 {
     SCALAR = 0,
-    NEON = 1,
     AVX2 = 2,
     AVX512 = 3,
 };
 
-/** Stable lowercase name ("scalar", "avx2", "avx512", "neon"). */
+/** Stable lowercase name ("scalar", "avx2", "avx512"). */
 const char *isaName(KernelIsa isa);
 
 /**
@@ -264,7 +262,6 @@ DispatchChoice chooseIsa(const char *env, unsigned available);
 const KernelTable *scalarKernelTable();
 const KernelTable *avx2KernelTable();
 const KernelTable *avx512KernelTable();
-const KernelTable *neonKernelTable();
 
 } // namespace detail
 

@@ -2,13 +2,12 @@
  * @file
  * Pinned scalar numerics shared by every dispatch path.
  *
- * The SIMD kernels (kernels_avx2.cc / kernels_avx512.cc /
- * kernels_neon.cc) must produce byte-identical results to the scalar
- * path for every input, so the operations they vectorize cannot be
- * whatever libm or the optimizer happens to emit -- they have to be a
- * *pinned* sequence of correctly-rounded IEEE-754 operations that a
- * lane of any width reproduces exactly. This header is that pinned
- * definition:
+ * The SIMD kernels (kernels_avx2.cc / kernels_avx512.cc) must produce
+ * byte-identical results to the scalar path for every input, so the
+ * operations they vectorize cannot be whatever libm or the optimizer
+ * happens to emit -- they have to be a *pinned* sequence of
+ * correctly-rounded IEEE-754 operations that a lane of any width
+ * reproduces exactly. This header is that pinned definition:
  *
  *  - logAbsPinned() / expPinned(): table-free fdlibm-style log/exp.
  *    Every step is a single correctly-rounded double operation (or

@@ -7,6 +7,7 @@
 #include "common/units.hh"
 #include "model/flops.hh"
 #include "model/params.hh"
+#include "moe/gate.hh"
 #include "moe/placement.hh"
 #include "moe/routing_stats.hh"
 #include "moe/token_gen.hh"
@@ -53,13 +54,13 @@ measureNodesTouched(const model::ModelConfig &cfg, std::size_t ep_nodes,
     gate.topK = m.topK;
     gate.groups = m.groups;
     gate.topKGroups = m.topKGroups;
-    moe::TopKGate router(gate);
     moe::ExpertPlacement placement(m.routedExperts, ep_nodes,
                                    gpus_per_node);
     moe::RoutingStats stats(placement);
     moe::TokenScoreGenerator gen(m.routedExperts, 0.3, 7);
-    for (int t = 0; t < 2000; ++t)
-        stats.add(router.route(gen.next()));
+    std::vector<std::uint32_t> experts(2000 * gate.topK);
+    moe::TopKGate(gate).routeStream(gen, experts);
+    stats.add(experts, gate.topK);
     return stats.meanNodesTouched();
 }
 

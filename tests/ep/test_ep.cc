@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "common/thread_pool.hh"
 #include "ep/deepep.hh"
 #include "ep/speed_limit.hh"
 
@@ -31,6 +34,23 @@ v3Workload(std::size_t tokens = 512)
     w.gate.groups = 8;
     w.gate.topKGroups = 4;
     return w;
+}
+
+/** Every EpResult field, compared bit for bit. */
+void
+expectBitEqual(const EpResult &a, const EpResult &b)
+{
+    for (double EpResult::*f :
+         {&EpResult::dispatchSeconds, &EpResult::combineSeconds,
+          &EpResult::dispatchNicBytesPerGpu, &EpResult::dispatchGBsPerGpu,
+          &EpResult::combineNicBytesPerGpu, &EpResult::combineGBsPerGpu,
+          &EpResult::meanNodesTouched, &EpResult::meanGpusTouched,
+          &EpResult::dispatchRetrySeconds, &EpResult::combineRetrySeconds,
+          &EpResult::droppedDeliveries})
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.*f),
+                  std::bit_cast<std::uint64_t>(b.*f));
+    EXPECT_EQ(a.relayFallbacks, b.relayFallbacks);
+    EXPECT_EQ(a.stalledTransfers, b.stalledTransfers);
 }
 
 TEST(SpeedLimit, PaperH800Numbers)
@@ -144,6 +164,44 @@ TEST(DeepEp, DeterministicForSeed)
     EpResult b = simulateDeepEp(c, w);
     EXPECT_DOUBLE_EQ(a.dispatchSeconds, b.dispatchSeconds);
     EXPECT_DOUBLE_EQ(a.meanNodesTouched, b.meanNodesTouched);
+}
+
+TEST(DeepEp, BitIdenticalAtAnyPoolWidth)
+{
+    net::Cluster c = mpft(4);
+    EpWorkload w = v3Workload(256);
+    std::vector<bool> dead(c.gpus.size(), false);
+    dead[3] = dead[18] = true; // one rank on each of two hosts
+    EpFaultModel faulty;
+    faulty.deadRanks = &dead;
+    for (const EpFaultModel &fm : {EpFaultModel{}, faulty}) {
+        setParallelForWidth(1);
+        EpResult serial = simulateDeepEp(c, w, fm);
+        setParallelForWidth(0);
+        EpResult parallel = simulateDeepEp(c, w, fm);
+        expectBitEqual(serial, parallel);
+        EXPECT_EQ(serial.droppedDeliveries > 0.0, fm.deadRanks != nullptr);
+    }
+}
+
+TEST(DeepEp, PreRoutedTableMatchesRoutingInCall)
+{
+    // Rank s draws from seed w.seed + s whatever the table's size, so
+    // a 128-rank table serves a 16-GPU cluster.
+    EpWorkload w = v3Workload(128);
+    const std::vector<std::uint32_t> table = routeTokens(w, 128);
+    const std::vector<std::uint32_t> small = routeTokens(w, 16);
+    EXPECT_TRUE(std::equal(small.begin(), small.end(), table.begin()));
+    net::Cluster c = mpft(2);
+    expectBitEqual(simulateDeepEp(c, w, table), simulateDeepEp(c, w));
+}
+
+TEST(DeepEpDeath, RoutedTableMustCoverCluster)
+{
+    EpWorkload w = v3Workload(16);
+    const std::vector<std::uint32_t> table = routeTokens(w, 8);
+    net::Cluster c = mpft(2); // 16 GPUs
+    EXPECT_DEATH(simulateDeepEp(c, w, table), "fewer ranks");
 }
 
 TEST(DeepEpDeath, ExpertsMustDivideGpus)

@@ -27,7 +27,9 @@ TEST(BiasBalancer, SelectsTopKWithNormalizedWeights)
 {
     BiasBalancedGate gate(plainGate());
     TokenScoreGenerator gen(32, 0.5, 1);
-    auto d = gate.route(gen.next());
+    std::vector<double> logits(32);
+    gen.next(logits);
+    auto d = gate.route(logits);
     EXPECT_EQ(d.experts.size(), 4u);
     double sum = 0.0;
     for (double w : d.weights)
@@ -41,8 +43,9 @@ TEST(BiasBalancer, ZeroBiasMatchesPlainGate)
     BiasBalancedGate balanced(plainGate());
     TopKGate plain(plainGate());
     TokenScoreGenerator gen(32, 0.5, 2);
+    std::vector<double> logits(32);
     for (int t = 0; t < 20; ++t) {
-        auto logits = gen.next();
+        gen.next(logits);
         EXPECT_EQ(balanced.route(logits).experts,
                   plain.route(logits).experts);
     }
@@ -58,13 +61,12 @@ TEST(BiasBalancer, ReducesImbalanceOnSkewedStream)
 
     TokenScoreGenerator gen_a(32, skew, 3), gen_b(32, skew, 3);
     std::vector<double> plain_load(32, 0.0);
+    std::vector<std::uint32_t> experts(64 * 4);
     for (int batch = 0; batch < 60; ++batch) {
-        for (int t = 0; t < 64; ++t) {
-            auto d = plain.route(gen_a.next());
-            for (auto e : d.experts)
-                plain_load[e] += 1.0;
-            balanced.route(gen_b.next());
-        }
+        plain.routeStream(gen_a, experts);
+        for (auto e : experts)
+            plain_load[e] += 1.0;
+        balanced.routeStream(gen_b, experts);
         balanced.updateBiases();
     }
     double plain_imbalance = maxOverMean(plain_load);

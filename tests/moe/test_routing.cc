@@ -37,6 +37,31 @@ TEST(Placement, GpuNodeConsistency)
         EXPECT_EQ(p.gpu(e) / 8, p.node(e));
 }
 
+TEST(Placement, FootprintDedupsAndDropsDeadGpus)
+{
+    ExpertPlacement p(256, 8, 8); // 4 experts per GPU, 8 GPUs per node
+    std::vector<std::uint32_t> experts = {64, 0, 33, 1, 4, 32};
+    std::vector<std::uint32_t> gpus(6), nodes(6);
+    auto [n_gpus, n_nodes, dropped] = p.footprint(experts, gpus, nodes);
+    EXPECT_EQ(n_gpus, 4u); // GPUs 0, 1, 8, 16
+    EXPECT_EQ(n_nodes, 3u);
+    EXPECT_EQ(dropped, 0u);
+    EXPECT_EQ(std::vector<std::uint32_t>(gpus.begin(), gpus.begin() + 4),
+              (std::vector<std::uint32_t>{0, 1, 8, 16}));
+    EXPECT_EQ(std::vector<std::uint32_t>(nodes.begin(), nodes.begin() + 3),
+              (std::vector<std::uint32_t>{0, 1, 2}));
+
+    // Dead GPUs drop out, and a node left with no live GPU does too.
+    std::vector<bool> dead(64, false);
+    dead[1] = dead[16] = true;
+    auto [live, m, lost] = p.footprint(experts, gpus, nodes, &dead);
+    EXPECT_EQ(live, 2u); // GPUs 0 and 8
+    EXPECT_EQ(m, 2u);    // nodes 0 and 1
+    EXPECT_EQ(lost, 2u);
+    EXPECT_EQ(gpus[1], 8u);
+    EXPECT_EQ(nodes[1], 1u);
+}
+
 TEST(PlacementDeath, RejectsUnevenSplit)
 {
     EXPECT_DEATH(ExpertPlacement(100, 8, 8), "");
@@ -46,10 +71,8 @@ TEST(RoutingStats, CountsNodesTouched)
 {
     ExpertPlacement p(256, 8, 8);
     RoutingStats stats(p);
-    RoutingDecision d;
-    d.experts = {0, 1, 32, 64};   // nodes 0, 0, 1, 2 -> M = 3
-    d.weights = {0.25, 0.25, 0.25, 0.25};
-    stats.add(d);
+    std::vector<std::uint32_t> experts = {0, 1, 32, 64}; // M = 3
+    stats.add(experts, 4);
     EXPECT_EQ(stats.tokens(), 1u);
     EXPECT_DOUBLE_EQ(stats.meanNodesTouched(), 3.0);
     EXPECT_EQ(stats.maxNodesTouched(), 3u);
@@ -61,10 +84,8 @@ TEST(RoutingStats, ExpertLoadAccumulates)
 {
     ExpertPlacement p(16, 2, 2);
     RoutingStats stats(p);
-    RoutingDecision d;
-    d.experts = {3, 3};
-    stats.add(d);
-    stats.add(d);
+    std::vector<std::uint32_t> experts = {3, 3, 3, 3}; // two tokens
+    stats.add(experts, 2);
     EXPECT_DOUBLE_EQ(stats.expertLoad()[3], 4.0);
 }
 
@@ -72,9 +93,8 @@ TEST(RoutingStats, GpuLoadAggregatesExperts)
 {
     ExpertPlacement p(16, 2, 2); // 4 experts/GPU
     RoutingStats stats(p);
-    RoutingDecision d;
-    d.experts = {0, 1, 4};  // GPUs 0, 0, 1
-    stats.add(d);
+    std::vector<std::uint32_t> experts = {0, 1, 4}; // GPUs 0, 0, 1
+    stats.add(experts, 3);
     auto load = stats.gpuLoad();
     EXPECT_DOUBLE_EQ(load[0], 2.0);
     EXPECT_DOUBLE_EQ(load[1], 1.0);
@@ -85,9 +105,9 @@ TEST(RoutingStats, IbDedupFactor)
 {
     ExpertPlacement p(256, 8, 8);
     RoutingStats stats(p);
-    RoutingDecision d;
-    d.experts = {0, 1, 2, 3, 4, 5, 6, 7}; // all node 0 -> M = 1
-    stats.add(d);
+    std::vector<std::uint32_t> experts = {0, 1, 2, 3,
+                                          4, 5, 6, 7}; // M = 1
+    stats.add(experts, 8);
     EXPECT_DOUBLE_EQ(stats.ibDedupFactor(8), 1.0 / 8.0);
 }
 
@@ -101,14 +121,13 @@ TEST(RoutingStats, NodeLimitedReducesMeanM)
     open.topKGroups = 8;
     GateConfig limited = open;
     limited.topKGroups = 4;
-    TopKGate g_open(open), g_limited(limited);
     RoutingStats s_open(p), s_limited(p);
-    TokenScoreGenerator gen(256, 0.3, 11);
-    for (int t = 0; t < 2000; ++t) {
-        auto logits = gen.next();
-        s_open.add(g_open.route(logits));
-        s_limited.add(g_limited.route(logits));
-    }
+    TokenScoreGenerator gen_open(256, 0.3, 11), gen_limited(256, 0.3, 11);
+    std::vector<std::uint32_t> experts(2000 * 8);
+    TopKGate(open).routeStream(gen_open, experts);
+    s_open.add(experts, 8);
+    TopKGate(limited).routeStream(gen_limited, experts);
+    s_limited.add(experts, 8);
     // Unrestricted top-8 over 8 uniform nodes: E[M] ~ 5.25.
     EXPECT_NEAR(s_open.meanNodesTouched(), 5.25, 0.3);
     EXPECT_LE(s_limited.maxNodesTouched(), 4u);
@@ -122,11 +141,11 @@ TEST(RoutingStats, BalancedGateBalancedLoad)
     GateConfig cfg;
     cfg.experts = 64;
     cfg.topK = 4;
-    TopKGate gate(cfg);
     RoutingStats stats(p);
     TokenScoreGenerator gen(64, 0.0, 5); // zero skew
-    for (int t = 0; t < 8000; ++t)
-        stats.add(gate.route(gen.next()));
+    std::vector<std::uint32_t> experts(8000 * cfg.topK);
+    TopKGate(cfg).routeStream(gen, experts);
+    stats.add(experts, cfg.topK);
     EXPECT_LT(stats.expertImbalance(), 1.25);
 }
 
@@ -136,19 +155,23 @@ TEST(RoutingStats, SkewedGateImbalancedLoad)
     GateConfig cfg;
     cfg.experts = 64;
     cfg.topK = 4;
-    TopKGate gate(cfg);
     RoutingStats stats(p);
     TokenScoreGenerator gen(64, 2.0, 5); // strong popularity skew
-    for (int t = 0; t < 8000; ++t)
-        stats.add(gate.route(gen.next()));
+    std::vector<std::uint32_t> experts(8000 * cfg.topK);
+    TopKGate(cfg).routeStream(gen, experts);
+    stats.add(experts, cfg.topK);
     EXPECT_GT(stats.expertImbalance(), 2.0);
 }
 
 TEST(TokenGen, DeterministicForSeed)
 {
     TokenScoreGenerator a(32, 0.5, 9), b(32, 0.5, 9);
-    for (int t = 0; t < 10; ++t)
-        EXPECT_EQ(a.next(), b.next());
+    std::vector<double> la(32), lb(32);
+    for (int t = 0; t < 10; ++t) {
+        a.next(la);
+        b.next(lb);
+        EXPECT_EQ(la, lb);
+    }
 }
 
 TEST(TokenGen, ZeroSkewUniformBase)

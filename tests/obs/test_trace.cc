@@ -12,6 +12,7 @@
 
 #include "common/thread_pool.hh"
 #include "moe/gate.hh"
+#include "moe/token_gen.hh"
 #include "net/flow.hh"
 #include "obs/json.hh"
 #include "obs/registry.hh"
@@ -110,15 +111,13 @@ runInstrumentedWorkload()
     sp.chunk.w = 1.0;
     pipeline::computeSchedule(sp);
 
-    // moe: route a few tokens.
+    // moe: route a short token stream.
     moe::GateConfig gc;
     gc.experts = 16;
     gc.topK = 4;
-    moe::TopKGate gate(gc);
-    std::vector<double> logits(gc.experts);
-    for (std::size_t i = 0; i < logits.size(); ++i)
-        logits[i] = (double)(i % 5);
-    gate.route(logits);
+    moe::TokenScoreGenerator gen(gc.experts, 0.5, 3);
+    std::vector<std::uint32_t> experts(8 * gc.topK);
+    moe::TopKGate(gc).routeStream(gen, experts);
 
     // net: two flows through a trivial two-node fabric.
     net::Graph g;
