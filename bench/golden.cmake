@@ -10,7 +10,11 @@
 # Fails when the bench exits non-zero or report_diff --ignore-timings
 # finds a differing cell. TIMELINE also writes the run's sim-time
 # timeline; with TIMELINE_REF that timeline must match the reference
-# byte for byte, and is deleted when it does.
+# byte for byte, and is deleted when it does. With DSV3_KERNEL_DISPATCH
+# set to an ISA in the environment, the report's dispatch stamp must
+# name that ISA as forced; when the host cannot run it the tables are
+# still checked, and the test prints "golden test skipped" (which the
+# ctest's SKIP_REGULAR_EXPRESSION reports as a skip).
 
 get_filename_component(name ${BENCH} NAME_WE)
 get_filename_component(out_dir ${OUT} DIRECTORY)
@@ -35,6 +39,23 @@ execute_process(
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${name} tables differ from ${BASELINE}")
+endif()
+
+if(DEFINED ENV{DSV3_KERNEL_DISPATCH})
+    string(TOLOWER "$ENV{DSV3_KERNEL_DISPATCH}" want)
+    file(READ ${OUT} report)
+    string(JSON isa GET "${report}" dispatch isa)
+    string(JSON forced GET "${report}" dispatch forced)
+    if(NOT (isa STREQUAL want AND forced))
+        if(log MATCHES "DSV3_KERNEL_DISPATCH=.* is not supported on this host")
+            message("golden test skipped: this host cannot run the "
+                    "${want} kernel table (the ${isa} table ran)")
+            return()
+        endif()
+        message(FATAL_ERROR "${name} ran with DSV3_KERNEL_DISPATCH="
+            "$ENV{DSV3_KERNEL_DISPATCH} but its report's dispatch stamp is "
+            "isa=${isa} forced=${forced}")
+    endif()
 endif()
 
 if(DEFINED TIMELINE_REF)

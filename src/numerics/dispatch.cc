@@ -26,39 +26,6 @@ isaName(KernelIsa isa)
 
 namespace {
 
-// Every function-pointer entry of KernelTable, for generic iteration
-// (gap-filling partial SIMD tables from scalar).
-#define DSV3_KERNEL_ENTRIES(X)                                         \
-    X(encodeSpan)                                                      \
-    X(quantizeSpan)                                                    \
-    X(decodeLutSpan)                                                   \
-    X(encodeScaledSpan)                                                \
-    X(absMax)                                                          \
-    X(scaleSpan)                                                       \
-    X(logAbsStats)                                                     \
-    X(magTable)                                                        \
-    X(logfmtEncodeLog)                                                 \
-    X(logfmtEncodeLinear)                                              \
-    X(logfmtDecode)                                                    \
-    X(dotLanes)                                                        \
-    X(dotLanesF32)                                                     \
-    X(fp22FoldLanes)                                                   \
-    X(absBitsMax)                                                      \
-    X(truncSum)
-
-/** @p table with null entries replaced by the scalar ones. */
-KernelTable
-mergeWithScalar(const KernelTable &table, const KernelTable &scalar)
-{
-    KernelTable merged = table;
-#define DSV3_FILL(entry)                                               \
-    if (!merged.entry)                                                 \
-        merged.entry = scalar.entry;
-    DSV3_KERNEL_ENTRIES(DSV3_FILL)
-#undef DSV3_FILL
-    return merged;
-}
-
 /** Whether the *CPU* can run @p isa (independent of what's compiled). */
 bool
 cpuSupports(KernelIsa isa)
@@ -91,8 +58,7 @@ constexpr int kIsaCount = 4; //!< tables are indexed by KernelIsa value
 
 struct ResolvedTables
 {
-    KernelTable merged[kIsaCount];
-    bool available[kIsaCount] = {};
+    const KernelTable *table[kIsaCount] = {}; //!< null: not runnable
     KernelIsa active = KernelIsa::SCALAR;
     bool forced = false;
 };
@@ -115,13 +81,7 @@ ResolvedTables
 buildTables()
 {
     ResolvedTables t;
-    const KernelTable *scalar = detail::scalarKernelTable();
-    DSV3_ASSERT(scalar, "scalar kernel table missing");
-#define DSV3_CHECK(entry)                                              \
-    DSV3_ASSERT(scalar->entry, "scalar kernel entry missing: " #entry);
-    DSV3_KERNEL_ENTRIES(DSV3_CHECK)
-#undef DSV3_CHECK
-
+    DSV3_ASSERT(detail::scalarKernelTable(), "scalar kernel table missing");
     unsigned mask = 0;
     for (KernelIsa isa :
          {KernelIsa::SCALAR, KernelIsa::AVX2, KernelIsa::AVX512}) {
@@ -129,9 +89,7 @@ buildTables()
         const KernelTable *table = providerFor(isa);
         if (!table || !cpuSupports(isa))
             continue;
-        t.merged[i] = mergeWithScalar(*table, *scalar);
-        t.merged[i].isa = isa;
-        t.available[i] = true;
+        t.table[i] = table;
         mask |= 1u << i;
     }
 
@@ -177,7 +135,7 @@ detail::availableIsaMask()
     const ResolvedTables &t = resolvedTables();
     unsigned mask = 0;
     for (int i = 0; i < kIsaCount; ++i)
-        if (t.available[i])
+        if (t.table[i])
             mask |= 1u << i;
     return mask;
 }
@@ -233,7 +191,7 @@ kernels()
     if (o)
         return *o;
     const ResolvedTables &t = resolvedTables();
-    return t.merged[(int)t.active];
+    return *t.table[(int)t.active];
 }
 
 KernelIsa
@@ -256,9 +214,9 @@ kernelTable(KernelIsa isa)
 {
     const ResolvedTables &t = resolvedTables();
     const int i = (int)isa;
-    if (i < 0 || i >= kIsaCount || !t.available[i])
+    if (i < 0 || i >= kIsaCount)
         return nullptr;
-    return &t.merged[i];
+    return t.table[i];
 }
 
 ScopedKernelOverride::ScopedKernelOverride(const KernelTable &table)

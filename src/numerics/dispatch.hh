@@ -3,14 +3,18 @@
  * Runtime CPU dispatch for the numerics kernels.
  *
  * The hot numerics loops (minifloat codecs, LogFMT log/exp, the GEMM
- * tile reductions) exist in one scalar and up to two SIMD
- * implementations, compiled into separate translation units with
- * per-TU ISA flags (see src/CMakeLists.txt). At first use the process
- * picks one KernelTable of function pointers -- the OpenVINO
- * inference-engine plugin idiom -- based on what the CPU supports:
+ * lane reductions) exist as one scalar table and two SIMD tables,
+ * compiled into separate translation units with per-TU ISA flags (see
+ * src/CMakeLists.txt). The SIMD tables share one source for their ten
+ * codec and LogFMT entries: templates in numerics/kernels_lanes.hh,
+ * instantiated by each ISA TU over its own lane-ops struct. Their GEMM
+ * lane entries are written per ISA. At first use the process picks one
+ * KernelTable of function pointers -- the OpenVINO inference-engine
+ * plugin idiom -- based on what the CPU supports:
  *
  *   x86:     __builtin_cpu_supports("avx512f"/"avx2"/"fma") at
- *            runtime; the binary itself stays baseline x86-64.
+ *            runtime; the binary itself stays baseline x86-64, because
+ *            an ISA TU exports nothing but its table provider.
  *   other:   scalar (every SIMD table is fuzzed bit-identical to it).
  *
  * DSV3_KERNEL_DISPATCH=scalar|avx2|avx512 forces a specific
@@ -55,10 +59,10 @@ enum class KernelIsa
 const char *isaName(KernelIsa isa);
 
 /**
- * One complete set of kernel entry points. Instances are static
- * tables defined by the per-ISA TUs; every pointer is non-null (the
- * dispatcher fills gaps in a SIMD table with the scalar entries, so a
- * partial ISA implementation stays safe).
+ * One complete set of kernel entry points. Instances are constexpr
+ * tables defined by the per-ISA TUs (so they are filled before any
+ * dynamic initializer can call kernels()), and every table fills
+ * every entry.
  *
  * Span arguments are raw pointer + length: entries sit below the
  * public span APIs in kernels.hh and are called with the format
@@ -69,9 +73,6 @@ struct KernelTable
     KernelIsa isa = KernelIsa::SCALAR;
 
     // -- minifloat codec family ------------------------------------
-    /** out[i] = encodeFast(k, in[i]). */
-    void (*encodeSpan)(const FormatKernels &k, const double *in,
-                       std::uint32_t *out, std::size_t n) = nullptr;
     /** out[i] = quantizeFast(k, in[i]). */
     void (*quantizeSpan)(const FormatKernels &k, const double *in,
                          double *out, std::size_t n) = nullptr;
@@ -178,20 +179,6 @@ struct KernelTable
                           std::size_t ldb, std::size_t n,
                           std::size_t group, std::size_t cols,
                           double *reg) = nullptr;
-
-    // -- FP22 group-sum helpers (alignedGroupSum) --------------------
-    /** Branchless max over the magnitude bits of each element. */
-    std::uint64_t (*absBitsMax)(const double *in,
-                                std::size_t n) = nullptr;
-    /**
-     * sum_i trunc(in[i] * inv_quantum) * quantum -- the hot loop of
-     * alignedGroupSum(). Only called when every term is an integer
-     * multiple of quantum with |sum| < 2^53 * quantum (the caller
-     * checks), so the value is exact and independent of summation
-     * order; any reduction shape is bit-identical.
-     */
-    double (*truncSum)(const double *in, std::size_t n,
-                       double inv_quantum, double quantum) = nullptr;
 };
 
 /**

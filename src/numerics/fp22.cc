@@ -1,11 +1,10 @@
 #include "numerics/fp22.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 
-#include "common/logging.hh"
-#include "numerics/dispatch.hh"
 #include "numerics/kernels.hh"
 
 namespace dsv3::numerics {
@@ -27,9 +26,6 @@ accumModeName(AccumMode mode)
 double
 alignedGroupSum(std::span<const double> products, int fraction_bits)
 {
-    if (products.empty())
-        return 0.0;
-
     // Find the maximum exponent among the products, frexp convention
     // (mag = f * 2^e with f in [0.5, 1)). That exponent is monotonic
     // in the magnitude, so it is the exponent of the largest
@@ -37,11 +33,14 @@ alignedGroupSum(std::span<const double> products, int fraction_bits)
     // payload bits. The scan also proves whether any non-finite
     // product exists. Non-finite or all-subnormal groups fall back to
     // the original per-element scan.
-    const KernelTable &kt = kernels();
-    const std::uint64_t mx =
-        kt.absBitsMax(products.data(), products.size());
+    std::uint64_t mx = 0;
+    for (double p : products) {
+        const std::uint64_t mag =
+            std::bit_cast<std::uint64_t>(p) & 0x7fffffffffffffffull;
+        mx = std::max(mx, mag);
+    }
     if (mx == 0)
-        return 0.0; // every product is +-0
+        return 0.0; // empty, or every product is +-0
     const int mx_exp = (int)(mx >> 52);
     const bool all_finite_normal = mx_exp != 0 && mx_exp != 0x7ff;
     int max_e = 0;
@@ -81,23 +80,8 @@ alignedGroupSum(std::span<const double> products, int fraction_bits)
     const int inv_e = fraction_bits - max_e;
     double sum = 0.0;
     if (all_finite_normal && inv_e >= -1022 && inv_e <= 1023) {
-        // Hot path: no non-finites to special-case, so the loop is a
-        // straight multiply/truncate/multiply-accumulate. When every
-        // truncated term is an exact integer multiple of the quantum
-        // and the group is small enough that the running total stays
-        // below 2^53 quanta (fraction_bits + bit_width(n) <= 53), the
-        // sum is exact, hence independent of association -- which is
-        // what licenses handing it to the vector kernel's lane-split
-        // reduction. inv_e >= -970 additionally keeps the total below
-        // the double overflow threshold. Outside the gate, keep the
-        // original sequential order.
+        // Hot path: no non-finites to special-case.
         const double inv_quantum = std::ldexp(1.0, inv_e);
-        if (fraction_bits +
-                    (int)std::bit_width(products.size()) <= 53 &&
-            inv_e >= -970) {
-            return kt.truncSum(products.data(), products.size(),
-                               inv_quantum, quantum);
-        }
         for (double p : products)
             sum += std::trunc(p * inv_quantum) * quantum;
     } else if (inv_e >= -1022 && inv_e <= 1023) {
@@ -127,74 +111,6 @@ Fp22Register::add(double value)
     // Hoist the FP22 kernel lookup out of the per-group hot path.
     static const FormatKernels &k = formatKernels(kFP22);
     value_ = quantizeTruncateFast(k, value_ + value);
-}
-
-TensorCoreAccumulator::TensorCoreAccumulator(AccumMode mode,
-                                             std::size_t group_size,
-                                             std::size_t promotion_interval)
-    : mode_(mode), groupSize_(group_size),
-      promotionInterval_(promotion_interval)
-{
-    DSV3_ASSERT(group_size > 0 && group_size <= 64);
-    DSV3_ASSERT(promotion_interval >= group_size);
-    DSV3_ASSERT(promotion_interval % group_size == 0,
-                "promotion interval must be a multiple of group size");
-}
-
-void
-TensorCoreAccumulator::addProduct(double product)
-{
-    if (mode_ == AccumMode::FP32) {
-        idealAccum_ += product;
-        return;
-    }
-    pending_[pendingCount_++] = product;
-    ++sincePromotion_;
-    if (pendingCount_ == groupSize_)
-        flushGroup();
-    if (mode_ == AccumMode::FP22 && sincePromotion_ == promotionInterval_)
-        promote();
-}
-
-void
-TensorCoreAccumulator::flushGroup()
-{
-    if (pendingCount_ == 0)
-        return;
-    double group = alignedGroupSum({pending_, pendingCount_});
-    fp22_.add(group);
-    pendingCount_ = 0;
-}
-
-void
-TensorCoreAccumulator::promote()
-{
-    fp32Accum_ += (float)fp22_.value();
-    fp22_.reset();
-    sincePromotion_ = 0;
-}
-
-double
-TensorCoreAccumulator::result()
-{
-    if (mode_ == AccumMode::FP32)
-        return idealAccum_;
-    flushGroup();
-    if (mode_ == AccumMode::FP22) {
-        promote();
-        return (double)fp32Accum_;
-    }
-    return fp22_.value();
-}
-
-void
-TensorCoreAccumulator::reset()
-{
-    pendingCount_ = 0;
-    sincePromotion_ = 0;
-    fp22_.reset();
-    fp32Accum_ = 0.0f;
-    idealAccum_ = 0.0;
 }
 
 } // namespace dsv3::numerics

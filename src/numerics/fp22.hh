@@ -10,21 +10,23 @@
  *
  * This module provides a bit-faithful software model of that path:
  *
- *  1. addGroup() takes up to 32 exact FP8xFP8 products, aligns them to
- *     the group's maximum exponent keeping 13 fraction bits (truncating
- *     the rest toward zero), sums them exactly, and
- *  2. folds the group sum into an FP22 (E8M13) register, truncating the
- *     result to FP22 on every fold.
+ *  1. alignedGroupSum() takes one instruction group of exact FP8xFP8
+ *     products, aligns them to the group's maximum exponent keeping
+ *     13 fraction bits (truncating the rest toward zero), and sums
+ *     them exactly, and
+ *  2. Fp22Register folds the group sum into an FP22 (E8M13) register,
+ *     truncating the result to FP22 on every fold.
  *
- * The TwoLevelAccumulator additionally models DeepGEMM's mitigation:
- * after a fixed interval of K (default 128, one quantization tile) the
- * FP22 register is promoted into an FP32 accumulator on the CUDA cores,
+ * gemmQuantized() (numerics/gemm.hh) runs the whole reduction along K
+ * with these two steps, through the dispatched fp22FoldLanes kernel,
+ * and with AccumMode::FP22 also models DeepGEMM's mitigation: after
+ * each K tile (GemmOptions::tileK, one quantization tile) the FP22
+ * register is promoted into an FP32 accumulator on the CUDA cores,
  * multiplied by the tile/block dequantization scales.
  */
 
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 #include "numerics/minifloat.hh"
@@ -69,49 +71,6 @@ class Fp22Register
 
   private:
     double value_ = 0.0;
-};
-
-/**
- * Full reduction along K with a configurable accumulation strategy.
- * Feed products one at a time in K order; read back result().
- */
-class TensorCoreAccumulator
-{
-  public:
-    /**
-     * @param mode accumulation strategy
-     * @param group_size products per tensor-core instruction (32)
-     * @param promotion_interval products per FP32 promotion (128);
-     *        ignored unless mode == FP22
-     */
-    explicit TensorCoreAccumulator(AccumMode mode,
-                                   std::size_t group_size = 32,
-                                   std::size_t promotion_interval = 128);
-
-    /** Feed one exact product (optionally pre-scaled by dequant). */
-    void addProduct(double product);
-
-    /** Flush pending groups/promotions and return the reduction. */
-    double result();
-
-    /** Clear all state for reuse. */
-    void reset();
-
-  private:
-    void flushGroup();
-    void promote();
-
-    AccumMode mode_;
-    std::size_t groupSize_;
-    std::size_t promotionInterval_;
-
-    double pending_[64];
-    std::size_t pendingCount_ = 0;
-    std::size_t sincePromotion_ = 0;
-
-    Fp22Register fp22_;
-    float fp32Accum_ = 0.0f;
-    double idealAccum_ = 0.0;
 };
 
 } // namespace dsv3::numerics

@@ -134,14 +134,6 @@ detail::decodeWide(const FormatKernels &k, std::uint32_t code)
 }
 
 void
-encodeSpan(const FloatFormat &fmt, std::span<const double> in,
-           std::uint32_t *out)
-{
-    const FormatKernels &k = formatKernels(fmt);
-    kernels().encodeSpan(k, in.data(), out, in.size());
-}
-
-void
 decodeSpan(const FloatFormat &fmt, std::span<const std::uint32_t> in,
            double *out)
 {

@@ -42,11 +42,8 @@ namespace dsv3::numerics {
 /** Formats up to this many total bits get an eager decode LUT. */
 inline constexpr int kMaxLutBits = 16;
 
-/**
- * Precomputed per-format constants plus the decode LUT. Obtain via
- * formatKernels(); instances live for the whole process.
- */
-struct FormatKernels
+/** Precomputed per-format constants. */
+struct FormatConstants
 {
     int ebits;
     int mbits;
@@ -63,7 +60,14 @@ struct FormatKernels
     std::uint32_t maxCode;     //!< code of +maxFinite
     double maxFinite;
     double subScale;           //!< 2^(emin - mbits), the subnormal ULP
+};
 
+/**
+ * The per-format constants plus the decode LUT. Obtain via
+ * formatKernels(); instances live for the whole process.
+ */
+struct FormatKernels : FormatConstants
+{
     /** decodeRef() of every code; empty when totalBits > kMaxLutBits. */
     std::vector<double> decodeLut;
 
@@ -219,8 +223,6 @@ decodeFast(const FormatKernels &k, std::uint32_t code)
 }
 
 // Batched span codecs (out must have in.size() capacity).
-void encodeSpan(const FloatFormat &fmt, std::span<const double> in,
-                std::uint32_t *out);
 void decodeSpan(const FloatFormat &fmt,
                 std::span<const std::uint32_t> in, double *out);
 void quantizeSpan(const FloatFormat &fmt, std::span<const double> in,

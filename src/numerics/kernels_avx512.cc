@@ -1,34 +1,15 @@
 /**
  * @file
- * AVX-512 KernelTable (8-wide doubles, one zmm per vector).
+ * AVX-512 KernelTable (8-wide doubles, one zmm per vector, k-masks).
  *
  * Compiled with -mavx512f -mavx512dq -mavx512vl (src/CMakeLists.txt);
- * on other targets this TU collapses to a nullptr provider. Every
- * entry is bit-identical to kernels_scalar.cc: the codec entries are
- * exact integer bit manipulation (same classification as
- * detail::quantizeCore, lane-parallel), the float entries perform the
- * pinned operation sequences of numerics/fastmath.hh lane-wise with
- * one correctly-rounded instruction per pinned operation. No fused
- * multiply-add appears outside dotLanes, mirroring the scalar
- * definitions (the repo builds with -ffp-contract=off so the compiler
- * cannot introduce any).
- *
- * Lane-exactness notes (the non-obvious intrinsic choices):
- *  - max/min operand order: _mm512_max_pd(|x|, acc) returns acc when
- *    |x| is NaN and the second operand on equal values, matching
- *    std::max(acc, |x|)'s keep-first-on-tie / drop-NaN behavior.
- *  - _CMP_NEQ_UQ for `scaled != 0.0` (true on NaN, like scalar !=);
- *    _CMP_GT_OQ / _CMP_LT_OQ / _CMP_LE_OQ elsewhere (false on NaN,
- *    like scalar <, >, <=).
- *  - vpsrlvq / vpsllvq yield 0 for shift counts >= 64, which the
- *    format-subnormal path exploits; the round-up increment is
- *    additionally masked with s < 64 because the remainder compare
- *    is garbage past that point.
- *  - roundscale imm 0x09 = floor, 0x0B = trunc (round-to-nearest
- *    never used: the pinned helpers round via floor(x + 0.5)).
- *  - Double-subnormal *inputs* (dexp == 0, frac != 0) are rare and
- *    need a count-leading-zeros normalization; those lanes fall back
- *    to scalar detail::quantizeCore via a patch mask.
+ * on other targets this TU collapses to a nullptr provider. The codec
+ * and LogFMT entries are the kernels_lanes.hh templates over the
+ * Avx512 lane ops below; the GEMM lane kernels are written here,
+ * because their register shape is this ISA's own (see dotChunk). Every
+ * entry is bit-identical to kernels_scalar.cc. Everything but the
+ * table provider has internal linkage, so no AVX-512 code can stand in
+ * for a baseline copy.
  */
 
 #include "numerics/dispatch.hh"
@@ -38,646 +19,178 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <type_traits>
 
-#include "numerics/fastmath.hh"
-#include "numerics/kernels.hh"
+#include "numerics/kernels_lanes.hh"
 
 namespace dsv3::numerics {
 namespace {
 
-constexpr std::uint64_t kAbsMask = 0x7fffffffffffffffULL;
+using lanes::Full;
+using lanes::kAbsMask;
 
-inline __mmask8
-tailMask8(std::size_t left)
+/** AVX-512 lane ops: 8 doubles per __m512d, k-masks, masked tails. */
+struct Avx512
 {
-    return left >= 8 ? (__mmask8)0xff : (__mmask8)((1u << left) - 1);
-}
+    using D = __m512d;
+    using I = __m512i;
+    using C = __m256i; //!< one dword per double lane
+    using M = __mmask8;
+    static constexpr std::size_t W = 8;
 
-inline __m512d
-absPd(__m512d v)
-{
-    return _mm512_castsi512_pd(_mm512_and_si512(
-        _mm512_castpd_si512(v), _mm512_set1_epi64((long long)kAbsMask)));
-}
+    static M
+    tail(std::size_t left)
+    {
+        return left >= 8 ? (M)0xff : (M)((1u << left) - 1);
+    }
+    static M live(Full) { return 0xff; }
+    static M live(M m) { return m; }
+    static unsigned bits(M m) { return m; }
+    static D load(const double *p, Full) { return _mm512_loadu_pd(p); }
+    static D load(const double *p, M m) { return _mm512_maskz_loadu_pd(m, p); }
+    static void store(double *p, D v, Full) { _mm512_storeu_pd(p, v); }
+    static void
+    store(double *p, D v, M m)
+    {
+        _mm512_mask_storeu_pd(p, m, v);
+    }
+    static C
+    loadC(const std::uint32_t *p, Full)
+    {
+        return _mm256_loadu_si256((const __m256i *)p);
+    }
+    static C
+    loadC(const std::uint32_t *p, M m)
+    {
+        return _mm256_maskz_loadu_epi32(m, p);
+    }
+    static void
+    storeC(std::uint32_t *p, C v, Full)
+    {
+        _mm256_storeu_si256((__m256i *)p, v);
+    }
+    static void
+    storeC(std::uint32_t *p, C v, M m)
+    {
+        _mm256_mask_storeu_epi32(p, m, v);
+    }
 
-// ---------------------------------------------------------------
-// Minifloat codec family
-// ---------------------------------------------------------------
+    // -- doubles --
+    static D splat(double x) { return _mm512_set1_pd(x); }
+    static D add(D a, D b) { return _mm512_add_pd(a, b); }
+    static D sub(D a, D b) { return _mm512_sub_pd(a, b); }
+    static D mul(D a, D b) { return _mm512_mul_pd(a, b); }
+    static D div(D a, D b) { return _mm512_div_pd(a, b); }
+    static D min(D a, D b) { return _mm512_min_pd(a, b); }
+    static D max(D a, D b) { return _mm512_max_pd(a, b); }
+    static D abs(D v) { return asDouble(bitAnd(asInt(v), splatI(kAbsMask))); }
+    static D
+    floor(D v)
+    {
+        return _mm512_roundscale_pd(v, _MM_FROUND_TO_NEG_INF |
+                                           _MM_FROUND_NO_EXC);
+    }
+    static M lt(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
+    static M le(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+    static M gt(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ); }
+    static M ne(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_NEQ_UQ); }
+    static D select(M m, D a, D b) { return _mm512_mask_mov_pd(b, m, a); }
+    static D select(Full, D a, D) { return a; }
+    static D
+    negateWhere(M m, D v)
+    {
+        return _mm512_mask_xor_pd(v, m, v, splat(-0.0));
+    }
+    static double reduceMin(D v) { return _mm512_reduce_min_pd(v); }
+    static double reduceMax(D v) { return _mm512_reduce_max_pd(v); }
+    static D
+    gather(const double *base, C idx)
+    {
+        return _mm512_i32gather_pd(idx, base, 8);
+    }
+    /** Lanes j, j + 1, ..., j + 7. */
+    static D
+    iota(std::uint32_t j)
+    {
+        return _mm512_cvtepi32_pd(
+            add(splatC(j), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)));
+    }
+    static C truncate(D v) { return _mm512_cvttpd_epi32(v); }
 
-struct Enc8
-{
-    __m512i code;   //!< per-lane code in the low 32 bits of each qword
-    __m512d value;  //!< per-lane quantized value
-    __mmask8 patch; //!< double-subnormal inputs: redo in scalar
+    // -- 64-bit integer lanes --
+    static I asInt(D v) { return _mm512_castpd_si512(v); }
+    static D asDouble(I v) { return _mm512_castsi512_pd(v); }
+    static I splatI(std::int64_t x) { return _mm512_set1_epi64(x); }
+    static I add(I a, I b) { return _mm512_add_epi64(a, b); }
+    static I sub(I a, I b) { return _mm512_sub_epi64(a, b); }
+    static I bitAnd(I a, I b) { return _mm512_and_si512(a, b); }
+    static I bitOr(I a, I b) { return _mm512_or_si512(a, b); }
+    static M bitAnd(M a, M b) { return (M)(a & b); }
+    static M bitOr(M a, M b) { return (M)(a | b); }
+    /** ~a & b. */
+    static M andNot(M a, M b) { return (M)(~a & b); }
+    template <int N>
+    static I shl(I v, std::integral_constant<int, N>)
+    {
+        return _mm512_slli_epi64(v, N);
+    }
+    template <int N>
+    static I shr(I v, std::integral_constant<int, N>)
+    {
+        return _mm512_srli_epi64(v, N);
+    }
+    static I shl(I v, I n) { return _mm512_sllv_epi64(v, n); }
+    static I shr(I v, I n) { return _mm512_srlv_epi64(v, n); }
+    static M eq(I a, I b) { return _mm512_cmpeq_epi64_mask(a, b); }
+    /** Signed; exact on the unsigned values compared too (< 2^63). */
+    static M gt(I a, I b) { return _mm512_cmpgt_epi64_mask(a, b); }
+    static M ge(I a, I b) { return _mm512_cmpge_epi64_mask(a, b); }
+    static M isZero(I v) { return _mm512_testn_epi64_mask(v, v); }
+    static M odd(I v) { return _mm512_test_epi64_mask(v, splatI(1)); }
+    static I select(M m, I a, I b) { return _mm512_mask_mov_epi64(b, m, a); }
+    /** v + 1 on the lanes of m. */
+    static I
+    addOne(I v, M m)
+    {
+        return _mm512_mask_add_epi64(v, m, v, splatI(1));
+    }
+    static D smallToDouble(I v) { return _mm512_cvtepu64_pd(v); }
+    /** double((int64)v >> 52), minus 54 on the lanes of @p m. */
+    static D
+    exponent(I v, M m)
+    {
+        return _mm512_cvtepi64_pd(_mm512_add_epi64(
+            _mm512_srai_epi64(v, 52), _mm512_maskz_mov_epi64(m, splatI(-54))));
+    }
+    /** The low dword of each qword. */
+    static C narrow(I v) { return _mm512_cvtepi64_epi32(v); }
+    static I widen(C v) { return _mm512_cvtepi32_epi64(v); }
+
+    // -- 32-bit lanes --
+    static C splatC(std::uint32_t x) { return _mm256_set1_epi32((int)x); }
+    static C add(C a, C b) { return _mm256_add_epi32(a, b); }
+    static C sub(C a, C b) { return _mm256_sub_epi32(a, b); }
+    static C bitAnd(C a, C b) { return _mm256_and_si256(a, b); }
+    static C minU(C a, C b) { return _mm256_min_epu32(a, b); }
+    template <int N>
+    static C sra(C v, std::integral_constant<int, N>)
+    {
+        return _mm256_srai_epi32(v, N);
+    }
+    static C select(M m, C a, C b) { return _mm256_mask_blend_epi32(m, b, a); }
+    /** v | x on the lanes of m. */
+    static C
+    orWhere(M m, C v, C x)
+    {
+        return _mm256_mask_or_epi32(v, m, v, x);
+    }
+    /** Lanes whose v has the single bit @p bit set. */
+    static M hasBit(C v, C bit) { return _mm256_test_epi32_mask(v, bit); }
 };
 
-/**
- * Lane-parallel detail::quantizeCore(k, x, false). Follows the scalar
- * classification step for step; every arithmetic op is exact integer
- * bit manipulation except the subnormal magnitude multiply, which is
- * exact in both (power-of-two scale, m < 2^52).
- */
-inline Enc8
-encode8(const FormatKernels &k, __m512d vx)
-{
-    const __m512i vbits = _mm512_castpd_si512(vx);
-    const __m512i vzero = _mm512_setzero_si512();
-    const __m512i vone = _mm512_set1_epi64(1);
-    const __m512i vsign = _mm512_srli_epi64(vbits, 63);
-    const __m512i vsign63 = _mm512_slli_epi64(vsign, 63);
-    const __m512i vsign_code =
-        _mm512_sllv_epi64(vsign, _mm512_set1_epi64(k.signShift));
-    const __m512i vdexp = _mm512_and_si512(_mm512_srli_epi64(vbits, 52),
-                                           _mm512_set1_epi64(0x7ff));
-    const __m512i vfrac = _mm512_and_si512(
-        vbits, _mm512_set1_epi64((1ll << 52) - 1));
-
-    const __mmask8 m_special =
-        _mm512_cmpeq_epi64_mask(vdexp, _mm512_set1_epi64(0x7ff));
-    const __mmask8 m_zero =
-        _mm512_cmpeq_epi64_mask(_mm512_slli_epi64(vbits, 1), vzero);
-    const __mmask8 m_frac = _mm512_test_epi64_mask(vfrac, vfrac);
-    const __mmask8 patch =
-        _mm512_cmpeq_epi64_mask(vdexp, vzero) & m_frac;
-    const __mmask8 m_valid = (__mmask8)~(m_special | m_zero | patch);
-
-    // Normal doubles: mag = sig * 2^(e - 52), sig in [2^52, 2^53).
-    const __m512i ve = _mm512_sub_epi64(vdexp, _mm512_set1_epi64(1023));
-    const __m512i vsig =
-        _mm512_or_si512(vfrac, _mm512_set1_epi64(1ll << 52));
-    const __mmask8 m_norm =
-        _mm512_cmpge_epi64_mask(ve, _mm512_set1_epi64(k.emin)) &
-        m_valid;
-
-    // -- normal range: RNE on the integer significand --
-    const int shift = 52 - k.mbits;
-    const unsigned long long halfc = 1ull << (shift - 1);
-    __m512i vm = _mm512_srlv_epi64(vsig, _mm512_set1_epi64(shift));
-    const __m512i vhalf = _mm512_set1_epi64((long long)halfc);
-    const __m512i vrem = _mm512_and_si512(
-        vsig, _mm512_set1_epi64((long long)((halfc << 1) - 1)));
-    const __mmask8 rup =
-        _mm512_cmpgt_epu64_mask(vrem, vhalf) |
-        (_mm512_cmpeq_epi64_mask(vrem, vhalf) &
-         _mm512_test_epi64_mask(vm, vone));
-    vm = _mm512_mask_add_epi64(vm, rup, vm, vone);
-    const __mmask8 carry =
-        _mm512_cmpeq_epi64_mask(vm, _mm512_set1_epi64(2ll << k.mbits));
-    vm = _mm512_mask_srli_epi64(vm, carry, vm, 1);
-    // e only carries in the normal branch; keep the original ve for
-    // the below-range path.
-    const __m512i ven = _mm512_mask_add_epi64(ve, carry, ve, vone);
-
-    __mmask8 over =
-        _mm512_cmpgt_epi64_mask(ven, _mm512_set1_epi64(k.emax));
-    if (k.finiteOnly) {
-        over |= _mm512_cmpeq_epi64_mask(ven,
-                                        _mm512_set1_epi64(k.emax)) &
-                _mm512_cmpeq_epi64_mask(
-                    vm, _mm512_set1_epi64((2ll << k.mbits) - 1));
-    }
-    over &= m_norm;
-
-    const __m512i vmant =
-        _mm512_and_si512(vm, _mm512_set1_epi64(k.mantMask));
-    const __m512i vcode_norm = _mm512_or_si512(
-        vsign_code,
-        _mm512_or_si512(
-            _mm512_sllv_epi64(
-                _mm512_add_epi64(ven, _mm512_set1_epi64(k.bias)),
-                _mm512_set1_epi64(k.mbits)),
-            vmant));
-    const __m512d vvalue_norm = _mm512_castsi512_pd(_mm512_or_si512(
-        vsign63,
-        _mm512_or_si512(
-            _mm512_slli_epi64(
-                _mm512_add_epi64(ven, _mm512_set1_epi64(1023)), 52),
-            _mm512_sllv_epi64(vmant, _mm512_set1_epi64(shift)))));
-
-    // -- below the normal range: fixed-point at the subnormal ULP --
-    const __m512i vs = _mm512_add_epi64(
-        _mm512_sub_epi64(_mm512_set1_epi64(k.emin), ve),
-        _mm512_set1_epi64(shift));
-    const __mmask8 s_ok =
-        _mm512_cmplt_epi64_mask(vs, _mm512_set1_epi64(64));
-    __m512i vms = _mm512_srlv_epi64(vsig, vs); // 0 when s >= 64
-    const __m512i vhalf_s =
-        _mm512_sllv_epi64(vone, _mm512_sub_epi64(vs, vone));
-    const __m512i vrem_s = _mm512_and_si512(
-        vsig,
-        _mm512_sub_epi64(_mm512_sllv_epi64(vone, vs), vone));
-    const __mmask8 rup_s =
-        (_mm512_cmpgt_epu64_mask(vrem_s, vhalf_s) |
-         (_mm512_cmpeq_epi64_mask(vrem_s, vhalf_s) &
-          _mm512_test_epi64_mask(vms, vone))) &
-        s_ok;
-    vms = _mm512_mask_add_epi64(vms, rup_s, vms, vone);
-    const __m512i vcode_sub = _mm512_or_si512(vsign_code, vms);
-    const __m512d vvalue_sub = _mm512_castsi512_pd(_mm512_or_si512(
-        _mm512_castpd_si512(_mm512_mul_pd(
-            _mm512_cvtepu64_pd(vms), _mm512_set1_pd(k.subScale))),
-        vsign63));
-
-    // -- blend the paths, worst case last --
-    __m512i vcode = _mm512_mask_mov_epi64(vcode_sub, m_norm, vcode_norm);
-    __m512d vvalue = _mm512_mask_mov_pd(vvalue_sub, m_norm, vvalue_norm);
-
-    const auto withSign = [&](double mag) {
-        return _mm512_castsi512_pd(_mm512_or_si512(
-            _mm512_castpd_si512(_mm512_set1_pd(mag)), vsign63));
-    };
-    const double inf = std::numeric_limits<double>::infinity();
-    const __m512d vsat =
-        withSign(k.finiteOnly ? k.maxFinite : inf);
-    const __m512i vsat_code = _mm512_or_si512(
-        vsign_code,
-        _mm512_set1_epi64(k.finiteOnly ? k.maxCode : k.infCode));
-    vcode = _mm512_mask_mov_epi64(vcode, over, vsat_code);
-    vvalue = _mm512_mask_mov_pd(vvalue, over, vsat);
-
-    vcode = _mm512_mask_mov_epi64(vcode, m_zero, vsign_code);
-    vvalue = _mm512_mask_mov_pd(vvalue, m_zero, vx); // +-0 keeps sign
-
-    const __mmask8 m_nan = m_special & m_frac;
-    const __mmask8 m_inf = m_special & (__mmask8)~m_frac;
-    vcode = _mm512_mask_mov_epi64(
-        vcode, m_nan,
-        _mm512_or_si512(vsign_code, _mm512_set1_epi64(k.nanCode)));
-    vvalue = _mm512_mask_mov_pd(vvalue, m_nan, vx); // payload preserved
-    if (k.finiteOnly) {
-        vcode = _mm512_mask_mov_epi64(
-            vcode, m_inf,
-            _mm512_or_si512(vsign_code, _mm512_set1_epi64(k.maxCode)));
-        vvalue = _mm512_mask_mov_pd(vvalue, m_inf,
-                                    withSign(k.maxFinite));
-    } else {
-        vcode = _mm512_mask_mov_epi64(
-            vcode, m_inf,
-            _mm512_or_si512(vsign_code, _mm512_set1_epi64(k.infCode)));
-        vvalue = _mm512_mask_mov_pd(vvalue, m_inf, vx);
-    }
-    return {vcode, vvalue, patch};
-}
-
-void
-encodeSpanAvx512(const FormatKernels &k, const double *in,
-                 std::uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 t = tailMask8(n - i);
-        const __m512d vx = _mm512_maskz_loadu_pd(t, in + i);
-        const Enc8 r = encode8(k, vx);
-        _mm256_mask_storeu_epi32(out + i, t,
-                                 _mm512_cvtepi64_epi32(r.code));
-        unsigned patch = (unsigned)(r.patch & t);
-        while (patch) {
-            const unsigned l = (unsigned)std::countr_zero(patch);
-            patch &= patch - 1;
-            out[i + l] =
-                detail::quantizeCore(k, in[i + l], false).code;
-        }
-    }
-}
-
-void
-quantizeSpanAvx512(const FormatKernels &k, const double *in,
-                   double *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 t = tailMask8(n - i);
-        const __m512d vx = _mm512_maskz_loadu_pd(t, in + i);
-        const Enc8 r = encode8(k, vx);
-        _mm512_mask_storeu_pd(out + i, t, r.value);
-        unsigned patch = (unsigned)(r.patch & t);
-        while (patch) {
-            const unsigned l = (unsigned)std::countr_zero(patch);
-            patch &= patch - 1;
-            out[i + l] =
-                detail::quantizeCore(k, in[i + l], false).value;
-        }
-    }
-}
-
-void
-decodeLutSpanAvx512(const double *lut, const std::uint32_t *in,
-                    double *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 t = tailMask8(n - i);
-        const __m256i vc = _mm256_maskz_loadu_epi32(t, in + i);
-        _mm512_mask_storeu_pd(out + i, t,
-                              _mm512_i32gather_pd(vc, lut, 8));
-    }
-}
-
-void
-encodeScaledSpanAvx512(const FormatKernels &k, const double *in,
-                       double s, std::uint32_t *out, std::size_t n,
-                       double fmt_max, std::uint32_t mag_mask,
-                       std::uint64_t *saturated, std::uint64_t *flushed)
-{
-    const __m512d vdiv = _mm512_set1_pd(s);
-    const __m512d vfmt_max = _mm512_set1_pd(fmt_max);
-    const __m512i vmag_mask = _mm512_set1_epi64(mag_mask);
-    const __m512d vzero = _mm512_setzero_pd();
-    std::uint64_t sat = 0, flush = 0;
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 t = tailMask8(n - i);
-        const __m512d vx = _mm512_maskz_loadu_pd(t, in + i);
-        const __m512d vscaled = _mm512_div_pd(vx, vdiv);
-        const Enc8 r = encode8(k, vscaled);
-        _mm256_mask_storeu_epi32(out + i, t,
-                                 _mm512_cvtepi64_epi32(r.code));
-        const __mmask8 vec = t & (__mmask8)~r.patch;
-        if (saturated) {
-            const __mmask8 msat =
-                _mm512_cmp_pd_mask(absPd(vscaled), vfmt_max,
-                                   _CMP_GT_OQ) &
-                vec;
-            const __mmask8 mflush =
-                _mm512_cmp_pd_mask(vscaled, vzero, _CMP_NEQ_UQ) &
-                _mm512_testn_epi64_mask(r.code, vmag_mask) & vec &
-                (__mmask8)~msat;
-            sat += std::popcount((unsigned)msat);
-            flush += std::popcount((unsigned)mflush);
-        }
-        unsigned patch = (unsigned)(r.patch & t);
-        while (patch) {
-            const unsigned l = (unsigned)std::countr_zero(patch);
-            patch &= patch - 1;
-            const double scaled = in[i + l] / s;
-            const std::uint32_t code =
-                detail::quantizeCore(k, scaled, false).code;
-            out[i + l] = code;
-            if (saturated) {
-                if (std::fabs(scaled) > fmt_max)
-                    ++sat;
-                else if (scaled != 0.0 && (code & mag_mask) == 0)
-                    ++flush;
-            }
-        }
-    }
-    if (saturated) {
-        *saturated += sat;
-        *flushed += flush;
-    }
-}
-
-double
-absMaxAvx512(const double *in, std::size_t n, double init)
-{
-    __m512d acc = _mm512_set1_pd(init);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm512_max_pd(absPd(_mm512_loadu_pd(in + i)), acc);
-    if (i < n) {
-        const __mmask8 t = tailMask8(n - i);
-        acc = _mm512_mask_max_pd(
-            acc, t, absPd(_mm512_maskz_loadu_pd(t, in + i)), acc);
-    }
-    return _mm512_reduce_max_pd(acc);
-}
-
-void
-scaleSpanAvx512(double *inout, double s, std::size_t n)
-{
-    const __m512d vs = _mm512_set1_pd(s);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm512_storeu_pd(inout + i,
-                         _mm512_mul_pd(_mm512_loadu_pd(inout + i), vs));
-    if (i < n) {
-        const __mmask8 t = tailMask8(n - i);
-        _mm512_mask_storeu_pd(
-            inout + i, t,
-            _mm512_mul_pd(_mm512_maskz_loadu_pd(t, inout + i), vs));
-    }
-}
-
 // ---------------------------------------------------------------
-// LogFMT log/exp family
-// ---------------------------------------------------------------
-
-/** Lane-parallel fastmath::logAbsPinned. */
-inline __m512d
-logAbs8(__m512d vx)
-{
-    const __m512i vabs_mask = _mm512_set1_epi64((long long)kAbsMask);
-    __m512i ix =
-        _mm512_and_si512(_mm512_castpd_si512(vx), vabs_mask);
-    const __mmask8 m_zero =
-        _mm512_cmpeq_epi64_mask(ix, _mm512_setzero_si512());
-    const __mmask8 m_sub =
-        _mm512_cmplt_epu64_mask(ix, _mm512_set1_epi64(1ll << 52)) &
-        (__mmask8)~m_zero;
-    const __mmask8 m_naninf = _mm512_cmpge_epu64_mask(
-        ix, _mm512_set1_epi64(0x7ff0000000000000ll));
-
-    const __m512d vabs = _mm512_castsi512_pd(ix);
-    // Scale double subnormals up by 2^54 and remember k0 = -54.
-    ix = _mm512_mask_mov_epi64(
-        ix, m_sub,
-        _mm512_castpd_si512(
-            _mm512_mul_pd(vabs, _mm512_set1_pd(0x1p54))));
-    const __m512i k0 =
-        _mm512_maskz_mov_epi64(m_sub, _mm512_set1_epi64(-54));
-
-    const __m512i tmp = _mm512_sub_epi64(
-        ix, _mm512_set1_epi64((long long)fastmath::kLogOff));
-    const __m512d dk = _mm512_cvtepi64_pd(
-        _mm512_add_epi64(_mm512_srai_epi64(tmp, 52), k0));
-    const __m512d z = _mm512_castsi512_pd(_mm512_sub_epi64(
-        ix, _mm512_and_si512(
-                tmp, _mm512_set1_epi64(
-                         (long long)0xfff0000000000000ull))));
-
-    // fdlibm core, one correctly-rounded instruction per pinned op.
-    const __m512d f = _mm512_sub_pd(z, _mm512_set1_pd(1.0));
-    const __m512d hfsq = _mm512_mul_pd(
-        _mm512_mul_pd(_mm512_set1_pd(0.5), f), f);
-    const __m512d sden = _mm512_add_pd(_mm512_set1_pd(2.0), f);
-    const __m512d sred = _mm512_div_pd(f, sden);
-    const __m512d z2 = _mm512_mul_pd(sred, sred);
-    const __m512d w = _mm512_mul_pd(z2, z2);
-    const __m512d t1 = _mm512_mul_pd(
-        w, _mm512_add_pd(
-               _mm512_set1_pd(fastmath::kLg2),
-               _mm512_mul_pd(
-                   w, _mm512_add_pd(
-                          _mm512_set1_pd(fastmath::kLg4),
-                          _mm512_mul_pd(
-                              w, _mm512_set1_pd(fastmath::kLg6))))));
-    const __m512d t2 = _mm512_mul_pd(
-        z2,
-        _mm512_add_pd(
-            _mm512_set1_pd(fastmath::kLg1),
-            _mm512_mul_pd(
-                w,
-                _mm512_add_pd(
-                    _mm512_set1_pd(fastmath::kLg3),
-                    _mm512_mul_pd(
-                        w,
-                        _mm512_add_pd(
-                            _mm512_set1_pd(fastmath::kLg5),
-                            _mm512_mul_pd(
-                                w, _mm512_set1_pd(
-                                       fastmath::kLg7))))))));
-    const __m512d r = _mm512_add_pd(t2, t1);
-    // dk*Hi - ((hfsq - (s*(hfsq+r) + dk*Lo)) - f)
-    const __m512d inner = _mm512_add_pd(
-        _mm512_mul_pd(sred, _mm512_add_pd(hfsq, r)),
-        _mm512_mul_pd(dk, _mm512_set1_pd(fastmath::kLn2Lo)));
-    __m512d res = _mm512_sub_pd(
-        _mm512_mul_pd(dk, _mm512_set1_pd(fastmath::kLn2Hi)),
-        _mm512_sub_pd(_mm512_sub_pd(hfsq, inner), f));
-
-    // Specials: logAbs(0) = -inf; inf/NaN via |x| + |x| like scalar.
-    res = _mm512_mask_mov_pd(
-        res, m_zero,
-        _mm512_set1_pd(-std::numeric_limits<double>::infinity()));
-    res = _mm512_mask_mov_pd(res, m_naninf,
-                             _mm512_add_pd(vabs, vabs));
-    return res;
-}
-
-/** Lane-parallel fastmath::expPinned. */
-inline __m512d
-exp8(__m512d vx)
-{
-    const __mmask8 m_nan = _mm512_cmp_pd_mask(vx, vx, _CMP_NEQ_UQ);
-    const __mmask8 m_over = _mm512_cmp_pd_mask(
-        vx, _mm512_set1_pd(fastmath::kExpOverflow), _CMP_GT_OQ);
-    const __mmask8 m_under = _mm512_cmp_pd_mask(
-        vx, _mm512_set1_pd(fastmath::kExpUnderflow), _CMP_LT_OQ);
-
-    const __m512d vmagic = _mm512_set1_pd(fastmath::kRoundMagic);
-    const __m512d t = _mm512_add_pd(
-        _mm512_mul_pd(vx, _mm512_set1_pd(fastmath::kInvLn2)), vmagic);
-    // Low 32 mantissa bits of t are k in two's complement; the
-    // truncating qword->dword narrow extracts exactly those.
-    const __m256i k = _mm512_cvtepi64_epi32(_mm512_castpd_si512(t));
-    const __m512d dk = _mm512_sub_pd(t, vmagic);
-
-    const __m512d hi = _mm512_sub_pd(
-        vx, _mm512_mul_pd(dk, _mm512_set1_pd(fastmath::kLn2Hi)));
-    const __m512d lo =
-        _mm512_mul_pd(dk, _mm512_set1_pd(fastmath::kLn2Lo));
-    const __m512d r = _mm512_sub_pd(hi, lo);
-    const __m512d t2 = _mm512_mul_pd(r, r);
-    const __m512d poly = _mm512_add_pd(
-        _mm512_set1_pd(fastmath::kExpP1),
-        _mm512_mul_pd(
-            t2,
-            _mm512_add_pd(
-                _mm512_set1_pd(fastmath::kExpP2),
-                _mm512_mul_pd(
-                    t2,
-                    _mm512_add_pd(
-                        _mm512_set1_pd(fastmath::kExpP3),
-                        _mm512_mul_pd(
-                            t2,
-                            _mm512_add_pd(
-                                _mm512_set1_pd(fastmath::kExpP4),
-                                _mm512_mul_pd(
-                                    t2, _mm512_set1_pd(
-                                            fastmath::kExpP5)))))))));
-    const __m512d c = _mm512_sub_pd(r, _mm512_mul_pd(t2, poly));
-    // y = 1 - ((lo - (r*c)/(2-c)) - hi)
-    const __m512d y = _mm512_sub_pd(
-        _mm512_set1_pd(1.0),
-        _mm512_sub_pd(
-            _mm512_sub_pd(
-                lo, _mm512_div_pd(
-                        _mm512_mul_pd(r, c),
-                        _mm512_sub_pd(_mm512_set1_pd(2.0), c))),
-            hi));
-
-    // y * 2^k in two exact power-of-two steps.
-    const __m256i k1 = _mm256_srai_epi32(k, 1);
-    const __m256i k2 = _mm256_sub_epi32(k, k1);
-    const __m256i bias = _mm256_set1_epi32(1023);
-    const __m512d s1 = _mm512_castsi512_pd(_mm512_slli_epi64(
-        _mm512_cvtepi32_epi64(_mm256_add_epi32(k1, bias)), 52));
-    const __m512d s2 = _mm512_castsi512_pd(_mm512_slli_epi64(
-        _mm512_cvtepi32_epi64(_mm256_add_epi32(k2, bias)), 52));
-    __m512d res = _mm512_mul_pd(_mm512_mul_pd(y, s1), s2);
-
-    res = _mm512_mask_mov_pd(res, m_under, _mm512_setzero_pd());
-    res = _mm512_mask_mov_pd(
-        res, m_over,
-        _mm512_set1_pd(std::numeric_limits<double>::infinity()));
-    res = _mm512_mask_mov_pd(res, m_nan, vx);
-    return res;
-}
-
-/** x != 0 && isfinite(x), from the raw bits. */
-inline __mmask8
-usableMask8(__m512d vx)
-{
-    const __m512i iabs = _mm512_and_si512(
-        _mm512_castpd_si512(vx), _mm512_set1_epi64((long long)kAbsMask));
-    return _mm512_test_epi64_mask(iabs, iabs) &
-           _mm512_cmplt_epu64_mask(
-               iabs, _mm512_set1_epi64(0x7ff0000000000000ll));
-}
-
-bool
-logAbsStatsAvx512(const double *in, double *logs, std::size_t n,
-                  double *min_log, double *max_log)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    __m512d vmin = _mm512_set1_pd(inf);
-    __m512d vmax = _mm512_set1_pd(-inf);
-    __mmask8 any = 0;
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 t = tailMask8(n - i);
-        const __m512d vx = _mm512_maskz_loadu_pd(t, in + i);
-        const __m512d vl = logAbs8(vx);
-        _mm512_mask_storeu_pd(logs + i, t, vl);
-        const __mmask8 usable = usableMask8(vx) & t;
-        vmin = _mm512_mask_min_pd(vmin, usable, vmin, vl);
-        vmax = _mm512_mask_max_pd(vmax, usable, vmax, vl);
-        any |= usable;
-    }
-    if (!any) {
-        *min_log = *max_log = 0.0;
-        return false;
-    }
-    // All usable logs are finite, so min/max are order-independent.
-    *min_log = _mm512_reduce_min_pd(vmin);
-    *max_log = _mm512_reduce_max_pd(vmax);
-    return true;
-}
-
-void
-magTableAvx512(double min_log, double step, std::uint32_t k_max,
-               double *mag)
-{
-    mag[0] = 0.0;
-    const __m512d vmin = _mm512_set1_pd(min_log);
-    const __m512d vstep = _mm512_set1_pd(step);
-    const __m256i lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    for (std::uint32_t j = 1; j <= k_max; j += 8) {
-        const __mmask8 t = tailMask8((std::size_t)(k_max - j) + 1);
-        const __m256i vj = _mm256_add_epi32(
-            _mm256_set1_epi32((int)(j - 1)), lane_idx);
-        const __m512d varg = _mm512_add_pd(
-            vmin, _mm512_mul_pd(vstep, _mm512_cvtepi32_pd(vj)));
-        _mm512_mask_storeu_pd(mag + j, t, exp8(varg));
-    }
-}
-
-std::uint64_t
-logfmtEncodeLogAvx512(const double *values, const double *logs,
-                      std::size_t n, double min_log, double step,
-                      std::uint32_t k_max, std::uint32_t sign_bit,
-                      std::uint32_t *codes)
-{
-    const __m512d vmin = _mm512_set1_pd(min_log);
-    const __m512d vstep = _mm512_set1_pd(step);
-    const __m512d vone = _mm512_set1_pd(1.0);
-    const __m512d vhalf = _mm512_set1_pd(0.5);
-    const __m512d vkmax = _mm512_set1_pd((double)k_max);
-    const __m512d vzero = _mm512_setzero_pd();
-    const __m256i vsign_bit = _mm256_set1_epi32((int)sign_bit);
-    std::uint64_t below = 0;
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 t = tailMask8(n - i);
-        const __m512d vx = _mm512_maskz_loadu_pd(t, values + i);
-        const __m512d vl = _mm512_maskz_loadu_pd(t, logs + i);
-        const __mmask8 usable = usableMask8(vx) & t;
-        const __m512d k_real = _mm512_add_pd(
-            _mm512_div_pd(_mm512_sub_pd(vl, vmin), vstep), vone);
-        below += std::popcount(
-            (unsigned)(_mm512_cmp_pd_mask(k_real, vone, _CMP_LT_OQ) &
-                       usable));
-        const __m512d r = _mm512_roundscale_pd(
-            _mm512_add_pd(k_real, vhalf), 0x09); // floor
-        const __m512d cl =
-            _mm512_min_pd(_mm512_max_pd(r, vone), vkmax);
-        __m256i vcode = _mm512_cvttpd_epi32(cl);
-        const __mmask8 mneg =
-            _mm512_cmp_pd_mask(vx, vzero, _CMP_LT_OQ);
-        vcode = _mm256_mask_or_epi32(vcode, mneg, vcode, vsign_bit);
-        _mm256_mask_storeu_epi32(codes + i, usable, vcode);
-    }
-    return below;
-}
-
-std::uint64_t
-logfmtEncodeLinearAvx512(const double *values, const double *logs,
-                         std::size_t n, double min_log, double step,
-                         std::uint32_t k_max, std::uint32_t sign_bit,
-                         const double *mag, std::uint32_t *codes)
-{
-    const __m512d vmin = _mm512_set1_pd(min_log);
-    const __m512d vstep = _mm512_set1_pd(step);
-    const __m512d vone = _mm512_set1_pd(1.0);
-    const __m512d vkmax = _mm512_set1_pd((double)k_max);
-    const __m512d vzero = _mm512_setzero_pd();
-    const __m256i vkmax32 = _mm256_set1_epi32((int)k_max);
-    const __m256i vone32 = _mm256_set1_epi32(1);
-    const __m256i vsign_bit = _mm256_set1_epi32((int)sign_bit);
-    std::uint64_t below = 0;
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 t = tailMask8(n - i);
-        const __m512d vx = _mm512_maskz_loadu_pd(t, values + i);
-        const __m512d vl = _mm512_maskz_loadu_pd(t, logs + i);
-        const __mmask8 usable = usableMask8(vx) & t;
-        const __m512d k_real = _mm512_add_pd(
-            _mm512_div_pd(_mm512_sub_pd(vl, vmin), vstep), vone);
-        below += std::popcount(
-            (unsigned)(_mm512_cmp_pd_mask(k_real, vone, _CMP_LT_OQ) &
-                       usable));
-        const __m512d fl = _mm512_roundscale_pd(k_real, 0x09);
-        const __m512d lo_d =
-            _mm512_min_pd(_mm512_max_pd(fl, vone), vkmax);
-        const __m256i lo = _mm512_cvttpd_epi32(lo_d);
-        const __m256i hi = _mm256_min_epu32(
-            _mm256_add_epi32(lo, vone32), vkmax32);
-        const __m512d v_lo = _mm512_i32gather_pd(lo, mag, 8);
-        const __m512d v_hi = _mm512_i32gather_pd(hi, mag, 8);
-        const __m512d m = absPd(vx);
-        const __m512d d_lo = absPd(_mm512_sub_pd(m, v_lo));
-        const __m512d d_hi = absPd(_mm512_sub_pd(v_hi, m));
-        const __mmask8 pick_lo =
-            _mm512_cmp_pd_mask(d_lo, d_hi, _CMP_LE_OQ);
-        __m256i vcode = _mm256_mask_blend_epi32(pick_lo, hi, lo);
-        const __mmask8 mneg =
-            _mm512_cmp_pd_mask(vx, vzero, _CMP_LT_OQ);
-        vcode = _mm256_mask_or_epi32(vcode, mneg, vcode, vsign_bit);
-        _mm256_mask_storeu_epi32(codes + i, usable, vcode);
-    }
-    return below;
-}
-
-void
-logfmtDecodeAvx512(const std::uint32_t *codes, std::size_t n,
-                   std::uint32_t sign_bit, const double *mag,
-                   double *out)
-{
-    const __m256i vk_mask = _mm256_set1_epi32((int)(sign_bit - 1));
-    const __m256i vsign_bit = _mm256_set1_epi32((int)sign_bit);
-    const __m512d vneg0 = _mm512_set1_pd(-0.0);
-    for (std::size_t i = 0; i < n; i += 8) {
-        const __mmask8 t = tailMask8(n - i);
-        const __m256i vc = _mm256_maskz_loadu_epi32(t, codes + i);
-        const __m512d vm = _mm512_i32gather_pd(
-            _mm256_and_si256(vc, vk_mask), mag, 8);
-        const __mmask8 mneg = _mm256_test_epi32_mask(vc, vsign_bit);
-        _mm512_mask_storeu_pd(
-            out + i, t, _mm512_mask_xor_pd(vm, mneg, vm, vneg0));
-    }
-}
-
-// ---------------------------------------------------------------
-// GEMM lane family and FP22 group-sum helpers
+// GEMM lane family
 // ---------------------------------------------------------------
 
 // One output cell per lane: lane c of a chunk holds cell c0 + c and
@@ -693,7 +206,7 @@ inline void
 chunkMasks(std::size_t left, __mmask8 (&live)[V])
 {
     for (int v = 0; v < V; ++v)
-        live[v] = tailMask8(left > 8u * v ? left - 8u * v : 0);
+        live[v] = Avx512::tail(left > 8u * v ? left - 8u * v : 0);
 }
 
 /**
@@ -711,6 +224,7 @@ forChunks(std::size_t cols, Chunk chunk)
         chunk(std::integral_constant<int, 1>{}, c0);
 }
 
+// Not std::conditional_t: vector-type template arguments lose attributes.
 template <bool F32>
 struct DotAcc
 {
@@ -774,9 +288,7 @@ dotChunk(const double *a, const double *b, std::size_t ldb,
             else
                 return _mm512_add_pd(x, y);
         };
-        const Acc *l = acc[v];
-        const Acc dot = add(add(add(l[0], l[4]), add(l[2], l[6])),
-                            add(add(l[1], l[5]), add(l[3], l[7])));
+        const Acc dot = lanes::pinnedTree(acc[v], add);
         if constexpr (F32)
             _mm256_mask_storeu_ps(out + 8 * v, live[v], dot);
         else
@@ -805,13 +317,15 @@ dotLanesF32Avx512(const double *a, const double *b, std::size_t ldb,
 }
 
 /**
- * alignedGroupSum + Fp22Register::add per lane. A lane whose group
- * is inside alignedGroupSum's truncSum gate with a normal quantum --
- * biased max exponent in [13, 2005] -- sums exactly, so it adds the
- * truncated terms as integers and scales once; a lane whose new
- * register value is zero or E8M13-normal truncates by clearing the
- * low 39 significand bits. Every other lane reruns the scalar entry
- * for that lane and group only.
+ * alignedGroupSum + Fp22Register::add per lane. On a lane whose group's
+ * biased max exponent is in [13, 2005], the quantum and its reciprocal
+ * are normal powers of two and every truncated term is an integer
+ * below 2^13 in magnitude, so alignedGroupSum's sequential double sum
+ * (of far fewer than 2^40 terms) is exact: it equals the int64 sum of
+ * the terms, scaled once. A lane whose new register value is zero or
+ * E8M13-normal truncates by clearing the low 39 significand bits.
+ * Every other lane reruns the scalar entry for that lane and group
+ * only.
  */
 template <int V>
 void
@@ -829,10 +343,10 @@ fp22FoldChunk(const double *a, const double *b, std::size_t ldb,
     for (int v = 0; v < V; ++v)
         r[v] = _mm512_maskz_loadu_pd(live[v], reg + 8 * v);
     for (std::size_t k0 = 0; k0 < n; k0 += group) {
-        const std::size_t cnt = std::min(group, n - k0);
+        const std::size_t cnt = n - k0 < group ? n - k0 : group;
         const double *ag = a + k0;
         const double *bg = b + k0 * ldb;
-        // Pass 1: the max magnitude bits (absBitsMax) per lane.
+        // Pass 1: the max magnitude bits per lane.
         __m512i mx[V];
 #pragma GCC unroll 2
         for (int v = 0; v < V; ++v)
@@ -928,78 +442,13 @@ fp22FoldLanesAvx512(const double *a, const double *b, std::size_t ldb,
     });
 }
 
-std::uint64_t
-absBitsMaxAvx512(const double *in, std::size_t n)
-{
-    const __m512i vabs_mask = _mm512_set1_epi64((long long)kAbsMask);
-    __m512i vmax = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        vmax = _mm512_max_epu64(
-            vmax, _mm512_and_si512(
-                      _mm512_castpd_si512(_mm512_loadu_pd(in + i)),
-                      vabs_mask));
-    if (i < n) {
-        const __mmask8 t = tailMask8(n - i);
-        // Zero-filled lanes contribute magnitude 0: no effect.
-        vmax = _mm512_max_epu64(
-            vmax,
-            _mm512_and_si512(_mm512_castpd_si512(
-                                 _mm512_maskz_loadu_pd(t, in + i)),
-                             vabs_mask));
-    }
-    return _mm512_reduce_max_epu64(vmax);
-}
-
-double
-truncSumAvx512(const double *in, std::size_t n, double inv_quantum,
-               double quantum)
-{
-    const __m512d vinv = _mm512_set1_pd(inv_quantum);
-    const __m512d vq = _mm512_set1_pd(quantum);
-    __m512d acc = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm512_add_pd(
-            acc, _mm512_mul_pd(
-                     _mm512_roundscale_pd(
-                         _mm512_mul_pd(_mm512_loadu_pd(in + i), vinv),
-                         0x0b), // trunc
-                     vq));
-    if (i < n) {
-        const __mmask8 t = tailMask8(n - i);
-        acc = _mm512_mask_add_pd(
-            acc, t, acc,
-            _mm512_mul_pd(
-                _mm512_roundscale_pd(
-                    _mm512_mul_pd(_mm512_maskz_loadu_pd(t, in + i),
-                                  vinv),
-                    0x0b),
-                vq));
-    }
-    // Exact by the caller's contract, so any reduction order works.
-    return _mm512_reduce_add_pd(acc);
-}
-
-const KernelTable kAvx512Table = [] {
+constexpr KernelTable kAvx512Table = [] {
     KernelTable t;
     t.isa = KernelIsa::AVX512;
-    t.encodeSpan = encodeSpanAvx512;
-    t.quantizeSpan = quantizeSpanAvx512;
-    t.decodeLutSpan = decodeLutSpanAvx512;
-    t.encodeScaledSpan = encodeScaledSpanAvx512;
-    t.absMax = absMaxAvx512;
-    t.scaleSpan = scaleSpanAvx512;
-    t.logAbsStats = logAbsStatsAvx512;
-    t.magTable = magTableAvx512;
-    t.logfmtEncodeLog = logfmtEncodeLogAvx512;
-    t.logfmtEncodeLinear = logfmtEncodeLinearAvx512;
-    t.logfmtDecode = logfmtDecodeAvx512;
+    lanes::fillLaneEntries<Avx512>(t);
     t.dotLanes = dotLanesAvx512;
     t.dotLanesF32 = dotLanesF32Avx512;
     t.fp22FoldLanes = fp22FoldLanesAvx512;
-    t.absBitsMax = absBitsMaxAvx512;
-    t.truncSum = truncSumAvx512;
     return t;
 }();
 

@@ -23,14 +23,6 @@ namespace dsv3::numerics {
 namespace {
 
 void
-encodeSpanScalar(const FormatKernels &k, const double *in,
-                 std::uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = detail::quantizeCore(k, in[i], false).code;
-}
-
-void
 quantizeSpanScalar(const FormatKernels &k, const double *in, double *out,
                    std::size_t n)
 {
@@ -227,32 +219,9 @@ fp22FoldLanesScalar(const double *a, const double *b, std::size_t ldb,
     }
 }
 
-std::uint64_t
-absBitsMaxScalar(const double *in, std::size_t n)
-{
-    std::uint64_t mx = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t mag = std::bit_cast<std::uint64_t>(in[i]) &
-                                  0x7fffffffffffffffull;
-        mx = std::max(mx, mag);
-    }
-    return mx;
-}
-
-double
-truncSumScalar(const double *in, std::size_t n, double inv_quantum,
-               double quantum)
-{
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += std::trunc(in[i] * inv_quantum) * quantum;
-    return sum;
-}
-
-const KernelTable kScalarTable = [] {
+constexpr KernelTable kScalarTable = [] {
     KernelTable t;
     t.isa = KernelIsa::SCALAR;
-    t.encodeSpan = encodeSpanScalar;
     t.quantizeSpan = quantizeSpanScalar;
     t.decodeLutSpan = decodeLutSpanScalar;
     t.encodeScaledSpan = encodeScaledSpanScalar;
@@ -266,8 +235,6 @@ const KernelTable kScalarTable = [] {
     t.dotLanes = dotLanesScalar;
     t.dotLanesF32 = dotLanesF32Scalar;
     t.fp22FoldLanes = fp22FoldLanesScalar;
-    t.absBitsMax = absBitsMaxScalar;
-    t.truncSum = truncSumScalar;
     return t;
 }();
 

@@ -150,14 +150,6 @@ TEST_P(DispatchTest, CodecSpansMatchScalar)
         SCOPED_TRACE(fmt->name);
         for (std::size_t n : kLengths) {
             const std::vector<double> in = fuzzInputs(rng, n);
-            std::vector<std::uint32_t> code_s(n + 1, 0xabababab);
-            std::vector<std::uint32_t> code_v(n + 1, 0xabababab);
-            oracle().encodeSpan(k, in.data(), code_s.data(), n);
-            t->encodeSpan(k, in.data(), code_v.data(), n);
-            for (std::size_t i = 0; i <= n; ++i)
-                ASSERT_EQ(code_v[i], code_s[i]) << "encode n=" << n
-                                                << " i=" << i;
-
             std::vector<double> q_s(n + 1, -7.0), q_v(n + 1, -7.0);
             oracle().quantizeSpan(k, in.data(), q_s.data(), n);
             t->quantizeSpan(k, in.data(), q_v.data(), n);
@@ -240,13 +232,17 @@ TEST_P(DispatchTest, AbsMaxAndScaleSpanMatchScalar)
                       dbits(oracle().absMax(in.data(), n, init)))
                 << "absMax n=" << n << " init=" << init;
         }
+        // [n] is a guard element neither table may write.
         std::vector<double> a = in, b = in;
+        a.push_back(-7.0);
+        b.push_back(-7.0);
         const double s = rng.uniform(-3.0, 3.0);
         oracle().scaleSpan(a.data(), s, n);
         t->scaleSpan(b.data(), s, n);
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i <= n; ++i)
             ASSERT_EQ(dbits(b[i]), dbits(a[i]))
                 << "scaleSpan n=" << n << " i=" << i;
+        ASSERT_EQ(b[n], -7.0) << "scaleSpan wrote past n=" << n;
     }
 }
 
@@ -288,7 +284,11 @@ TEST_P(DispatchTest, LogFamilyMatchesScalar)
                 ASSERT_EQ(dbits(mag_v[j]), dbits(mag_s[j]))
                     << "mag bits=" << bits << " j=" << j;
 
-            std::vector<std::uint32_t> c_s(n, 0), c_v(n, 0);
+            // Codes start zeroed; [n] is a guard neither table may
+            // write.
+            constexpr std::uint32_t kGuard = 0xabababab;
+            std::vector<std::uint32_t> c_s(n + 1, 0), c_v(n + 1, 0);
+            c_s[n] = c_v[n] = kGuard;
             const std::uint64_t b_s = oracle().logfmtEncodeLog(
                 in.data(), logs_s.data(), n, min_s, step, k_max,
                 sign_bit, c_s.data());
@@ -296,12 +296,13 @@ TEST_P(DispatchTest, LogFamilyMatchesScalar)
                 in.data(), logs_s.data(), n, min_s, step, k_max,
                 sign_bit, c_v.data());
             ASSERT_EQ(b_v, b_s) << "bits=" << bits << " n=" << n;
-            for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t i = 0; i <= n; ++i)
                 ASSERT_EQ(c_v[i], c_s[i])
                     << "encodeLog bits=" << bits << " i=" << i;
+            ASSERT_EQ(c_v[n], kGuard) << "encodeLog wrote past n=" << n;
 
-            std::fill(c_s.begin(), c_s.end(), 0u);
-            std::fill(c_v.begin(), c_v.end(), 0u);
+            std::fill(c_s.begin(), c_s.end() - 1, 0u);
+            std::fill(c_v.begin(), c_v.end() - 1, 0u);
             const std::uint64_t lb_s = oracle().logfmtEncodeLinear(
                 in.data(), logs_s.data(), n, min_s, step, k_max,
                 sign_bit, mag_s.data(), c_s.data());
@@ -309,9 +310,11 @@ TEST_P(DispatchTest, LogFamilyMatchesScalar)
                 in.data(), logs_s.data(), n, min_s, step, k_max,
                 sign_bit, mag_s.data(), c_v.data());
             ASSERT_EQ(lb_v, lb_s) << "bits=" << bits << " n=" << n;
-            for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t i = 0; i <= n; ++i)
                 ASSERT_EQ(c_v[i], c_s[i])
                     << "encodeLinear bits=" << bits << " i=" << i;
+            ASSERT_EQ(c_v[n], kGuard)
+                << "encodeLinear wrote past n=" << n;
 
             std::vector<std::uint32_t> codes(n);
             for (auto &c : codes)
@@ -350,7 +353,7 @@ expectLanesEqual(const std::vector<T> &got, const std::vector<T> &want,
 /**
  * fp22FoldLanes of table @p t against scalar over one A row and a
  * row-major B panel with leading dimension @p ldb, from register
- * values @p reg.
+ * values @p reg; a guard register past @p cols must survive.
  */
 void
 expectFp22FoldMatches(const KernelTable &t, const KernelTable &scalar,
@@ -361,12 +364,15 @@ expectFp22FoldMatches(const KernelTable &t, const KernelTable &scalar,
                       const std::string &what)
 {
     std::vector<double> got = reg, want = reg;
+    got.push_back(-7.0);
+    want.push_back(-7.0);
     t.fp22FoldLanes(a.data(), b.data(), ldb, a.size(), group, cols,
                     got.data());
     scalar.fp22FoldLanes(a.data(), b.data(), ldb, a.size(), group, cols,
                          want.data());
     expectLanesEqual(got, want,
                      what + " group=" + std::to_string(group));
+    ASSERT_EQ(got[cols], -7.0) << what << " wrote past cols";
 }
 
 TEST_P(DispatchTest, GemmFamilyMatchesScalar)
@@ -396,17 +402,23 @@ TEST_P(DispatchTest, GemmFamilyMatchesScalar)
                     b[k * ldb + j] = std::ldexp(rng.normal(), e);
             }
 
-            std::vector<double> d_v(cols, -7.0), d_s(cols, -7.0);
+            // [cols] is a guard cell neither table may write.
+            std::vector<double> d_v(cols + 1, -7.0);
+            std::vector<double> d_s(cols + 1, -7.0);
             t->dotLanes(a.data(), b.data(), ldb, n, cols, d_v.data());
             oracle().dotLanes(a.data(), b.data(), ldb, n, cols,
                               d_s.data());
             expectLanesEqual(d_v, d_s, "dotLanes " + what);
+            ASSERT_EQ(d_v[cols], -7.0) << "dotLanes wrote past " << what;
 
-            std::vector<float> f_v(cols, -7.0f), f_s(cols, -7.0f);
+            std::vector<float> f_v(cols + 1, -7.0f);
+            std::vector<float> f_s(cols + 1, -7.0f);
             t->dotLanesF32(a.data(), b.data(), ldb, n, cols, f_v.data());
             oracle().dotLanesF32(a.data(), b.data(), ldb, n, cols,
                                  f_s.data());
             expectLanesEqual(f_v, f_s, "dotLanesF32 " + what);
+            ASSERT_EQ(f_v[cols], -7.0f)
+                << "dotLanesF32 wrote past " << what;
 
             // Registers start at zero (a fresh tile) or at a carried
             // FP22 value (the no-promotion arm).
@@ -420,33 +432,11 @@ TEST_P(DispatchTest, GemmFamilyMatchesScalar)
                                       reg, "fp22FoldLanes " + what);
         }
     }
-
-    // The group-sum helpers alignedGroupSum still calls.
-    for (std::size_t n : kLengths) {
-        const std::vector<double> wild = fuzzInputs(rng, n);
-        ASSERT_EQ(t->absBitsMax(wild.data(), n),
-                  oracle().absBitsMax(wild.data(), n))
-            << "absBitsMax n=" << n;
-
-        // truncSum under its exactness contract: products bounded so
-        // every term is an exact multiple of quantum and the sum has
-        // < 2^53 quanta.
-        const double quantum = 0x1p-10;
-        const double inv_quantum = 0x1p10;
-        std::vector<double> prod(n);
-        for (std::size_t i = 0; i < n; ++i)
-            prod[i] = rng.uniform(-1000.0, 1000.0);
-        ASSERT_EQ(dbits(t->truncSum(prod.data(), n, inv_quantum,
-                                    quantum)),
-                  dbits(oracle().truncSum(prod.data(), n, inv_quantum,
-                                          quantum)))
-            << "truncSum n=" << n;
-    }
 }
 
 /**
  * Every lane the SIMD FP22 fold cannot take on its fast path -- a
- * group outside alignedGroupSum's truncSum gate or with a subnormal
+ * group too large for its exact integer sum or with a subnormal
  * quantum, or a register value that is not zero or E8M13-normal --
  * must run the scalar sequence. Each column below forces one such
  * case next to ordinary lanes; the asserts on the products and on
@@ -458,13 +448,13 @@ TEST_P(DispatchTest, Fp22FoldFallbackLanesMatchScalar)
     Rng rng(0xf22);
     enum Col : std::size_t
     {
-        ZERO,          // all products +0 (absBitsMax == 0)
+        ZERO,          // all products +0 (max magnitude bits 0)
         NEG_ZERO,      // all products -0
         NAN_PROD,      // one NaN product
         INF_PROD,      // one +Inf product
         INF_MINUS_INF, // +Inf and -Inf in one group: the sum is NaN
         SUB_QUANTUM,   // max product < 2^-1010: quantum subnormal
-        OUT_OF_GATE,   // products >= 2^983: past the truncSum gate
+        OUT_OF_GATE,   // products >= 2^983: past the exact-sum range
         SATURATE,      // fast group sums; the register overflows
         BELOW_FP22,    // fast group sums; the register stays < 2^-126
         kCases,
@@ -594,8 +584,8 @@ TEST(Dispatch, ScalarTableAlwaysAvailableAndComplete)
     const KernelTable *s = kernelTable(KernelIsa::SCALAR);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->isa, KernelIsa::SCALAR);
-    EXPECT_NE(s->encodeSpan, nullptr);
-    EXPECT_NE(s->truncSum, nullptr);
+    EXPECT_NE(s->quantizeSpan, nullptr);
+    EXPECT_NE(s->fp22FoldLanes, nullptr);
 }
 
 TEST(Dispatch, ActiveTableIsAvailableAndGapFilled)
@@ -603,13 +593,12 @@ TEST(Dispatch, ActiveTableIsAvailableAndGapFilled)
     const KernelTable &kt = kernels();
     EXPECT_EQ(kt.isa, activeIsa());
     EXPECT_NE(kernelTable(activeIsa()), nullptr);
-    // Gap-filling: every entry of every available table is non-null.
+    // Every available table fills every entry itself.
     for (KernelIsa isa :
          {KernelIsa::SCALAR, KernelIsa::AVX2, KernelIsa::AVX512}) {
         const KernelTable *t = kernelTable(isa);
         if (!t)
             continue;
-        EXPECT_NE(t->encodeSpan, nullptr) << isaName(isa);
         EXPECT_NE(t->quantizeSpan, nullptr) << isaName(isa);
         EXPECT_NE(t->decodeLutSpan, nullptr) << isaName(isa);
         EXPECT_NE(t->encodeScaledSpan, nullptr) << isaName(isa);
@@ -623,8 +612,6 @@ TEST(Dispatch, ActiveTableIsAvailableAndGapFilled)
         EXPECT_NE(t->dotLanes, nullptr) << isaName(isa);
         EXPECT_NE(t->dotLanesF32, nullptr) << isaName(isa);
         EXPECT_NE(t->fp22FoldLanes, nullptr) << isaName(isa);
-        EXPECT_NE(t->absBitsMax, nullptr) << isaName(isa);
-        EXPECT_NE(t->truncSum, nullptr) << isaName(isa);
     }
 }
 
