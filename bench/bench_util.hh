@@ -47,6 +47,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -144,13 +145,23 @@ benchName(const char *argv0)
 }
 
 /**
- * Console reporter that additionally records every per-iteration run
- * as an obs::BenchTiming, so --json reports can embed the timings
- * (the BENCH_*.json perf baselines compare against these).
+ * Display reporter that prints through google-benchmark's default
+ * display reporter, so --benchmark_format and --benchmark_color act as
+ * they do without a custom reporter, and also records every
+ * per-iteration run as an obs::BenchTiming, so --json reports can
+ * embed the timings (the BENCH_*.json perf baselines compare against
+ * these). Construct it after benchmark::Initialize(), which parses
+ * those flags.
  */
-class RecordingReporter : public benchmark::ConsoleReporter
+class RecordingReporter : public benchmark::BenchmarkReporter
 {
   public:
+    bool
+    ReportContext(const Context &context) override
+    {
+        return display_->ReportContext(context);
+    }
+
     void
     ReportRuns(const std::vector<Run> &runs) override
     {
@@ -169,10 +180,20 @@ class RecordingReporter : public benchmark::ConsoleReporter
                 t.itemsPerSecond = it->second.value;
             timings.push_back(std::move(t));
         }
-        ConsoleReporter::ReportRuns(runs);
+        display_->ReportRuns(runs);
+    }
+
+    void
+    Finalize() override
+    {
+        display_->Finalize();
     }
 
     std::vector<obs::BenchTiming> timings;
+
+  private:
+    std::unique_ptr<benchmark::BenchmarkReporter> display_{
+        benchmark::CreateDefaultDisplayReporter()};
 };
 
 } // namespace detail

@@ -4,13 +4,15 @@
 #   cmake -DBENCH=<bench exe> -DREPORT_DIFF=<report_diff exe>
 #         -DBASELINE=<BENCH_*.json> -DOUT=<report.json>
 #         [-DBENCH_ARGS=<extra;args>]
-#         [-DTIMELINE=<timeline.json> [-DTIMELINE_REF=<timeline.json>]]
+#         [-DTIMELINE=<timeline.json> [-DTIMELINE_REF=<timeline.json>]
+#          [-DTIMELINE_SHA256=<hex>]]
 #         -P golden.cmake
 #
 # Fails when the bench exits non-zero or report_diff --ignore-timings
-# finds a differing cell. TIMELINE also writes the run's sim-time
-# timeline; with TIMELINE_REF that timeline must match the reference
-# byte for byte, and is deleted when it does. With DSV3_KERNEL_DISPATCH
+# finds a differing cell or timeseries sample. TIMELINE also writes the
+# run's sim-time timeline; with TIMELINE_REF that timeline must match
+# the reference byte for byte, and is deleted when it does; with
+# TIMELINE_SHA256 its SHA-256 must equal <hex>. With DSV3_KERNEL_DISPATCH
 # set to an ISA in the environment, the report's dispatch stamp must
 # name that ISA as forced; when the host cannot run it the tables are
 # still checked, and the test prints "golden test skipped" (which the
@@ -55,6 +57,14 @@ if(DEFINED ENV{DSV3_KERNEL_DISPATCH})
         message(FATAL_ERROR "${name} ran with DSV3_KERNEL_DISPATCH="
             "$ENV{DSV3_KERNEL_DISPATCH} but its report's dispatch stamp is "
             "isa=${isa} forced=${forced}")
+    endif()
+endif()
+
+if(DEFINED TIMELINE_SHA256)
+    file(SHA256 ${TIMELINE} sha)
+    if(NOT sha STREQUAL TIMELINE_SHA256)
+        message(FATAL_ERROR "${name} timeline ${TIMELINE} has SHA-256 "
+            "${sha}, not the pinned ${TIMELINE_SHA256}")
     endif()
 endif()
 

@@ -309,7 +309,8 @@ struct ReqState
     std::size_t decodeDone = 0;
     std::size_t decodeNeeded = 0;
     double completion = -1.0;
-    bool rejected = false;
+    /** Terminal without completing: REJECTED, SHED or FAILED. */
+    bool dropped = false;
 
     // Time-in-state attribution: the current state, when it was
     // entered, and the accumulated seconds per state. The six
@@ -319,9 +320,7 @@ struct ReqState
     double stateSeconds[kNumRequestStates] = {};
     bool everPreempted = false;
 
-    // Chaos outcomes (all false / 0 on a fault-free run).
-    bool shed = false;            //!< admission control turned it away
-    bool failed = false;          //!< retry budget exhausted
+    // Chaos state (all false / 0 on a fault-free run).
     bool everFailedOver = false;  //!< lost an engine at least once
     bool outstanding = false;     //!< counted toward the shed cap
     std::size_t attempts = 0;     //!< failovers consumed so far
@@ -334,6 +333,42 @@ hash01(std::uint64_t key)
 {
     return (double)(hashU64(key) >> 11) * 0x1.0p-53;
 }
+
+/** A finished decode step [start, end) and its compute/comm shares,
+ *  computed as seg * frac and seg - seg * frac so the two sum to the
+ *  step exactly. */
+struct StepSpan
+{
+    double start;
+    double end;
+    double comp;
+    double comm;
+};
+
+/** Credit a finished step to @p st: its current state up to the step
+ *  start, then the compute and comm shares; it leaves STALLED at the
+ *  step end. */
+void
+creditStep(ReqState &st, const StepSpan &span)
+{
+    st.stateSeconds[(int)st.state] += span.start - st.stateSince;
+    st.stateSeconds[(int)RequestState::DECODE_COMPUTE] += span.comp;
+    st.stateSeconds[(int)RequestState::DECODE_COMM] += span.comm;
+    st.state = RequestState::STALLED;
+    st.stateSince = span.end;
+}
+
+/** Timeline flow arrows a request can have pending, one of each. */
+enum FlowKind : std::size_t
+{
+    PREEMPT_FLOW,
+    HANDOFF_FLOW,
+    RETRY_FLOW,
+    kFlowKinds,
+};
+
+constexpr const char *kFlowNames[kFlowKinds] = {
+    "preempt.recompute", "kv.handoff", "failover.recompute"};
 
 /**
  * Reject malformed configs up front with a clear message instead of
@@ -484,20 +519,17 @@ class Simulation
 
         liveNow_ = engines_.size();
         minLive_ = engines_.size();
-        if (chaosEnabled_) {
-            const auto &evs = fleet.chaos.schedule.events();
-            for (std::size_t i = 0; i < evs.size(); ++i)
-                push(evs[i].time, EventKind::CHAOS, i);
-        }
+        const auto &evs = fleet.chaos.schedule.events();
+        for (std::size_t i = 0; i < evs.size(); ++i)
+            push(evs[i].time, EventKind::CHAOS, i);
 
         windowTokens_.reserve(1024);
         if (timeline_) {
             // Per-request flow bookkeeping exists only when a timeline
             // consumer does; the hot loop never touches it otherwise.
             trackNamed_.assign(reqs_.size(), false);
-            pendingPreemptFlow_.assign(reqs_.size(), 0);
-            pendingHandoffFlow_.assign(reqs_.size(), 0);
-            pendingRetryFlow_.assign(reqs_.size(), 0);
+            for (std::vector<std::uint64_t> &flows : pendingFlow_)
+                flows.assign(reqs_.size(), 0);
             timeline_->setProcessName(kFleetPid, "fleet");
             timeline_->setThreadName(kFleetPid, 0, "prefill pool");
             for (std::size_t e = 0; e < engines_.size(); ++e) {
@@ -513,16 +545,14 @@ class Simulation
     ServingMetrics
     run()
     {
-        while (true) {
-            // Once every request is terminal the heap holds only
-            // chaos machinery (fault replay, probes, recoveries);
-            // draining a multi-hour fault schedule after the last
-            // request would pad deaths/downtime far past the span the
-            // availability integral measures.
-            if (chaosEnabled_ &&
-                completed_ + rejected_ + sheds_ + failed_ ==
-                    reqs_.size())
-                break;
+        // Once every request is terminal only chaos machinery (fault
+        // replay, probes, recoveries) or same-instant kicks of idle
+        // engines can remain; draining a multi-hour fault schedule
+        // after the last request would pad deaths/downtime far past
+        // the span the availability integral measures. The count
+        // lives in a local: re-read per event it slowed batch-1 runs.
+        const std::size_t requests = reqs_.size();
+        while (completed_ + rejected_ + sheds_ + failed_ < requests) {
             // Next event: minimum (time, order) over the parked
             // per-engine slots (the top of slotIndex_) and the heap
             // top. Slots and heap entries are stamped from one order_
@@ -530,7 +560,7 @@ class Simulation
             // single-queue pop order bit-for-bit — including voided
             // slots, which pop as the same time-advancing no-ops the
             // seed loop popped.
-            const std::size_t best_eng = slotIndex_.top();
+            const std::size_t eng = slotIndex_.top();
 #ifndef NDEBUG
             std::size_t scan = kNone;
             for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -539,30 +569,21 @@ class Simulation
                      slotIndex_.key(i) < slotIndex_.key(scan)))
                     scan = i;
             }
-            DSV3_ASSERT(scan == best_eng,
+            DSV3_ASSERT(scan == eng,
                         "slot index disagrees with a scan of the slots");
 #endif
-            if (best_eng != kNone &&
-                (events_.empty() ||
-                 slotIndex_.key(best_eng) < events_.top().key)) {
-                const double now = slotIndex_.key(best_eng).time;
-                slotIndex_.clear(best_eng);
-                const std::uint64_t tag = slots_[best_eng].tag;
-                const EventKind kind = (EventKind)slots_[best_eng].kind;
-                sampleRecorderUpTo(now);
-                if (kind == EventKind::ENGINE_KICK) {
-                    engines_[best_eng].kickPending = false;
-                    tryStartWork(best_eng, now);
-                } else if (!(chaosEnabled_ &&
-                             tag != engines_[best_eng].epoch)) {
-                    onEngineDone(best_eng, now, tag);
-                }
-                continue;
-            }
-            if (events_.empty())
+            Event ev;
+            if (eng != kNone && (events_.empty() ||
+                                 slotIndex_.key(eng) < events_.top().key)) {
+                ev = Event{slotIndex_.key(eng), (std::uint32_t)eng,
+                           slots_[eng].kind, slots_[eng].tag};
+                slotIndex_.clear(eng);
+            } else if (!events_.empty()) {
+                ev = events_.top();
+                events_.pop();
+            } else {
                 break;
-            const Event ev = events_.top();
-            events_.pop();
+            }
             const double now = ev.key.time;
             sampleRecorderUpTo(now);
             switch ((EventKind)ev.kind) {
@@ -576,13 +597,10 @@ class Simulation
                 onHandoffDone(ev.id, now);
                 break;
               case EventKind::ENGINE_DONE:
-                // Slot-overflow spill (slotPush() fell back while a
-                // voided entry held the slot). Void stale work at
-                // pop: a death bumped the epoch, so the completion
-                // this event announces never happened.
-                if (chaosEnabled_ && ev.tag != engines_[ev.id].epoch)
-                    break;
-                onEngineDone(ev.id, now, ev.tag);
+                // A death bumped the epoch: the work this announces
+                // never finished.
+                if (ev.tag == engines_[ev.id].epoch)
+                    onEngineDone(ev.id, now);
                 break;
               case EventKind::ENGINE_KICK:
                 engines_[ev.id].kickPending = false;
@@ -598,9 +616,8 @@ class Simulation
                 onRetryDispatch(ev.id, now);
                 break;
               case EventKind::RECOVERY_DONE:
-                if (chaosEnabled_ && ev.tag != engines_[ev.id].epoch)
-                    break;
-                onRecoveryDone(ev.id, now, ev.tag);
+                if (ev.tag == engines_[ev.id].epoch)
+                    onRecoveryDone(ev.id, now);
                 break;
             }
         }
@@ -660,7 +677,7 @@ class Simulation
         if (slotIndex_.active(eng)) {
             DSV3_DEBUG_ASSERT(
                 (EventKind)s.kind == EventKind::ENGINE_DONE &&
-                    chaosEnabled_ && s.tag != engines_[eng].epoch,
+                    s.tag != engines_[eng].epoch,
                 "engine event slot occupied by a live event");
             push(time, kind, eng, tag);
             return;
@@ -815,6 +832,44 @@ class Simulation
                                  "req " + std::to_string(id));
     }
 
+    /** Instant marker @p name on @p id's track (sampled requests
+     *  only); @p arg, when given, is a JSON member prefix such as
+     *  "\"engine\":" that @p value completes. */
+    void
+    markRequest(std::size_t id, const char *name, double t,
+                const char *arg = nullptr, std::size_t value = 0)
+    {
+        if (!reqSampled(id))
+            return;
+        nameRequestTrack(id);
+        timeline_->instant(kRequestPid, (std::uint32_t)id, name, t,
+                           arg ? arg + std::to_string(value)
+                               : std::string());
+    }
+
+    /** Start @p id's @p kind flow arrow (sampled requests only). */
+    void
+    startFlow(FlowKind kind, std::size_t id, double t)
+    {
+        if (!reqSampled(id))
+            return;
+        pendingFlow_[kind][id] = ++flowSeq_;
+        timeline_->flowStart(kRequestPid, (std::uint32_t)id,
+                             kFlowNames[kind], flowSeq_, t);
+    }
+
+    /** Land @p id's pending @p kind flow arrow, if one was started. */
+    void
+    finishFlow(FlowKind kind, std::size_t id, double t)
+    {
+        if (!timeline_ || pendingFlow_[kind][id] == 0)
+            return;
+        timeline_->flowFinish(kRequestPid, (std::uint32_t)id,
+                              kFlowNames[kind], pendingFlow_[kind][id],
+                              t);
+        pendingFlow_[kind][id] = 0;
+    }
+
     /** Credit [from, to) to @p state (and emit its timeline slice). */
     void
     accrue(std::size_t id, RequestState state, double from, double to)
@@ -883,55 +938,46 @@ class Simulation
     {
         const fault::FaultEvent &ev =
             fleet_.chaos.schedule.events()[idx];
+        // Rank r is engine r, and link r's source endpoint is too.
+        std::size_t eng;
         switch (ev.kind) {
           case fault::FaultKind::RANK_DOWN:
-          case fault::FaultKind::RANK_UP: {
-            if (ev.rank >= engines_.size()) {
-                DSV3_WARN_ONCE("serving chaos: rank ", ev.rank,
-                               " outside the fleet; ignoring");
-                return;
-            }
-            engines_[ev.rank].actualUp =
-                ev.kind == fault::FaultKind::RANK_UP;
-            updateReachable(ev.rank, t);
-            return;
-          }
+          case fault::FaultKind::RANK_UP:
+            eng = ev.rank;
+            break;
           case fault::FaultKind::LINK_DOWN:
-          case fault::FaultKind::LINK_UP: {
-            const std::size_t eng = ev.nodeA;
-            if (eng >= engines_.size()) {
-                DSV3_WARN_ONCE("serving chaos: link ", ev.nodeA,
-                               "->", ev.nodeB,
-                               " outside the fleet; ignoring");
-                return;
-            }
-            engines_[eng].linkDown =
-                ev.kind == fault::FaultKind::LINK_DOWN;
-            updateReachable(eng, t);
-            return;
-          }
-          case fault::FaultKind::LINK_DEGRADED: {
-            const std::size_t eng = ev.nodeA;
-            if (eng >= engines_.size()) {
-                DSV3_WARN_ONCE("serving chaos: link ", ev.nodeA,
-                               "->", ev.nodeB,
-                               " outside the fleet; ignoring");
-                return;
-            }
-            engines_[eng].linkFactor = ev.factor;
-            chaosInstant(eng,
-                         ev.factor < 1.0 ? "fault.link_degraded"
-                                         : "fault.link_repaired",
-                         t);
-            ensureProbe(t);
-            return;
-          }
+          case fault::FaultKind::LINK_UP:
+          case fault::FaultKind::LINK_DEGRADED:
+            eng = ev.nodeA;
+            break;
           default:
             DSV3_WARN_ONCE("serving chaos ignores fabric-level "
                            "fault kind ",
                            fault::faultKindName(ev.kind));
             return;
         }
+        if (eng >= engines_.size()) {
+            DSV3_WARN_ONCE("serving chaos: ",
+                           fault::faultKindName(ev.kind), " on engine ",
+                           eng, " outside the fleet; ignoring");
+            return;
+        }
+        Engine &e = engines_[eng];
+        if (ev.kind == fault::FaultKind::LINK_DEGRADED) {
+            e.linkFactor = ev.factor;
+            chaosInstant(eng,
+                         ev.factor < 1.0 ? "fault.link_degraded"
+                                         : "fault.link_repaired",
+                         t);
+            ensureProbe(t);
+            return;
+        }
+        if (ev.kind == fault::FaultKind::RANK_DOWN ||
+            ev.kind == fault::FaultKind::RANK_UP)
+            e.actualUp = ev.kind == fault::FaultKind::RANK_UP;
+        else
+            e.linkDown = ev.kind == fault::FaultKind::LINK_DOWN;
+        updateReachable(eng, t);
     }
 
     /** Recompute reachability after a rank/link transition; on loss,
@@ -974,6 +1020,20 @@ class Simulation
         push((std::floor(t / p) + 1.0) * p, EventKind::PROBE, 0);
     }
 
+    /** A probe at @p t observes @p eng in @p health. */
+    void
+    observe(std::size_t eng, EngineHealth health, double t)
+    {
+        engines_[eng].observed = health;
+        reindex(eng);
+        if (timeline_) {
+            timeline_->instant(kFleetPid, (std::uint32_t)(1 + eng),
+                               std::string("health.") +
+                                   engineHealthName(health),
+                               t);
+        }
+    }
+
     /** Reconcile observed health with actual component state. */
     void
     onProbe(double t)
@@ -983,17 +1043,13 @@ class Simulation
             Engine &e = engines_[eng];
             if (!e.reachable) {
                 if (e.observed != EngineHealth::DEAD) {
-                    e.observed = EngineHealth::DEAD;
-                    reindex(eng);
-                    chaosInstant(eng, "health.dead", t);
+                    observe(eng, EngineHealth::DEAD, t);
                     failoverEngine(eng, t);
                 }
                 continue;
             }
             if (e.observed == EngineHealth::DEAD) {
-                e.observed = EngineHealth::RECOVERING;
-                reindex(eng);
-                chaosInstant(eng, "health.recovering", t);
+                observe(eng, EngineHealth::RECOVERING, t);
                 push(t + fleet_.chaos.recoverySeconds,
                      EventKind::RECOVERY_DONE, eng, e.epoch);
                 continue;
@@ -1001,20 +1057,13 @@ class Simulation
             if (e.observed == EngineHealth::RECOVERING)
                 continue; // RECOVERY_DONE finishes the warmup
             const EngineHealth want = healthFromFactor(e.linkFactor);
-            if (want != e.observed) {
-                const bool was_admitting = admitting(e);
-                e.observed = want;
-                reindex(eng);
-                chaosInstant(eng, want == EngineHealth::HEALTHY
-                                      ? "health.healthy"
-                                      : want == EngineHealth::DEGRADED
-                                            ? "health.degraded"
-                                            : "health.draining",
-                             t);
-                if (!was_admitting && admitting(e)) {
-                    drainWaiting(t);
-                    kick(eng, t);
-                }
+            if (want == e.observed)
+                continue;
+            const bool was_admitting = admitting(e);
+            observe(eng, want, t);
+            if (!was_admitting && admitting(e)) {
+                drainWaiting(t);
+                kick(eng, t);
             }
         }
     }
@@ -1030,20 +1079,16 @@ class Simulation
     }
 
     void
-    onRecoveryDone(std::size_t eng, double t, std::uint64_t tag)
+    onRecoveryDone(std::size_t eng, double t)
     {
         Engine &e = engines_[eng];
-        // Dying again during warmup bumps the epoch, and probes leave
-        // RECOVERING engines alone, so a current-epoch event implies
-        // the warmup it announced is still the live one.
-        DSV3_DEBUG_ASSERT(
-            tag != e.epoch ||
-                (e.reachable &&
-                 e.observed == EngineHealth::RECOVERING),
-            "voided RECOVERY_DONE dispatched");
-        if (tag != e.epoch || !e.reachable ||
-            e.observed != EngineHealth::RECOVERING)
-            return; // died again during warmup
+        // Dying again during warmup bumps the epoch (filtered at pop),
+        // and probes leave RECOVERING engines alone, so a
+        // current-epoch event finds the warmup it announced still
+        // live.
+        DSV3_DEBUG_ASSERT(e.reachable &&
+                              e.observed == EngineHealth::RECOVERING,
+                          "voided RECOVERY_DONE dispatched");
         e.observed = healthFromFactor(e.linkFactor);
         reindex(eng);
         chaosInstant(eng, "health.recovered", t);
@@ -1080,13 +1125,7 @@ class Simulation
         reindex(eng);
         for (std::size_t id : lost) {
             ++failovers_;
-            if (reqSampled(id)) {
-                nameRequestTrack(id);
-                timeline_->instant(kRequestPid, (std::uint32_t)id,
-                                   "failover", t,
-                                   "\"engine\":" +
-                                       std::to_string(eng));
-            }
+            markRequest(id, "failover", t, "\"engine\":", eng);
             scheduleRetry(id, t);
         }
     }
@@ -1116,16 +1155,8 @@ class Simulation
         backoff *= 1.0 - chaos.backoffJitter +
                    2.0 * chaos.backoffJitter * u;
         setState(id, RequestState::RETRY_BACKOFF, t);
-        if (reqSampled(id)) {
-            timeline_->instant(kRequestPid, (std::uint32_t)id,
-                               "retry", t,
-                               "\"attempt\":" +
-                                   std::to_string(st.attempts));
-            pendingRetryFlow_[id] = ++flowSeq_;
-            timeline_->flowStart(kRequestPid, (std::uint32_t)id,
-                                 "failover.recompute",
-                                 pendingRetryFlow_[id], t);
-        }
+        markRequest(id, "retry", t, "\"attempt\":", st.attempts);
+        startFlow(RETRY_FLOW, id, t);
         push(t + backoff, EventKind::RETRY_DISPATCH, id);
     }
 
@@ -1137,17 +1168,14 @@ class Simulation
         ReqState &st = reqs_[id];
         accrue(id, st.state, st.stateSince, t);
         st.stateSince = t;
-        st.failed = true;
+        st.dropped = true;
         ++failed_;
         dropOutstanding(st);
         DSV3_WARN_ONCE("serving: retry budget (",
                        fleet_.chaos.retryBudget,
                        ") exhausted; failing request (excluded from "
                        "latency percentiles)");
-        if (reqSampled(id)) {
-            timeline_->instant(kRequestPid, (std::uint32_t)id,
-                               "retry.exhausted", t);
-        }
+        markRequest(id, "retry.exhausted", t);
         releaseNextClosedLoop(t);
     }
 
@@ -1156,23 +1184,8 @@ class Simulation
     void
     onRetryDispatch(std::size_t id, double t)
     {
-        ReqState &st = reqs_[id];
         setState(id, RequestState::FAILOVER, t);
-        const std::size_t tokens =
-            st.req.promptTokens + st.decodeDone;
-        if (fleet_.deployment == Deployment::DISAGGREGATED) {
-            prefillQ_.push_back(PrefillJob{id, tokens});
-            startPrefills(t);
-            return;
-        }
-        const std::size_t eng = chooseEngine();
-        if (eng == kNone) {
-            waitingPrefill_.push_back(PrefillJob{id, tokens});
-            return;
-        }
-        engines_[eng].prefillQ.push_back(PrefillJob{id, tokens});
-        reindex(eng);
-        kick(eng, t);
+        enqueuePrefill(id, t);
     }
 
     /** An engine re-entered rotation: place everything parked while
@@ -1188,15 +1201,10 @@ class Simulation
             waitingReady_.pop_front();
             sequenceReady(id, eng, t);
         }
-        while (!waitingPrefill_.empty()) {
-            const std::size_t eng = chooseEngine();
-            if (eng == kNone)
-                return;
-            PrefillJob job = waitingPrefill_.front();
+        while (!waitingPrefill_.empty() && chooseEngine() != kNone) {
+            const std::size_t id = waitingPrefill_.front();
             waitingPrefill_.pop_front();
-            engines_[eng].prefillQ.push_back(job);
-            reindex(eng);
-            kick(eng, t);
+            enqueuePrefill(id, t);
         }
     }
 
@@ -1206,14 +1214,9 @@ class Simulation
     void
     shedRequest(std::size_t id, double t)
     {
-        ReqState &st = reqs_[id];
-        st.shed = true;
+        reqs_[id].dropped = true;
         ++sheds_;
-        if (reqSampled(id)) {
-            nameRequestTrack(id);
-            timeline_->instant(kRequestPid, (std::uint32_t)id,
-                               "shed", t);
-        }
+        markRequest(id, "shed", t);
         releaseNextClosedLoop(t);
     }
 
@@ -1282,21 +1285,30 @@ class Simulation
         }
         ++outstanding_;
         st.outstanding = true;
-        const std::size_t tokens =
-            st.req.promptTokens + st.decodeDone;
+        enqueuePrefill(id, t);
+    }
+
+    /** Queue a prefill of @p id's prompt plus the tokens it decoded so
+     *  far: on the disaggregated pool, or as chunks on the
+     *  least-loaded admitting engine (parked while none admits). */
+    void
+    enqueuePrefill(std::size_t id, double t)
+    {
+        const ReqState &st = reqs_[id];
+        const PrefillJob job{id, st.req.promptTokens + st.decodeDone};
         if (fleet_.deployment == Deployment::DISAGGREGATED) {
-            prefillQ_.push_back(PrefillJob{id, tokens});
+            prefillQ_.push_back(job);
             startPrefills(t);
-        } else {
-            const std::size_t eng = chooseEngine();
-            if (eng == kNone) { // whole fleet down/draining
-                waitingPrefill_.push_back(PrefillJob{id, tokens});
-                return;
-            }
-            engines_[eng].prefillQ.push_back(PrefillJob{id, tokens});
-            reindex(eng);
-            kick(eng, t);
+            return;
         }
+        const std::size_t eng = chooseEngine();
+        if (eng == kNone) { // whole fleet down/draining
+            waitingPrefill_.push_back(id);
+            return;
+        }
+        engines_[eng].prefillQ.push_back(job);
+        reindex(eng);
+        kick(eng, t);
     }
 
     void
@@ -1323,20 +1335,8 @@ class Simulation
     prefillStarted(std::size_t id, double t)
     {
         setState(id, RequestState::PREFILL, t);
-        if (!timeline_)
-            return; // the flow vectors exist only with a timeline
-        if (pendingPreemptFlow_[id] != 0 && reqSampled(id)) {
-            timeline_->flowFinish(kRequestPid, (std::uint32_t)id,
-                                  "preempt.recompute",
-                                  pendingPreemptFlow_[id], t);
-        }
-        pendingPreemptFlow_[id] = 0;
-        if (pendingRetryFlow_[id] != 0 && reqSampled(id)) {
-            timeline_->flowFinish(kRequestPid, (std::uint32_t)id,
-                                  "failover.recompute",
-                                  pendingRetryFlow_[id], t);
-        }
-        pendingRetryFlow_[id] = 0;
+        finishFlow(PREEMPT_FLOW, id, t);
+        finishFlow(RETRY_FLOW, id, t);
     }
 
     void
@@ -1348,11 +1348,8 @@ class Simulation
         if (reqSampled(id)) {
             timeline_->asyncEnd(kFleetPid, 0, "prefill", "prefill",
                                 id, t);
-            pendingHandoffFlow_[id] = ++flowSeq_;
-            timeline_->flowStart(kRequestPid, (std::uint32_t)id,
-                                 "kv.handoff",
-                                 pendingHandoffFlow_[id], t);
         }
+        startFlow(HANDOFF_FLOW, id, t);
         startPrefills(t);
         push(t + fleet_.kvHandoffSeconds, EventKind::HANDOFF_DONE,
              id);
@@ -1379,14 +1376,7 @@ class Simulation
         ReqState &st = reqs_[id];
         if (st.firstTokenTime < 0.0)
             st.firstTokenTime = t;
-        if (timeline_) {
-            if (pendingHandoffFlow_[id] != 0 && reqSampled(id)) {
-                timeline_->flowFinish(kRequestPid, (std::uint32_t)id,
-                                      "kv.handoff",
-                                      pendingHandoffFlow_[id], t);
-            }
-            pendingHandoffFlow_[id] = 0;
-        }
+        finishFlow(HANDOFF_FLOW, id, t);
         if (st.decodeDone >= st.decodeNeeded) {
             complete(id, t);
             return;
@@ -1421,14 +1411,16 @@ class Simulation
         }
     }
 
-    void
+    /** Out of line on purpose: inlined at its one call site, run()'s
+     *  ENGINE_KICK case, its admission and step set-up crowd the
+     *  event loop, and long-generation runs (the chaos bench's
+     *  degraded-SLO fleet) measured about 8% slower. */
+    [[gnu::noinline]] void
     tryStartWork(std::size_t eng, double t)
     {
         Engine &e = engines_[eng];
-        if (e.work != EngineWork::IDLE)
-            return;
-        if (chaosEnabled_ && !operational(e))
-            return; // dead or warming up; re-kicked on recovery
+        if (e.work != EngineWork::IDLE || !operational(e))
+            return; // busy, dead or warming up (re-kicked on recovery)
         admit(eng, t);
         const bool prefer_prefill =
             !e.prefillQ.empty() &&
@@ -1507,8 +1499,7 @@ class Simulation
         // and pays the DeepEP timeout/retry lottery per step; the
         // penalty is pure comm stall, added before the MTP overhead
         // multiplier so the comm fraction stays exact.
-        const double scale =
-            chaosEnabled_ ? std::min(e.linkFactor, 1.0) : 1.0;
+        const double scale = std::min(e.linkFactor, 1.0);
         DecodeStepBreakdown bd = stepCost(
             e.resident.size(),
             (double)ctx_sum / (double)e.resident.size(), scale);
@@ -1534,19 +1525,14 @@ class Simulation
     }
 
     void
-    onEngineDone(std::size_t eng, double t, std::uint64_t tag)
+    onEngineDone(std::size_t eng, double t)
     {
         Engine &e = engines_[eng];
         // Stale epochs are filtered at pop; a death bumps the epoch
         // and idles the engine atomically, so a current-epoch event
         // always finds the work it announced still in flight.
-        DSV3_DEBUG_ASSERT(!chaosEnabled_ ||
-                              (tag == e.epoch &&
-                               e.work != EngineWork::IDLE),
+        DSV3_DEBUG_ASSERT(e.work != EngineWork::IDLE,
                           "voided ENGINE_DONE dispatched");
-        if (chaosEnabled_ &&
-            (tag != e.epoch || e.work == EngineWork::IDLE))
-            return; // the engine died mid-step; the work is void
         const EngineWork done = e.work;
         e.work = EngineWork::IDLE;
         if (done == EngineWork::PREFILL_CHUNK)
@@ -1585,227 +1571,167 @@ class Simulation
     }
 
     /**
-     * Credit the just-finished step [workStart, t) to every resident
-     * sequence, split into compute and comm via the step's comm
-     * fraction. The two shares are computed as seg * frac and
-     * seg - seg * frac, so per sequence they sum to the step segment
-     * exactly and the state-sum == latency identity holds to rounding.
+     * Commit the decode step [workStart, t) that just finished on
+     * @p eng. The commit loop is compiled once per (MTP, paged) pair,
+     * so the common step -- one token per resident on an unlimited
+     * pager -- runs with no draw, no KV growth and no per-resident
+     * flag test. A timeline's slices come from a pre-pass over the
+     * residents before any token is committed.
      */
-    void
-    attributeStep(std::size_t eng, double t)
-    {
-        Engine &e = engines_[eng];
-        const double seg = t - e.workStart;
-        const double comm_sec = seg * e.stepCommFrac;
-        const double comp_sec = seg - comm_sec;
-        for (std::size_t id : e.resident) {
-            ReqState &st = reqs_[id];
-            accrue(id, st.state, st.stateSince, e.workStart);
-            st.stateSeconds[(int)RequestState::DECODE_COMPUTE] +=
-                comp_sec;
-            st.stateSeconds[(int)RequestState::DECODE_COMM] +=
-                comm_sec;
-            if (reqSampled(id)) {
-                nameRequestTrack(id);
-                if (comp_sec > 0.0) {
-                    timeline_->duration(
-                        kRequestPid, (std::uint32_t)id,
-                        "decode.compute", e.workStart,
-                        e.workStart + comp_sec);
-                }
-                if (comm_sec > 0.0) {
-                    timeline_->duration(kRequestPid, (std::uint32_t)id,
-                                        "decode.comm",
-                                        e.workStart + comp_sec, t);
-                }
-            }
-            st.state = RequestState::STALLED;
-            st.stateSince = t;
-        }
-        if (timeline_) {
-            timeline_->duration(
-                kFleetPid, (std::uint32_t)(1 + eng), "decode.step",
-                e.workStart, t,
-                "\"batch\":" + std::to_string(e.resident.size()));
-        }
-    }
-
     void
     commitStep(std::size_t eng, double t)
     {
-        Engine &e = engines_[eng];
+        const Engine &e = engines_[eng];
         ++steps_;
-
-        // Fast path: with no timeline consumer and an unlimited pager
-        // (no preemption possible), attribution and commit fuse into
-        // one pass over the resident set — each scattered ReqState
-        // cache line is touched once per step instead of twice. Every
-        // per-request double addition happens in the seed's order, so
-        // the metrics stay bit-identical; the paths diverge only in
-        // which loop performs them.
-        if (!timeline_ && e.pager.unlimited()) {
-            const double seg = t - e.workStart;
-            const double comm_sec = seg * e.stepCommFrac;
-            const double comp_sec = seg - comm_sec;
-            double *win = goodputWindow(t);
-            const bool mtp = fleet_.mtpEnabled;
-            // Token totals accumulate locally and commit once after
-            // the loop: every addend is an exact integer-valued
-            // double far below 2^53, so the regrouped sums equal the
-            // seed's per-request additions bit-for-bit.
-            std::size_t step_tokens = 0;
-            std::size_t w = 0;
-            if (!mtp) {
-                // Single-token specialization: with MTP off every
-                // resident advances exactly one token (residency
-                // implies decodeDone < decodeNeeded, so the clamp is
-                // dead), dropping the draft-sampling branch and min()
-                // from the simulator's hottest loop. ctxSum commits
-                // batch between completions in exact integer
-                // arithmetic; the flush before complete() keeps any
-                // reader inside the completion path (engine load for
-                // closed-loop routing) seeing the incremental value.
-                std::size_t ctx_flushed = 0;
-                for (std::size_t i = 0; i < e.resident.size(); ++i) {
-                    const std::size_t id = e.resident[i];
-                    ReqState &st = reqs_[id];
-                    st.stateSeconds[(int)st.state] +=
-                        e.workStart - st.stateSince;
-                    st.stateSeconds
-                        [(int)RequestState::DECODE_COMPUTE] +=
-                        comp_sec;
-                    st.stateSeconds[(int)RequestState::DECODE_COMM] +=
-                        comm_sec;
-                    st.state = RequestState::STALLED;
-                    st.stateSince = t;
-                    DSV3_DEBUG_ASSERT(st.decodeDone < st.decodeNeeded);
-                    st.decodeDone += 1;
-                    ++step_tokens;
-                    if (st.decodeDone >= st.decodeNeeded) {
-                        e.ctxSum += step_tokens - ctx_flushed;
-                        ctx_flushed = step_tokens;
-                        e.ctxSum -= ctxTokens(st);
-                        complete(id, t);
-                    } else {
-                        e.resident[w++] = id;
-                    }
-                }
-                e.ctxSum += step_tokens - ctx_flushed;
-            } else {
-                for (std::size_t i = 0; i < e.resident.size(); ++i) {
-                    const std::size_t id = e.resident[i];
-                    ReqState &st = reqs_[id];
-                    st.stateSeconds[(int)st.state] +=
-                        e.workStart - st.stateSince;
-                    st.stateSeconds
-                        [(int)RequestState::DECODE_COMPUTE] +=
-                        comp_sec;
-                    st.stateSeconds[(int)RequestState::DECODE_COMM] +=
-                        comm_sec;
-                    st.state = RequestState::STALLED;
-                    st.stateSince = t;
-                    std::size_t tokens = 1;
-                    for (std::size_t d = 0;
-                         d < fleet_.mtp.draftTokens; ++d) {
-                        if (!rng_.bernoulli(fleet_.mtp.acceptanceRate))
-                            break;
-                        ++tokens;
-                    }
-                    tokens = std::min(tokens,
-                                      st.decodeNeeded - st.decodeDone);
-                    DSV3_ASSERT(tokens >= 1);
-                    st.decodeDone += tokens;
-                    e.ctxSum += tokens;
-                    step_tokens += tokens;
-                    if (st.decodeDone >= st.decodeNeeded) {
-                        e.ctxSum -= ctxTokens(st);
-                        complete(id, t);
-                    } else {
-                        e.resident[w++] = id;
-                    }
-                }
-            }
-            e.resident.truncate(w);
-            reindex(eng);
-            decodeTokens_ += step_tokens;
-            if (win)
-                *win += (double)step_tokens;
-            return;
+        const double seg = t - e.workStart;
+        const double comm = seg * e.stepCommFrac;
+        const StepSpan span{e.workStart, t, seg - comm, comm};
+        if (timeline_)
+            emitStepSlices(eng, span);
+        const bool paged = !e.pager.unlimited();
+        if (fleet_.mtpEnabled) {
+            if (paged)
+                commitResidents<true, true>(eng, span);
+            else
+                commitResidents<true, false>(eng, span);
+        } else if (paged) {
+            commitResidents<false, true>(eng, span);
+        } else {
+            commitResidents<false, false>(eng, span);
         }
+    }
 
-        attributeStep(eng, t);
-        // gone_ is member scratch and compaction is in place: this
-        // runs once per decode step, and the seed's per-step
-        // survivors/gone allocations dominated the event-loop profile.
-        gone_.assign(e.resident.size(), 0);
-        double *win = goodputWindow(t);
-
-        for (std::size_t i = 0; i < e.resident.size(); ++i) {
-            if (gone_[i])
+    /** Timeline slices of a finished step: per sampled resident, its
+     *  current state up to the step start (when non-empty), then its
+     *  compute and comm shares; then the engine's decode.step. */
+    void
+    emitStepSlices(std::size_t eng, const StepSpan &span)
+    {
+        const Engine &e = engines_[eng];
+        for (std::size_t id : e.resident) {
+            if (!reqSampled(id))
                 continue;
+            const ReqState &st = reqs_[id];
+            const std::uint32_t tid = (std::uint32_t)id;
+            nameRequestTrack(id);
+            if (span.start > st.stateSince) {
+                timeline_->duration(kRequestPid, tid,
+                                    requestStateName(st.state),
+                                    st.stateSince, span.start);
+            }
+            if (span.comp > 0.0) {
+                timeline_->duration(kRequestPid, tid, "decode.compute",
+                                    span.start, span.start + span.comp);
+            }
+            if (span.comm > 0.0) {
+                timeline_->duration(kRequestPid, tid, "decode.comm",
+                                    span.start + span.comp, span.end);
+            }
+        }
+        timeline_->duration(
+            kFleetPid, (std::uint32_t)(1 + eng), "decode.step",
+            span.start, span.end,
+            "\"batch\":" + std::to_string(e.resident.size()));
+    }
+
+    /**
+     * Credit the step to every resident, oldest first, advance it one
+     * token (an MTP draw with kMtp) and complete it or keep it,
+     * compacting the survivors in place. With kPaged each grows its
+     * KV first; a preemption victim is always the youngest resident
+     * not yet processed, so the victims are exactly the tail
+     * [i + 1, end) that growOrPreempt() cuts off. The resident count
+     * stays put until the truncate, so routing inside complete() and
+     * preempt() sees the pre-step load(). Token sums are exact
+     * integers, and nothing reads ctxSum before the next startStep()
+     * (load() does not), so they are added once per step.
+     */
+    template <bool kMtp, bool kPaged>
+    void
+    commitResidents(std::size_t eng, const StepSpan &span)
+    {
+        Engine &e = engines_[eng];
+        std::size_t end = e.resident.size();
+        std::size_t kept = 0;
+        std::size_t step_tokens = 0;
+        for (std::size_t i = 0; i < end; ++i) {
             const std::size_t id = e.resident[i];
             ReqState &st = reqs_[id];
-
+            creditStep(st, span);
             std::size_t tokens = 1;
-            if (fleet_.mtpEnabled) {
-                for (std::size_t d = 0; d < fleet_.mtp.draftTokens;
-                     ++d) {
-                    if (!rng_.bernoulli(fleet_.mtp.acceptanceRate))
-                        break;
-                    ++tokens;
-                }
+            if constexpr (kMtp)
+                tokens = drawTokens(st);
+            else
+                DSV3_DEBUG_ASSERT(st.decodeDone < st.decodeNeeded);
+            if constexpr (kPaged) {
+                if (!growOrPreempt(eng, i, end, tokens, span))
+                    continue;
             }
-            tokens = std::min(tokens, st.decodeNeeded - st.decodeDone);
-            DSV3_ASSERT(tokens >= 1);
-
-            // Grow the KV reservation; on OOM preempt the youngest
-            // (not-yet-processed) resident sequences until it fits,
-            // or preempt this sequence itself as a last resort.
-            bool self_preempted = false;
-            std::size_t cascade = 0;
-            while (!e.pager.tryGrow(id, ctxTokens(st) + tokens)) {
-                std::size_t victim = kNone;
-                for (std::size_t j = e.resident.size(); j-- > i + 1;) {
-                    if (!gone_[j]) {
-                        victim = j;
-                        break;
-                    }
-                }
-                if (victim == kNone) {
-                    preempt(eng, id, t);
-                    gone_[i] = 1;
-                    self_preempted = true;
-                    ++cascade;
-                    break;
-                }
-                preempt(eng, e.resident[victim], t);
-                gone_[victim] = 1;
-                ++cascade;
-            }
-            if (cascade > 0)
-                preemptDepths_.add((double)cascade);
-            if (self_preempted)
-                continue;
-
             st.decodeDone += tokens;
-            e.ctxSum += tokens;
-            decodeTokens_ += tokens;
-            if (win)
-                *win += (double)tokens;
-            if (st.decodeDone >= st.decodeNeeded) {
-                e.ctxSum -= ctxTokens(st);
-                e.pager.release(id);
-                complete(id, t);
-                gone_[i] = 1;
+            step_tokens += tokens;
+            if (st.decodeDone < st.decodeNeeded) {
+                e.resident[kept++] = id;
+                continue;
             }
+            e.ctxSum -= ctxTokens(st);
+            if constexpr (kPaged)
+                e.pager.release(id);
+            complete(id, span.end);
         }
-
-        std::size_t w = 0;
-        for (std::size_t i = 0; i < e.resident.size(); ++i)
-            if (!gone_[i])
-                e.resident[w++] = e.resident[i];
-        e.resident.truncate(w);
+        e.ctxSum += step_tokens;
+        e.resident.truncate(kept);
         reindex(eng);
+        decodeTokens_ += step_tokens;
+        if (double *win = goodputWindow(span.end))
+            *win += (double)step_tokens;
+    }
+
+    /** Tokens an MTP step commits for @p st: the base token plus the
+     *  accepted prefix of the draft chain, clamped to what the request
+     *  still needs. */
+    std::size_t
+    drawTokens(const ReqState &st)
+    {
+        std::size_t tokens = 1;
+        for (std::size_t d = 0; d < fleet_.mtp.draftTokens; ++d) {
+            if (!rng_.bernoulli(fleet_.mtp.acceptanceRate))
+                break;
+            ++tokens;
+        }
+        tokens = std::min(tokens, st.decodeNeeded - st.decodeDone);
+        DSV3_ASSERT(tokens >= 1);
+        return tokens;
+    }
+
+    /**
+     * Grow resident @p i's KV reservation by @p tokens. On OOM preempt
+     * the youngest resident not yet processed (the last of
+     * [i + 1, end)) until it fits, or resident i itself as a last
+     * resort. A victim is credited the step right before its
+     * preempt(). Returns false when resident i was preempted.
+     */
+    bool
+    growOrPreempt(std::size_t eng, std::size_t i, std::size_t &end,
+                  std::size_t tokens, const StepSpan &span)
+    {
+        Engine &e = engines_[eng];
+        const std::size_t id = e.resident[i];
+        std::size_t cascade = 0;
+        bool grown = true;
+        while (!e.pager.tryGrow(id, ctxTokens(reqs_[id]) + tokens)) {
+            ++cascade;
+            if (end == i + 1) {
+                preempt(eng, id, span.end);
+                grown = false;
+                break;
+            }
+            const std::size_t victim = e.resident[--end];
+            creditStep(reqs_[victim], span);
+            preempt(eng, victim, span.end);
+        }
+        if (cascade > 0)
+            preemptDepths_.add((double)cascade);
+        return grown;
     }
 
     void
@@ -1822,25 +1748,17 @@ class Simulation
         ReqState &st = reqs_[id];
         st.everPreempted = true;
         setState(id, RequestState::STALLED, t);
-        if (reqSampled(id)) {
-            nameRequestTrack(id);
-            timeline_->instant(kRequestPid, (std::uint32_t)id,
-                               "preempt", t,
-                               "\"engine\":" + std::to_string(eng));
-            pendingPreemptFlow_[id] = ++flowSeq_;
-            timeline_->flowStart(kRequestPid, (std::uint32_t)id,
-                                 "preempt.recompute",
-                                 pendingPreemptFlow_[id], t);
-        }
-        const std::size_t tokens =
-            st.req.promptTokens + st.decodeDone;
+        markRequest(id, "preempt", t, "\"engine\":", eng);
+        startFlow(PREEMPT_FLOW, id, t);
         if (fleet_.deployment == Deployment::DISAGGREGATED) {
-            prefillQ_.push_back(PrefillJob{id, tokens});
-            startPrefills(t);
-        } else {
-            e.prefillQ.push_back(PrefillJob{id, tokens});
-            reindex(eng);
+            enqueuePrefill(id, t);
+            return;
         }
+        // Colocated: recompute on this engine, which is mid-commit and
+        // kicks itself when the commit ends.
+        e.prefillQ.push_back(
+            PrefillJob{id, st.req.promptTokens + st.decodeDone});
+        reindex(eng);
     }
 
     // Completion / bookkeeping ----------------------------------------
@@ -1883,7 +1801,7 @@ class Simulation
     reject(std::size_t id, double t)
     {
         ReqState &st = reqs_[id];
-        st.rejected = true;
+        st.dropped = true;
         ++rejected_;
         dropOutstanding(st);
         DSV3_WARN_ONCE("serving: request context (",
@@ -1992,14 +1910,11 @@ class Simulation
         for (const ReqState &st : reqs_) {
             // Percentile digests cover completed requests only:
             // REJECTED, SHED, and FAILED outcomes (and requests
-            // stranded mid-flight when the events ran out) are excluded
-            // explicitly -- a "latency" for a request that never
+            // stranded mid-flight when the events ran out) never
+            // complete -- a "latency" for a request that never
             // finished would poison the tails.
-            if (st.completion < 0.0 || st.rejected || st.shed ||
-                st.failed) {
-                if (st.completion < 0.0 && !st.rejected &&
-                    !st.shed && !st.failed &&
-                    std::isfinite(st.req.arrivalSeconds))
+            if (st.completion < 0.0) {
+                if (!st.dropped && std::isfinite(st.req.arrivalSeconds))
                     ++m.requestsStranded;
                 continue;
             }
@@ -2038,37 +1953,29 @@ class Simulation
         }
 
         // Bottleneck verdict: which bucket of summed state time
-        // dominates. Ties resolve in declaration order (compute
+        // dominates. Ties resolve in the order listed (compute
         // first), deterministically.
-        const double queue_sec =
-            m.stateSeconds[(int)RequestState::QUEUE_WAIT] +
-            m.stateSeconds[(int)RequestState::KV_HANDOFF];
-        const double compute_sec =
-            m.stateSeconds[(int)RequestState::PREFILL] +
-            m.stateSeconds[(int)RequestState::DECODE_COMPUTE];
-        const double comm_sec =
-            m.stateSeconds[(int)RequestState::DECODE_COMM];
-        const double kv_sec =
-            m.stateSeconds[(int)RequestState::STALLED];
-        const double fault_sec =
-            m.stateSeconds[(int)RequestState::FAILOVER] +
-            m.stateSeconds[(int)RequestState::RETRY_BACKOFF];
-        m.bottleneck = Bottleneck::COMPUTE;
-        double best = compute_sec;
-        if (comm_sec > best) {
-            m.bottleneck = Bottleneck::COMM;
-            best = comm_sec;
+        auto sec = [&](RequestState s) {
+            return m.stateSeconds[(int)s];
+        };
+        const std::pair<Bottleneck, double> buckets[] = {
+            {Bottleneck::COMPUTE, sec(RequestState::PREFILL) +
+                                      sec(RequestState::DECODE_COMPUTE)},
+            {Bottleneck::COMM, sec(RequestState::DECODE_COMM)},
+            {Bottleneck::QUEUE, sec(RequestState::QUEUE_WAIT) +
+                                    sec(RequestState::KV_HANDOFF)},
+            {Bottleneck::KV, sec(RequestState::STALLED)},
+            {Bottleneck::FAULT, sec(RequestState::FAILOVER) +
+                                    sec(RequestState::RETRY_BACKOFF)},
+        };
+        double best = buckets[0].second;
+        m.bottleneck = buckets[0].first;
+        for (const auto &[kind, seconds] : buckets) {
+            if (seconds > best) {
+                m.bottleneck = kind;
+                best = seconds;
+            }
         }
-        if (queue_sec > best) {
-            m.bottleneck = Bottleneck::QUEUE;
-            best = queue_sec;
-        }
-        if (kv_sec > best) {
-            m.bottleneck = Bottleneck::KV;
-            best = kv_sec;
-        }
-        if (fault_sec > best)
-            m.bottleneck = Bottleneck::FAULT;
 
         // Drop the trailing partial window so the percentiles are not
         // skewed by a truncated interval.
@@ -2128,8 +2035,7 @@ class Simulation
     obs::CounterBatch cacheHits_;
     obs::CounterBatch cacheMisses_;
 
-    // Hot-loop scratch, reused across steps / failovers.
-    std::vector<unsigned char> gone_;
+    // Scratch reused across failovers.
     std::vector<std::size_t> lostScratch_;
     obs::DistributionBatch preemptDepths_;
 
@@ -2164,16 +2070,15 @@ class Simulation
     std::uint64_t stepSeq_ = 0; //!< retry-lottery stream per step
     std::vector<std::pair<double, int>> liveLog_; //!< (t, +-1)
     FlatDeque<std::size_t> waitingReady_;  //!< fleet-wide parked
-    FlatDeque<PrefillJob> waitingPrefill_; //!< COLOCATED parked
+    FlatDeque<std::size_t> waitingPrefill_; //!< COLOCATED parked
 
     // Observability state.
     double nextSample_ = 0.0;        //!< next flight-recorder tick
     std::size_t sampledTokens_ = 0;  //!< decodeTokens_ at last tick
     std::uint64_t flowSeq_ = 0;      //!< timeline flow-arrow ids
     std::vector<bool> trackNamed_;
-    std::vector<std::uint64_t> pendingPreemptFlow_;
-    std::vector<std::uint64_t> pendingHandoffFlow_;
-    std::vector<std::uint64_t> pendingRetryFlow_;
+    /** Per FlowKind, each request's unfinished flow id (0: none). */
+    std::vector<std::uint64_t> pendingFlow_[kFlowKinds];
 };
 
 } // namespace

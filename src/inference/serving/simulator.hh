@@ -25,7 +25,8 @@
  * table built on this simulator is byte-identical at any thread
  * width. In the closed-loop, no-contention limit the simulated TPOT
  * and MTP speedup reproduce epSpeedLimit()/mtpAnalytic() (asserted by
- * tests and the bench_serving CI gate to <1%).
+ * tests to <1% on every fabric and acceptance rate bench_serving
+ * tabulates).
  */
 
 #pragma once

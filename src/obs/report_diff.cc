@@ -144,6 +144,74 @@ diffTables(const JsonValue &a, const JsonValue &b,
     }
 }
 
+/** The numbers of @p series' @p key array (empty when absent). */
+std::vector<double>
+numberArray(const JsonValue &series, const std::string &key)
+{
+    std::vector<double> out;
+    const JsonValue *arr = series.find(key);
+    if (!arr || arr->kind() != JsonValue::Kind::ARRAY)
+        return out;
+    for (const JsonValue &x : arr->array())
+        out.push_back(x.kind() == JsonValue::Kind::NUMBER ? x.number()
+                                                          : 0.0);
+    return out;
+}
+
+/** "channel" -> {"t": [...], "v": [...]} of a report's timeseries. */
+std::map<std::string, const JsonValue *>
+timeseriesChannels(const JsonValue &report)
+{
+    std::map<std::string, const JsonValue *> out;
+    const JsonValue *ts = report.find("timeseries");
+    if (ts && ts->kind() == JsonValue::Kind::OBJECT)
+        for (const auto &[name, series] : ts->object())
+            out[name] = &series;
+    return out;
+}
+
+void
+diffTimeseries(const JsonValue &a, const JsonValue &b,
+               ReportDiffResult &result)
+{
+    const auto channelsA = timeseriesChannels(a);
+    const auto channelsB = timeseriesChannels(b);
+    for (const auto &[name, seriesA] : channelsA) {
+        auto it = channelsB.find(name);
+        if (it == channelsB.end()) {
+            result.differences.push_back("timeseries '" + name +
+                                         "' missing from candidate");
+            continue;
+        }
+        for (const char *key : {"t", "v"}) {
+            const std::vector<double> va = numberArray(*seriesA, key);
+            const std::vector<double> vb = numberArray(*it->second, key);
+            const std::string where =
+                "timeseries '" + name + "' " + key;
+            if (va.size() != vb.size()) {
+                result.differences.push_back(
+                    where + ": " + std::to_string(va.size()) +
+                    " samples vs " + std::to_string(vb.size()));
+                continue;
+            }
+            for (std::size_t i = 0; i < va.size(); ++i) {
+                if (va[i] == vb[i])
+                    continue;
+                result.differences.push_back(
+                    where + "[" + std::to_string(i) + "]: " +
+                    jsonNumber(va[i]) + " vs " + jsonNumber(vb[i]));
+                break;
+            }
+        }
+    }
+    for (const auto &[name, seriesB] : channelsB) {
+        if (!channelsA.count(name)) {
+            result.differences.push_back("timeseries '" + name +
+                                         "' only in candidate");
+        }
+    }
+}
+
 /** One comparable scalar per stat kind, for the informational delta. */
 double
 statScalar(const JsonValue &stat)
@@ -278,6 +346,7 @@ diffReports(const JsonValue &a, const JsonValue &b,
                                      "' vs '" + benchB + "'");
     }
     diffTables(a, b, options, result);
+    diffTimeseries(a, b, result);
     diffStats(a, b, result);
     diffBenchmarks(a, b, options, result);
     return result;

@@ -10,6 +10,9 @@
  *  - tables are the reproduction deliverable, so any cell difference
  *    is a failure (tables are matched by title, compared cell by
  *    cell);
+ *  - timeseries are sampled simulator state, as deterministic as the
+ *    tables, so a channel that differs in any sample or exists on one
+ *    side only is a failure too, timings ignored or not;
  *  - stats are internal counters whose wall-clock-derived entries
  *    legitimately vary across runs, so stat deltas are reported as
  *    informational notes only;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "model/config.hh"
 #include "model/kv_cache.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/json.hh"
 #include "obs/timeline.hh"
 
 namespace dsv3::inference::serving {
@@ -262,15 +264,20 @@ TEST(ServingSim, DecodeStepMatchesSpeedLimitCommBound)
 
 TEST(ServingSim, ClosedLoopTpotReproducesSpeedLimit)
 {
-    ServingFleetConfig fleet = commBoundFleet();
-    ServingMetrics m =
-        simulateServing(fleet, closedLoopTraffic(128, 128), 42);
-    EXPECT_EQ(m.requestsCompleted, 128u);
-    ep::SpeedLimit analytic = ep::epSpeedLimit(fleet.comm);
-    EXPECT_NEAR(m.tpot.p50, analytic.tpotSeconds,
-                0.01 * analytic.tpotSeconds);
-    EXPECT_NEAR(m.tpot.mean, analytic.tpotSeconds,
-                0.01 * analytic.tpotSeconds);
+    // The fabrics of bench_serving's speed-limit table: CX7 IB 400G
+    // and GB200 NVL72.
+    for (double bw : {50e9, 900e9}) {
+        ServingFleetConfig fleet = commBoundFleet();
+        fleet.comm.bandwidthBytesPerSec = bw;
+        ServingMetrics m =
+            simulateServing(fleet, closedLoopTraffic(128, 128), 42);
+        EXPECT_EQ(m.requestsCompleted, 128u);
+        ep::SpeedLimit analytic = ep::epSpeedLimit(fleet.comm);
+        EXPECT_NEAR(m.tpot.p50, analytic.tpotSeconds,
+                    0.01 * analytic.tpotSeconds) << bw;
+        EXPECT_NEAR(m.tpot.mean, analytic.tpotSeconds,
+                    0.01 * analytic.tpotSeconds) << bw;
+    }
 }
 
 TEST(ServingSim, ClosedLoopMtpReproducesAnalyticSpeedup)
@@ -279,14 +286,17 @@ TEST(ServingSim, ClosedLoopMtpReproducesAnalyticSpeedup)
     TrafficConfig traffic = closedLoopTraffic(256, 256);
 
     ServingMetrics plain = simulateServing(fleet, traffic, 42);
-    fleet.mtpEnabled = true;
-    fleet.mtp.acceptanceRate = 0.85;
-    ServingMetrics mtp = simulateServing(fleet, traffic, 42);
+    // The acceptance rates of bench_serving's MTP table.
+    for (double accept : {0.70, 0.80, 0.85, 0.90}) {
+        fleet.mtpEnabled = true;
+        fleet.mtp.acceptanceRate = accept;
+        ServingMetrics mtp = simulateServing(fleet, traffic, 42);
 
-    double measured =
-        mtp.tokensPerSecond / plain.tokensPerSecond;
-    double analytic = mtpAnalytic(fleet.mtp).speedup;
-    EXPECT_NEAR(measured, analytic, 0.01 * analytic);
+        double measured =
+            mtp.tokensPerSecond / plain.tokensPerSecond;
+        double analytic = mtpAnalytic(fleet.mtp).speedup;
+        EXPECT_NEAR(measured, analytic, 0.01 * analytic) << accept;
+    }
 }
 
 TEST(ServingSim, OverlapWinsWhenCommSignificant)
@@ -638,6 +648,7 @@ TEST(ServingAttribution, DecodeStepBreakdownIsExact)
 
 // Sim-time timeline + flight recorder ------------------------------------
 
+
 TEST(ServingObservability, TimelineByteIdenticalAcrossWidthsAndReruns)
 {
     auto capture = [&]() {
@@ -665,7 +676,9 @@ TEST(ServingObservability, TimelineCoversFleetRequestAndFlowTracks)
 {
     ServingFleetConfig fleet = contendedFleet();
     obs::Timeline timeline;
+    obs::FlightRecorder recorder(256);
     fleet.timeline = &timeline;
+    fleet.recorder = &recorder; // its gauges export as counter events
     ServingMetrics m = simulateServing(fleet, contendedTraffic(), 21);
     ASSERT_GT(m.preemptions, 0u);
     EXPECT_GT(timeline.eventCount(), 0u);
@@ -680,6 +693,29 @@ TEST(ServingObservability, TimelineCoversFleetRequestAndFlowTracks)
           "\"bp\":\"e\"", "\"ph\":\"s\"", "\"ph\":\"M\""}) {
         EXPECT_NE(json.find(needle), std::string::npos) << needle;
     }
+
+    // Well-formed Chrome trace JSON: every phase the simulator emits
+    // (metadata, slices, async prefill, instants, counters, flows),
+    // every event on a process, every non-metadata event timestamped.
+    obs::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(obs::parseJson(json, &doc, &err)) << err;
+    const obs::JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->kind(), obs::JsonValue::Kind::ARRAY);
+    ASSERT_FALSE(events->array().empty());
+    std::set<std::string> phases;
+    for (const obs::JsonValue &ev : events->array()) {
+        const obs::JsonValue *ph = ev.find("ph");
+        ASSERT_NE(ph, nullptr);
+        phases.insert(ph->str());
+        EXPECT_NE(ev.find("pid"), nullptr) << ph->str();
+        if (ph->str() != "M") {
+            EXPECT_NE(ev.find("ts"), nullptr) << ph->str();
+        }
+    }
+    for (const char *ph : {"M", "X", "b", "e", "i", "C", "s", "f"})
+        EXPECT_EQ(phases.count(ph), 1u) << ph;
 }
 
 TEST(ServingObservability, TimelineSamplingThinsRequestTracks)

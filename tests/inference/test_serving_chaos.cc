@@ -7,8 +7,10 @@
  * and byte-identical chaos runs across thread widths.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -23,12 +25,30 @@
 #include "model/config.hh"
 #include "model/kv_cache.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/json.hh"
+#include "obs/registry.hh"
 #include "obs/timeline.hh"
 
 namespace dsv3::inference::serving {
 namespace {
 
 // Shared scenario helpers ------------------------------------------------
+
+/** Name -> value of every counter and gauge in the global registry. */
+std::map<std::string, double>
+statValues()
+{
+    obs::JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(obs::parseJson(obs::Registry::global().snapshotJson(),
+                               &doc, &err))
+        << err;
+    std::map<std::string, double> out;
+    for (const auto &[name, stat] : doc.object())
+        if (const obs::JsonValue *value = stat.find("value"))
+            out[name] = value->number();
+    return out;
+}
 
 /** Comm-bound fleet (see test_serving.cc): the all-to-all floor is
  *  the only per-step cost, so chaos effects stand out cleanly. */
@@ -396,18 +416,21 @@ TEST(ServingChaos, ShedDistinctFromRejectAndPreempt)
     EXPECT_EQ(m.requestsCompleted + m.requestsShed, 200u);
     EXPECT_EQ(m.ttft.count, m.requestsCompleted);
 
-    // KV pressure on the same fleet preempts but never sheds.
-    ServingFleetConfig kv = chaosFleet(1);
-    kv.prefillTokensPerSecPerServer = 1e6;
-    const double per_tok = model::kvCacheBytesPerToken(kv.modelConfig);
-    kv.kvBudgetBytesPerEngine = per_tok * 6.0 * 384.0;
-    kv.kvBlockTokens = 32;
-    kv.maxBatchPerEngine = 16;
-    TrafficConfig pressured = closedLoop(64, 256, 16);
-    ServingMetrics mk = simulateServing(kv, pressured, 7);
-    EXPECT_GT(mk.preemptions, 0u);
-    EXPECT_EQ(mk.requestsShed, 0u);
-    EXPECT_EQ(mk.requestsRejected, 0u);
+    // KV pressure on the same fleet preempts but never sheds, with a
+    // slower prefill pool and with bench_serving_chaos's.
+    const double per_tok = model::kvCacheBytesPerToken(model::deepSeekV3());
+    for (double prefill : {1e6, 1e9}) {
+        ServingFleetConfig kv = chaosFleet(1);
+        kv.prefillTokensPerSecPerServer = prefill;
+        kv.kvBudgetBytesPerEngine = per_tok * 6.0 * 384.0;
+        kv.kvBlockTokens = 32;
+        kv.maxBatchPerEngine = 16;
+        TrafficConfig pressured = closedLoop(64, 256, 16);
+        ServingMetrics mk = simulateServing(kv, pressured, 7);
+        EXPECT_GT(mk.preemptions, 0u) << prefill;
+        EXPECT_EQ(mk.requestsShed, 0u) << prefill;
+        EXPECT_EQ(mk.requestsRejected, 0u) << prefill;
+    }
 
     // A prompt that can never fit is rejected, not shed.
     ServingFleetConfig tiny = chaosFleet(1);
@@ -480,9 +503,28 @@ TEST(ServingChaos, TimelineAndRecorderCoverChaosEvents)
     fleet.recorder = &recorder;
     fleet.recorderIntervalSeconds = 0.1;
 
+    std::map<std::string, double> before = statValues();
     ServingMetrics m =
         simulateServing(fleet, closedLoop(96, 512, 32), 53);
     ASSERT_GT(m.failovers, 0u);
+
+    // The chaos counters ride in the stats registry (and so in the
+    // chaos bench report's stats block).
+    const std::map<std::string, double> after = statValues();
+    for (const auto &[name, delta] :
+         {std::pair<const char *, double>{"inference.serving.retries",
+                                          (double)m.retries},
+          {"inference.serving.sheds", (double)m.requestsShed},
+          {"inference.serving.failovers", (double)m.failovers},
+          {"inference.serving.retry_exhausted", (double)m.requestsFailed},
+          {"inference.serving.engine_deaths", (double)m.engineDeaths},
+          {"inference.serving.engine_downtime_seconds",
+           m.engineDowntimeSeconds}}) {
+        ASSERT_EQ(after.count(name), 1u) << name;
+        EXPECT_NEAR(after.at(name) - before[name], delta,
+                    1e-9 * std::max(1.0, delta))
+            << name;
+    }
 
     const std::string json = timeline.chromeJson();
     for (const char *needle :
@@ -504,13 +546,23 @@ TEST(ServingChaos, TimelineAndRecorderCoverChaosEvents)
     EXPECT_EQ(lo, 1.0);
     EXPECT_EQ(hi, 2.0);
 
-    // ... and is absent from a fault-free run.
+    // ... and is absent from a fault-free run, whose core counters
+    // register all the same.
     ServingFleetConfig plain = chaosFleet(2);
     obs::FlightRecorder quiet(256);
     plain.recorder = &quiet;
-    simulateServing(plain, closedLoop(32, 32), 53);
+    before = statValues();
+    m = simulateServing(plain, closedLoop(32, 32), 53);
     for (const std::string &c : quiet.channels())
         EXPECT_NE(c, "inference.serving.live_engines");
+    const std::map<std::string, double> fault_free = statValues();
+    for (const auto &[name, delta] :
+         {std::pair<const char *, double>{"inference.serving.runs", 1.0},
+          {"inference.serving.completed", (double)m.requestsCompleted},
+          {"inference.serving.decode_steps", (double)m.decodeSteps}}) {
+        ASSERT_EQ(fault_free.count(name), 1u) << name;
+        EXPECT_EQ(fault_free.at(name) - before[name], delta) << name;
+    }
 }
 
 // Determinism ------------------------------------------------------------
@@ -615,6 +667,43 @@ TEST(ServingChaosAvailability, AnalyticHelperBasics)
 
 TEST(ServingChaosAvailability, SimulatedMatchesAnalyticInRegime)
 {
+    // bench_serving_chaos's availability table: 4 engines, MTTR 20 s,
+    // MTBF 60-480 s, a 12-seed Monte-Carlo per row. Every valid-regime
+    // row must land within 5% of the analytic bound, and at least two
+    // rows must be in the regime.
+    std::size_t in_regime = 0;
+    const double mtbf_sec[] = {60.0, 120.0, 240.0, 480.0};
+    for (std::size_t row = 0; row < 4; ++row) {
+        const double per_hour = 3600.0 / mtbf_sec[row];
+        double sum = 0.0, span = 1e300;
+        for (std::size_t col = 0; col < 12; ++col) {
+            const std::uint64_t seed = 101 * (row + 1) + col;
+            ServingFleetConfig fleet = chaosFleet(4);
+            fault::FaultRates rates;
+            rates.rankFailPerHour = per_hour;
+            rates.rankRepairSec = 20.0;
+            fleet.chaos.schedule = fault::FaultSchedule::generate(
+                servingFaultDomain(4), rates, 3600.0, seed);
+            TrafficConfig traffic;
+            traffic.process = ArrivalProcess::POISSON;
+            traffic.requests = 800;
+            traffic.requestsPerSecond = 1.0;
+            traffic.promptTokensMin = traffic.promptTokensMax = 128;
+            traffic.genTokensMin = traffic.genTokensMax = 32;
+            ServingMetrics m = simulateServing(fleet, traffic, seed);
+            sum += m.availability;
+            span = std::min(span, m.simSeconds);
+        }
+        if (!availabilityValidRegime(4, span, per_hour, 20.0))
+            continue;
+        ++in_regime;
+        const double analytic =
+            analyticEngineAvailability(per_hour, 20.0);
+        EXPECT_NEAR(sum / 12.0, analytic, 0.05 * analytic)
+            << "MTBF " << mtbf_sec[row] << " s";
+    }
+    EXPECT_GE(in_regime, 2u);
+
     // 4 engines, MTBF 120 s, MTTR 20 s: A = 120/140 ~ 0.857. Average
     // the (deterministic) Monte-Carlo over a few schedule seeds and
     // demand the 5% agreement the chaos bench gates on.

@@ -15,6 +15,11 @@
  *     (DSV3_STEP_CACHE=0) runs of the same scenario agree bitwise,
  *     across healthy, chaotic, MTP, and KV-pressure scenarios and
  *     both schedules.
+ *
+ * The same scenarios also hold the decode commit to itself: each is
+ * compiled per (MTP, paged) pair, and a run with a timeline and a
+ * flight recorder attached (which adds the step pre-pass) must give
+ * the bare run's metrics bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +33,8 @@
 #include "inference/serving/traffic.hh"
 #include "model/config.hh"
 #include "model/kv_cache.hh"
+#include "obs/flight_recorder.hh"
+#include "obs/timeline.hh"
 
 namespace dsv3::inference::serving {
 namespace {
@@ -166,19 +173,28 @@ expectMetricsBitEqual(const ServingMetrics &a, const ServingMetrics &b)
 }
 
 /** Run one scenario with the step cache forced on, then forced off,
- *  and require bitwise-equal ServingMetrics. */
-void
+ *  then on with a timeline and a flight recorder attached, and require
+ *  bitwise-equal ServingMetrics; returns the bare run's. */
+ServingMetrics
 expectCacheTransparent(const ServingFleetConfig &fleet,
                        const TrafficConfig &traffic,
                        std::uint64_t seed)
 {
-    ASSERT_EQ(setenv("DSV3_STEP_CACHE", "1", 1), 0);
+    EXPECT_EQ(setenv("DSV3_STEP_CACHE", "1", 1), 0);
     const ServingMetrics on = simulateServing(fleet, traffic, seed);
-    ASSERT_EQ(setenv("DSV3_STEP_CACHE", "0", 1), 0);
+    EXPECT_EQ(setenv("DSV3_STEP_CACHE", "0", 1), 0);
     const ServingMetrics off = simulateServing(fleet, traffic, seed);
-    ASSERT_EQ(unsetenv("DSV3_STEP_CACHE"), 0);
-
+    EXPECT_EQ(unsetenv("DSV3_STEP_CACHE"), 0);
     expectMetricsBitEqual(on, off);
+
+    ServingFleetConfig observed = fleet;
+    obs::Timeline timeline;
+    obs::FlightRecorder recorder(256);
+    observed.timeline = &timeline;
+    observed.recorder = &recorder;
+    expectMetricsBitEqual(on, simulateServing(observed, traffic, seed));
+    EXPECT_GT(timeline.eventCount(), 0u);
+    return on;
 }
 
 TrafficConfig
@@ -209,20 +225,51 @@ TEST(StepCacheKillSwitch, MtpAcceptanceChain)
     expectCacheTransparent(fleet, poisson(200, 8.0, 64), 17);
 }
 
-TEST(StepCacheKillSwitch, KvPressurePreemption)
+/** One engine whose KV holds six 384-token sequences, under a
+ *  16-sequence closed loop: growth preempts every few steps. */
+ServingFleetConfig
+kvPressureFleet()
 {
     ServingFleetConfig fleet = testFleet(Schedule::DUAL_MICROBATCH);
     fleet.kvBudgetBytesPerEngine =
         model::kvCacheBytesPerToken(model::deepSeekV3()) * 6.0 * 384.0;
     fleet.kvBlockTokens = 32;
     fleet.maxBatchPerEngine = 16;
+    return fleet;
+}
+
+TrafficConfig
+kvPressureTraffic()
+{
     TrafficConfig closed;
     closed.process = ArrivalProcess::CLOSED_LOOP;
     closed.requests = 64;
     closed.closedLoopConcurrency = 16;
     closed.promptTokensMin = closed.promptTokensMax = 128;
     closed.genTokensMin = closed.genTokensMax = 256;
-    expectCacheTransparent(fleet, closed, 7);
+    return closed;
+}
+
+TEST(StepCacheKillSwitch, KvPressurePreemption)
+{
+    const ServingMetrics m =
+        expectCacheTransparent(kvPressureFleet(), kvPressureTraffic(), 7);
+    EXPECT_GT(m.preemptions, 0u);
+}
+
+TEST(StepCacheKillSwitch, MtpUnderKvPressure)
+{
+    // MTP draws with a preemption cascade: the only scenario that runs
+    // the (MTP, paged) commit, so its integer outcomes are pinned.
+    ServingFleetConfig fleet = kvPressureFleet();
+    fleet.mtpEnabled = true;
+    fleet.mtp.acceptanceRate = 0.8;
+    const ServingMetrics m =
+        expectCacheTransparent(fleet, kvPressureTraffic(), 7);
+    EXPECT_EQ(m.requestsCompleted, 64u);
+    EXPECT_EQ(m.decodeSteps, 1132u);
+    EXPECT_EQ(m.decodeTokens, 16320u);
+    EXPECT_EQ(m.preemptions, 108u);
 }
 
 TEST(StepCacheKillSwitch, ChaosDegradedLinks)

@@ -106,6 +106,60 @@ TEST(ReportDiff, StatDriftIsANoteNotAFailure)
     EXPECT_TRUE(sawStat);
 }
 
+TEST(ReportDiff, TimeseriesDriftIsAFailure)
+{
+    const std::string base = R"({
+      "schema": "dsv3-bench-report/v1", "bench": "bench_x",
+      "tables": [], "stats": {},
+      "timeseries": {
+        "x.resident": {"t": [0, 0.05, 0.1], "v": [4, 6, 5]},
+        "x.queue": {"t": [0, 0.05, 0.1], "v": [0, 1, 0]}
+      }
+    })";
+    JsonValue a = parse(base);
+    EXPECT_TRUE(diffReports(a, parse(base)).ok());
+
+    // The CI mode ignores timings, never timeseries.
+    ReportDiffOptions ignore;
+    ignore.compareTimings = false;
+
+    std::string moved = base;
+    moved.replace(moved.find("[4, 6, 5]"), 9, "[4, 7, 5]");
+    ReportDiffResult r = diffReports(a, parse(moved), ignore);
+    EXPECT_FALSE(r.ok());
+    ASSERT_EQ(r.differences.size(), 1u);
+    EXPECT_NE(r.differences[0].find("timeseries 'x.resident' v[1]"),
+              std::string::npos)
+        << r.differences[0];
+
+    std::string shorter = base;
+    shorter.replace(shorter.find("[0, 1, 0]"), 9, "[0, 1]");
+    r = diffReports(a, parse(shorter), ignore);
+    EXPECT_FALSE(r.ok());
+    ASSERT_EQ(r.differences.size(), 1u);
+    EXPECT_NE(r.differences[0].find("3 samples vs 2"), std::string::npos);
+
+    // A channel on one side only fails in both directions, and so
+    // does a report that lost its timeseries altogether.
+    std::string renamed = base;
+    renamed.replace(renamed.find("x.queue"), 7, "x.ready");
+    r = diffReports(a, parse(renamed), ignore);
+    EXPECT_FALSE(r.ok());
+    bool sawMissing = false, sawExtra = false;
+    for (const std::string &d : r.differences) {
+        sawMissing |= d.find("'x.queue' missing from candidate") !=
+                      std::string::npos;
+        sawExtra |= d.find("'x.ready' only in candidate") !=
+                    std::string::npos;
+    }
+    EXPECT_TRUE(sawMissing);
+    EXPECT_TRUE(sawExtra);
+    JsonValue bare = parse(R"({"schema": "dsv3-bench-report/v1",
+      "bench": "bench_x", "tables": [], "stats": {}})");
+    EXPECT_EQ(diffReports(a, bare, ignore).differences.size(), 2u);
+    EXPECT_EQ(diffReports(bare, a, ignore).differences.size(), 2u);
+}
+
 TEST(ReportDiff, TimingRegressionPolicy)
 {
     JsonValue a = parse(kReport);

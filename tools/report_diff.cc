@@ -11,7 +11,8 @@
  *                             r x baseline (default 1.25)
  *   --ignore-timings          never fail on timing ratios or on
  *                             missing/extra benchmarks (CI default
- *                             across heterogeneous runners)
+ *                             across heterogeneous runners); table
+ *                             cells and timeseries still fail
  *
  * Exit status: 0 reports match, 1 differences found, 2 usage or
  * parse error. Differences go to stdout ("DIFF ..."), informational
