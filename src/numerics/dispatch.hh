@@ -73,27 +73,34 @@ struct KernelTable
     KernelIsa isa = KernelIsa::SCALAR;
 
     // -- minifloat codec family ------------------------------------
-    /** out[i] = quantizeFast(k, in[i]). */
+    /**
+     * out[i] = quantizeValue(k, in[i] / div), with no division when
+     * div == 1 (a signalling NaN then passes through unquieted). A NaN
+     * keeps its payload, or with @p canonical_nan becomes the quiet
+     * NaN decode() returns for every NaN code, so out[i] is
+     * decode(encode(in[i] / div)) bit for bit. When @p saturated /
+     * @p flushed are non-null, adds the count of |in[i] / div| >
+     * k.maxFinite to *saturated, and of nonzero in[i] / div that
+     * quantize to +-0 to *flushed.
+     */
     void (*quantizeSpan)(const FormatKernels &k, const double *in,
-                         double *out, std::size_t n) = nullptr;
+                         double div, double *out, std::size_t n,
+                         bool canonical_nan, std::uint64_t *saturated,
+                         std::uint64_t *flushed) = nullptr;
     /** out[i] = lut[in[i]] (decode gather; lut from FormatKernels). */
     void (*decodeLutSpan)(const double *lut, const std::uint32_t *in,
                           double *out, std::size_t n) = nullptr;
     /**
-     * QuantizedMatrix pass 2: out[i] = encodeFast(k, in[i] / s).
-     * When @p saturated / @p flushed are non-null, additionally tally
-     * |in[i]/s| > fmt_max into *saturated and nonzero inputs whose
-     * code has no magnitude bits (code & mag_mask == 0) into
-     * *flushed, exactly as the scalar tally loop does.
+     * QuantizedMatrix codes: out[i] = encodeFast(k, in[i] / s), with
+     * the optional tallies of quantizeSpan (a code with no magnitude
+     * bits is a flush).
      */
     void (*encodeScaledSpan)(const FormatKernels &k, const double *in,
                              double s, std::uint32_t *out,
-                             std::size_t n, double fmt_max,
-                             std::uint32_t mag_mask,
-                             std::uint64_t *saturated,
+                             std::size_t n, std::uint64_t *saturated,
                              std::uint64_t *flushed) = nullptr;
     /**
-     * QuantizedMatrix pass 1: running amax. Returns
+     * Quantization amax: the running max. Returns
      * max(init, max_i |in[i]|) with NaNs ignored (matching
      * std::max(run, std::fabs(x)) which keeps `run` against NaN).
      */

@@ -1,6 +1,7 @@
 #include "numerics/gemm.hh"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -50,6 +51,28 @@ constexpr std::size_t kColBlock = 16;
 constexpr std::size_t kLdbPad = 8;
 
 /**
+ * Reject options no GEMM can run, naming the option; returns the
+ * granularities of A and B.
+ */
+std::pair<Granularity, Granularity>
+checkOptions(const GemmOptions &options)
+{
+    DSV3_ASSERT(options.fmt != nullptr, "GemmOptions::fmt must be set");
+    DSV3_ASSERT(options.tileK > 0, "GemmOptions::tileK must be > 0");
+    if (options.accum == AccumMode::FP22_NO_PROMOTION) {
+        DSV3_ASSERT(!options.fineGrained,
+                    "FP22-only accumulation cannot fold fine-grained "
+                    "scales (no promotion step exists)");
+    }
+    if (options.accum != AccumMode::FP32)
+        DSV3_ASSERT(options.groupSize > 0,
+                    "FP22 accumulation needs groupSize > 0");
+    if (!options.fineGrained)
+        return {Granularity::PER_TENSOR, Granularity::PER_TENSOR};
+    return {Granularity::TILE_1X128, Granularity::BLOCK_128X128};
+}
+
+/**
  * Run fn(i_lo, i_hi, j_lo, j_hi) over kRowBlock x kColBlock blocks of
  * the m x n output: row blocks in parallel, column blocks in order.
  */
@@ -97,7 +120,8 @@ gemmBf16(const Matrix &a, const Matrix &b)
     DSV3_ASSERT(a.cols() == b.rows());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
 
-    // Pre-quantize operands to BF16 in bulk, B into padded rows.
+    // Pre-quantize operands to BF16 in bulk, B into padded rows (the
+    // pad columns stay unwritten: no lane kernel reads them).
     const std::size_t ldb = n + kLdbPad;
     AlignedVector<double> aq(m * k), bq(k * ldb);
     quantizeSpan(kBF16, a.data(), aq.data());
@@ -127,45 +151,33 @@ gemmQuantized(const Matrix &a, const Matrix &b, const GemmOptions &options)
     DSV3_ASSERT(a.cols() == b.rows());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     DSV3_TRACE_SPAN("numerics.gemm.quantized", "m", m, "n", n, "k", k);
+    const auto [ga, gb] = checkOptions(options);
     const std::size_t tile_k = options.tileK;
     const std::size_t group = options.groupSize;
 
-    const Granularity ga = options.fineGrained ? Granularity::TILE_1X128
-                                               : Granularity::PER_TENSOR;
-    const Granularity gb = options.fineGrained
-        ? Granularity::BLOCK_128X128 : Granularity::PER_TENSOR;
-    if (options.accum == AccumMode::FP22_NO_PROMOTION) {
-        DSV3_ASSERT(!options.fineGrained,
-                    "FP22-only accumulation cannot fold fine-grained "
-                    "scales (no promotion step exists)");
-    }
-    if (options.accum != AccumMode::FP32)
-        DSV3_ASSERT(group > 0, "FP22 accumulation needs groupSize > 0");
-
-    QuantizedMatrix aq(a, *options.fmt, ga, tile_k);
-    QuantizedMatrix bq(b, *options.fmt, gb, tile_k);
-
-    // Decode the raw (unscaled) operand values once in bulk (a LUT
-    // gather for FP8 formats), B into padded rows. The lane kernels
-    // read B row-major: a row of one column block is a lane vector.
+    // Quantize the operands straight into the raw (unscaled) values
+    // the tensor cores multiply, B into padded rows whose pad columns
+    // no lane kernel reads. The lane kernels read B row-major: a row
+    // of one column block is a lane vector.
     const std::size_t ldb = n + kLdbPad;
     AlignedVector<double> araw(m * k), braw(k * ldb);
-    aq.decodeRawInto(araw.data());
-    for (std::size_t kk = 0; kk < k; ++kk)
-        decodeSpan(*options.fmt, {bq.codes().data() + kk * n, n},
-                   braw.data() + kk * ldb);
+    const std::vector<double> agrid =
+        packQuantized(a, *options.fmt, ga, tile_k, araw.data(), k);
+    const std::vector<double> bgrid =
+        packQuantized(b, *options.fmt, gb, tile_k, braw.data(), ldb);
 
-    // Hoist the scale grids out of the inner loops: ascale is (row x
+    // Expand the scale grids for the inner loops: ascale is (row x
     // tile), bscale is (tile x col) to match B's layout.
     const std::size_t num_tiles = (k + tile_k - 1) / tile_k;
+    const std::size_t b_blocks = (n + tile_k - 1) / tile_k;
     AlignedVector<double> ascale(m * num_tiles);
     AlignedVector<double> bscale(num_tiles * n);
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t t = 0; t < num_tiles; ++t)
-            ascale[i * num_tiles + t] = aq.scale(i, t * tile_k);
+    for (std::size_t i = 0; i < m * num_tiles; ++i)
+        ascale[i] = options.fineGrained ? agrid[i] : agrid[0];
     for (std::size_t t = 0; t < num_tiles; ++t)
         for (std::size_t j = 0; j < n; ++j)
-            bscale[t * n + j] = bq.scale(t * tile_k, j);
+            bscale[t * n + j] = options.fineGrained
+                ? bgrid[t * b_blocks + j / tile_k] : bgrid[0];
 
     Matrix c(m, n);
     double *cd = c.data().data();
@@ -218,8 +230,7 @@ gemmQuantized(const Matrix &a, const Matrix &b, const GemmOptions &options)
             for (std::size_t j = j_lo; j < j_hi; ++j) {
                 cd[i * n + j] =
                     options.accum == AccumMode::FP22_NO_PROMOTION
-                    ? whole_k[i - i_lo][j - j_lo] *
-                          (ascale[i * num_tiles] * bscale[j])
+                    ? whole_k[i - i_lo][j - j_lo] * (agrid[0] * bgrid[0])
                     : (double)fp32_accum[i - i_lo][j - j_lo];
             }
         }
@@ -282,20 +293,9 @@ gemmQuantizedRef(const Matrix &a, const Matrix &b,
 {
     DSV3_ASSERT(a.cols() == b.rows());
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+    const auto [ga, gb] = checkOptions(options);
     const std::size_t tile_k = options.tileK;
     const std::size_t group = options.groupSize;
-
-    const Granularity ga = options.fineGrained ? Granularity::TILE_1X128
-                                               : Granularity::PER_TENSOR;
-    const Granularity gb = options.fineGrained
-        ? Granularity::BLOCK_128X128 : Granularity::PER_TENSOR;
-    if (options.accum == AccumMode::FP22_NO_PROMOTION) {
-        DSV3_ASSERT(!options.fineGrained,
-                    "FP22-only accumulation cannot fold fine-grained "
-                    "scales (no promotion step exists)");
-    }
-    if (options.accum != AccumMode::FP32)
-        DSV3_ASSERT(group > 0, "FP22 accumulation needs groupSize > 0");
 
     QuantizedMatrix aq(a, *options.fmt, ga, tile_k);
     QuantizedMatrix bq(b, *options.fmt, gb, tile_k);

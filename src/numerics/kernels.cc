@@ -51,6 +51,10 @@ buildKernels(const FloatFormat &fmt)
         : ((k.expMask - 1) << fmt.mbits) | k.mantMask;
     k.maxFinite = fmt.maxFinite();
     k.subScale = std::ldexp(1.0, emin - fmt.mbits);
+    k.minNormal = std::ldexp(1.0, emin);
+    k.subMagic = std::ldexp(1.0, emin - fmt.mbits + 52);
+    k.overflow = fmt.finiteOnly ? k.maxFinite
+                                : std::numeric_limits<double>::infinity();
     if (fmt.totalBits() <= kMaxLutBits) {
         k.decodeLut.resize(fmt.codeCount());
         for (std::uint32_t code = 0; code < fmt.codeCount(); ++code)
@@ -151,8 +155,8 @@ void
 quantizeSpan(const FloatFormat &fmt, std::span<const double> in,
              double *out)
 {
-    const FormatKernels &k = formatKernels(fmt);
-    kernels().quantizeSpan(k, in.data(), out, in.size());
+    kernels().quantizeSpan(formatKernels(fmt), in.data(), 1.0, out,
+                           in.size(), false, nullptr, nullptr);
 }
 
 } // namespace dsv3::numerics

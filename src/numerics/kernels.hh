@@ -11,15 +11,17 @@
  *  - decode: formats of <= kMaxLutBits total bits get a lazily built,
  *    process-cached table of every code's value (<= 65,536 doubles),
  *    so decoding is one indexed load;
- *  - encode/quantize: the input double is classified from its raw
- *    IEEE-754 bits. Round-to-nearest-even happens on the 53-bit
- *    integer significand (exact; power-of-two scalings introduce no
- *    error), so the result provably matches the frexp/nearbyint
- *    reference for every input. Double subnormals and non-finite
- *    values take a cold fallback into the reference path;
+ *  - encode: the input double is classified from its raw IEEE-754
+ *    bits. Round-to-nearest-even happens on the 53-bit integer
+ *    significand (exact; power-of-two scalings introduce no error), so
+ *    the result provably matches the frexp/nearbyint reference for
+ *    every input;
+ *  - quantize: quantizeValue() rounds the magnitude's bit pattern as
+ *    an integer at or above 2^emin and with one exact add-subtract
+ *    below it, with no classification of the input;
  *  - span APIs amortize the per-call format lookup across whole
  *    matrices/tiles (QuantizedMatrix construction, dequantize(), the
- *    GEMM operand decode).
+ *    GEMM operand packing).
  *
  * Kernels are cached per *semantic* format (ebits/mbits/bias/
  * finiteOnly), not per FloatFormat address, so short-lived format
@@ -60,6 +62,10 @@ struct FormatConstants
     std::uint32_t maxCode;     //!< code of +maxFinite
     double maxFinite;
     double subScale;           //!< 2^(emin - mbits), the subnormal ULP
+    double minNormal;          //!< 2^emin
+    double subMagic;           //!< 2^(emin - mbits + 52): ULP subScale
+    double overflow;           //!< |x| past maxFinite becomes this:
+                               //!< maxFinite (finite-only) or +inf
 };
 
 /**
@@ -83,6 +89,9 @@ struct FormatKernels : FormatConstants
 const FormatKernels &formatKernels(const FloatFormat &fmt);
 
 namespace detail {
+
+inline constexpr std::uint64_t kSignBit = 1ull << 63;
+inline constexpr std::uint64_t kInfBits = 0x7ffull << 52;
 
 struct QResult
 {
@@ -191,6 +200,43 @@ quantizeCore(const FormatKernels &k, double x, bool truncate)
 
 } // namespace detail
 
+/**
+ * quantizeRef(fmt, x) on the double's bit pattern; the SIMD tables run
+ * the same steps lane-wise (kernels_lanes.hh). With mag = |x|'s bits:
+ *  - at or above 2^emin, nearest-even is integer arithmetic on mag at
+ *    s = 52 - mbits dropped bits: adding 2^(s-1) - 1 plus the kept
+ *    LSB carries past the dropped bits exactly when they exceed half,
+ *    or equal it with an odd LSB, and a carry out of the mantissa is
+ *    exactly the round-up into the next binade;
+ *  - below 2^emin, (|x| + subMagic) - subMagic: the add rounds |x| to
+ *    a multiple of ulp(subMagic) = subScale, nearest-even, and the
+ *    subtraction is exact. A result of 2^emin is the round-up to the
+ *    smallest normal; double subnormals need no normalization;
+ *  - past maxFinite (infinity included) the magnitude saturates or
+ *    becomes +inf, per FormatConstants::overflow; then the sign comes
+ *    back. NaN passes through with its payload.
+ */
+inline double
+quantizeValue(const FormatConstants &k, double x)
+{
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+    const std::uint64_t mag = bits & ~detail::kSignBit;
+    if (mag > detail::kInfBits)
+        return x;
+    std::uint64_t q;
+    if (mag < std::bit_cast<std::uint64_t>(k.minNormal)) {
+        const double fixed = std::bit_cast<double>(mag) + k.subMagic;
+        q = std::bit_cast<std::uint64_t>(fixed - k.subMagic);
+    } else {
+        const int s = 52 - k.mbits;
+        q = (mag + ((1ull << (s - 1)) - 1) + ((mag >> s) & 1)) &
+            ~((1ull << s) - 1);
+    }
+    if (q > std::bit_cast<std::uint64_t>(k.maxFinite))
+        q = std::bit_cast<std::uint64_t>(k.overflow);
+    return std::bit_cast<double>(q | (bits & detail::kSignBit));
+}
+
 // Scalar fast paths. Byte-identical to the minifloat.cc reference
 // codec: encodeFast(k, x) == encodeRef(fmt, x) for every double x,
 // and likewise quantize/decode (NaN results may differ in payload
@@ -205,7 +251,7 @@ encodeFast(const FormatKernels &k, double x)
 inline double
 quantizeFast(const FormatKernels &k, double x)
 {
-    return detail::quantizeCore(k, x, false).value;
+    return quantizeValue(k, x);
 }
 
 inline double

@@ -30,9 +30,8 @@ using lanes::pinnedTree;
 
 /**
  * AVX2 lane ops: 4 doubles per __m256d, masks as all-ones qwords, and
- * masked loads and stores for tails. Three operations are emulated,
- * each exact on the values the kernels give it: see gt, smallToDouble
- * and exponent.
+ * masked loads and stores for tails. Two operations are emulated, each
+ * exact on the values the kernels give it: see gt and exponent.
  */
 struct Avx2
 {
@@ -157,30 +156,14 @@ struct Avx2
     static I shr(I v, I n) { return _mm256_srlv_epi64(v, n); }
     static M eq(I a, I b) { return _mm256_cmpeq_epi64(a, b); }
     /**
-     * Signed, like the scalar compares of exponents and shift counts.
-     * Where the scalar compares unsigned values there is no unsigned
-     * 64-bit compare to use; the signed one is exact because every
-     * such value is below 2^63 (magnitude bits, significands, and
-     * remainders under their lanes' validity masks).
+     * Signed. Where the scalar compares unsigned values there is no
+     * unsigned 64-bit compare to use; the signed one is exact because
+     * every such value is below 2^63 (magnitude bits, and rounded
+     * magnitudes but a NaN lane's, which is replaced afterwards).
      */
     static M gt(I a, I b) { return _mm256_cmpgt_epi64(a, b); }
-    static M ge(I a, I b) { return _mm256_xor_si256(gt(b, a), splatI(-1)); }
     static M isZero(I v) { return eq(v, _mm256_setzero_si256()); }
-    static M odd(I v) { return eq(bitAnd(v, splatI(1)), splatI(1)); }
     static I select(M m, I a, I b) { return _mm256_blendv_epi8(b, a, m); }
-    /** v + 1 on the lanes of m, whose lanes are -1. */
-    static I addOne(I v, M m) { return sub(v, m); }
-    /**
-     * double(v) without a u64 -> double convert: v | bits(2^52) read
-     * as a double, minus 2^52; exact for v < 2^52 (format
-     * significands are far smaller).
-     */
-    static D
-    smallToDouble(I v)
-    {
-        const D magic = splat(0x1p52);
-        return sub(asDouble(bitOr(v, asInt(magic))), magic);
-    }
     /**
      * double((int64)v >> 52), minus 54 on the lanes of @p m. There
      * is no arithmetic 64-bit shift: the high dwords shifted right by

@@ -145,17 +145,8 @@ struct Avx512
     static M eq(I a, I b) { return _mm512_cmpeq_epi64_mask(a, b); }
     /** Signed; exact on the unsigned values compared too (< 2^63). */
     static M gt(I a, I b) { return _mm512_cmpgt_epi64_mask(a, b); }
-    static M ge(I a, I b) { return _mm512_cmpge_epi64_mask(a, b); }
     static M isZero(I v) { return _mm512_testn_epi64_mask(v, v); }
-    static M odd(I v) { return _mm512_test_epi64_mask(v, splatI(1)); }
     static I select(M m, I a, I b) { return _mm512_mask_mov_epi64(b, m, a); }
-    /** v + 1 on the lanes of m. */
-    static I
-    addOne(I v, M m)
-    {
-        return _mm512_mask_add_epi64(v, m, v, splatI(1));
-    }
-    static D smallToDouble(I v) { return _mm512_cvtepu64_pd(v); }
     /** double((int64)v >> 52), minus 54 on the lanes of @p m. */
     static D
     exponent(I v, M m)

@@ -16,25 +16,21 @@
  * (W 64-bit integers), C (W 32-bit integers, one per double lane) and
  * M (a W-lane mask), and one-line operations over them. Each operation
  * is a fixed instruction choice of its ISA; an emulated one (AVX2 has
- * no unsigned 64-bit compare, no u64 -> double convert and no 64-bit
- * arithmetic shift) states in the ops struct why it is exact here.
+ * no unsigned 64-bit compare and no 64-bit arithmetic shift) states in
+ * the ops struct why it is exact here.
  *
  * Every entry is bit-identical to kernels_scalar.cc. The codec entries
- * are exact integer bit manipulation, classified as in
- * detail::quantizeCore; the LogFMT entries perform the pinned operation
- * sequences of numerics/fastmath.hh lane-wise, one correctly-rounded
- * instruction per pinned operation (the repo builds with
- * -ffp-contract=off, so nothing is fused). The non-obvious choices:
+ * run quantizeValue()'s steps lane-wise (integer rounding on the
+ * magnitude bits, one exact add-subtract below 2^emin), with no lane
+ * left to a scalar rerun; the LogFMT entries perform the pinned
+ * operation sequences of numerics/fastmath.hh lane-wise, one
+ * correctly-rounded instruction per pinned operation (the repo builds
+ * with -ffp-contract=off, so nothing is fused). The non-obvious
+ * choices:
  *  - max/min operand order: max(|x|, acc) returns acc when |x| is NaN
  *    and on ties, as std::max(acc, |x|) keeps its first operand;
  *  - ne() is unordered (true on NaN, like scalar !=); lt/gt/le are
- *    ordered (false on NaN, like scalar <, >, <=);
- *  - variable 64-bit shifts yield 0 for counts >= 64, which the
- *    format-subnormal path uses; its round-up increment is masked with
- *    s < 64 because the remainder compare is garbage past that point;
- *  - double-subnormal codec inputs (dexp == 0, frac != 0) are rare and
- *    need a leading-zero normalization, so those lanes rerun the scalar
- *    table's entry for their one element.
+ *    ordered (false on NaN, like scalar <, >, <=).
  *
  * Tails: a span runs full chunks of W elements with plain loads and
  * stores, then its last partial chunk with masked ones (lanes =
@@ -66,6 +62,7 @@ template <int N>
 constexpr std::integral_constant<int, N> imm{};
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kQuietNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr std::int64_t kAbsMask = 0x7fffffffffffffff;
 
 /**
@@ -82,15 +79,6 @@ forEachChunk(std::size_t n, Body body)
         body(i, Full{});
     if (full < n)
         body(full, O::tail(n - full));
-}
-
-/** fn(l) for each set bit l of @p bits, lowest first. */
-template <class Fn>
-inline void
-forEachLane(unsigned bits, Fn fn)
-{
-    for (; bits; bits &= bits - 1)
-        fn((unsigned)__builtin_ctz(bits));
 }
 
 /** c0 + x * (c1 + x * (c2 + ...)): the pinned Horner order. */
@@ -120,137 +108,109 @@ pinnedTree(const V (&lane)[8], Add add)
 // Minifloat codec family
 // ---------------------------------------------------------------
 
+/** One chunk through quantizeValue(), before its sign and NaN rules. */
 template <class O>
-struct Encoded
+struct Rounded
 {
-    typename O::I code;  //!< per-lane code in the low 32 bits
-    typename O::D value; //!< per-lane quantized value
-    typename O::M patch; //!< double-subnormal inputs: rerun in scalar
+    typename O::I mag;   //!< |x|
+    typename O::I q;     //!< |quantizeValue(k, x)|, unless x is NaN
+    typename O::I fixed; //!< |x| + subMagic; below 2^emin its low bits
+                         //!< are the count of subnormal ULPs
+    typename O::M low;   //!< |x| < 2^emin
+    typename O::M nan;
 };
 
-/** Lane-parallel detail::quantizeCore(k, x, false). */
+/** The bits of @p v (the builtin: std::bit_cast would be a weak copy). */
+inline std::int64_t
+bitsOf(double v)
+{
+    return __builtin_bit_cast(std::int64_t, v);
+}
+
+/** Lane-parallel quantizeValue() on |x|, by the steps kernels.hh argues. */
 template <class O>
-inline Encoded<O>
-encode(const FormatConstants &k, typename O::D vx)
+inline Rounded<O>
+roundMagnitude(const FormatConstants &k, typename O::D vx)
+{
+    using I = typename O::I;
+    const int s = 52 - k.mbits;
+    const I mag = O::asInt(O::abs(vx));
+    const I lsb = O::bitAnd(O::shr(mag, O::splatI(s)), O::splatI(1));
+    I q = O::bitAnd(O::add(O::add(mag, O::splatI((1ll << (s - 1)) - 1)), lsb),
+                    O::splatI(-(1ll << s)));
+    const typename O::D vmagic = O::splat(k.subMagic);
+    const typename O::D fixed = O::add(O::asDouble(mag), vmagic);
+    const typename O::M low = O::gt(O::splatI(bitsOf(k.minNormal)), mag);
+    q = O::select(low, O::asInt(O::sub(fixed, vmagic)), q);
+    // A NaN's q may have carried into bit 63; no caller reads it.
+    q = O::select(O::gt(q, O::splatI(bitsOf(k.maxFinite))),
+                  O::splatI(bitsOf(k.overflow)), q);
+    return {mag, q, O::asInt(fixed), low,
+            O::gt(mag, O::splatI((std::int64_t)detail::kInfBits))};
+}
+
+/** The quantizeSpan tallies of one chunk's live lanes. */
+template <class O, class Lanes>
+inline void
+tally(const Rounded<O> &r, typename O::D vmax, Lanes lanes,
+      std::uint64_t &sat, std::uint64_t &flush)
+{
+    const typename O::M live = O::live(lanes);
+    sat += (unsigned)__builtin_popcount(
+        O::bits(O::bitAnd(O::gt(O::asDouble(r.mag), vmax), live)));
+    flush += (unsigned)__builtin_popcount(O::bits(O::bitAnd(
+        O::andNot(O::isZero(r.mag), O::isZero(r.q)), live)));
+}
+
+/** quantizeSpan for one (division, tally) choice. */
+template <class O, bool kDivide, bool kTally>
+void
+quantizeLanes(const FormatKernels &k, const double *in, double div,
+              double *out, std::size_t n, bool canonical_nan,
+              std::uint64_t *saturated, std::uint64_t *flushed)
 {
     using D = typename O::D;
-    using I = typename O::I;
-    using M = typename O::M;
-    const I vbits = O::asInt(vx);
-    const I vone = O::splatI(1);
-    const I vsign = O::shr(vbits, imm<63>);
-    const I vsign63 = O::shl(vsign, imm<63>);
-    const I vsign_code = O::shl(vsign, O::splatI(k.signShift));
-    const I vdexp = O::bitAnd(O::shr(vbits, imm<52>), O::splatI(0x7ff));
-    const I vfrac = O::bitAnd(vbits, O::splatI((1ll << 52) - 1));
-
-    const M m_special = O::eq(vdexp, O::splatI(0x7ff));
-    const M m_zero = O::isZero(O::shl(vbits, imm<1>));
-    const M m_fracz = O::isZero(vfrac);
-    const M m_patch = O::andNot(m_fracz, O::isZero(vdexp));
-
-    // Normal doubles: mag = sig * 2^(e - 52), sig in [2^52, 2^53).
-    const I ve = O::sub(vdexp, O::splatI(1023));
-    const I vsig = O::bitOr(vfrac, O::splatI(1ll << 52));
-    const M m_norm =
-        O::andNot(O::bitOr(O::bitOr(m_special, m_zero), m_patch),
-                  O::ge(ve, O::splatI(k.emin)));
-
-    // -- normal range: RNE on the integer significand --
-    const int shift = 52 - k.mbits;
-    const std::int64_t halfc = 1ll << (shift - 1);
-    I vm = O::shr(vsig, O::splatI(shift));
-    const I vhalf = O::splatI(halfc);
-    const I vrem = O::bitAnd(vsig, O::splatI((halfc << 1) - 1));
-    vm = O::addOne(vm, O::bitOr(O::gt(vrem, vhalf),
-                                O::bitAnd(O::eq(vrem, vhalf), O::odd(vm))));
-    const M carry = O::eq(vm, O::splatI(2ll << k.mbits));
-    vm = O::select(carry, O::shr(vm, imm<1>), vm);
-    // e only carries in the normal branch; ve stays for below-range.
-    const I ven = O::addOne(ve, carry);
-
-    M over = O::gt(ven, O::splatI(k.emax));
-    if (k.finiteOnly) {
-        over = O::bitOr(
-            over, O::bitAnd(O::eq(ven, O::splatI(k.emax)),
-                            O::eq(vm, O::splatI((2ll << k.mbits) - 1))));
+    // A copy no output store can alias, so chunks need not reload it.
+    const FormatConstants f = k;
+    const D vdiv = O::splat(div);
+    const D vmax = O::splat(f.maxFinite);
+    const D vqnan = O::splat(kQuietNaN);
+    // All lanes or none: which NaN a NaN lane takes.
+    const typename O::M canonical = O::tail(canonical_nan ? O::W : 0);
+    const typename O::I vsign = O::splatI((std::int64_t)detail::kSignBit);
+    std::uint64_t sat = 0, flush = 0;
+    forEachChunk<O>(n, [&](std::size_t i, auto lanes) {
+        D vx = O::load(in + i, lanes);
+        if constexpr (kDivide)
+            vx = O::div(vx, vdiv);
+        const Rounded<O> r = roundMagnitude<O>(f, vx);
+        const D q =
+            O::asDouble(O::bitOr(r.q, O::bitAnd(O::asInt(vx), vsign)));
+        O::store(out + i,
+                 O::select(r.nan, O::select(canonical, vqnan, vx), q),
+                 lanes);
+        if constexpr (kTally)
+            tally<O>(r, vmax, lanes, sat, flush);
+    });
+    if constexpr (kTally) {
+        *saturated += sat;
+        *flushed += flush;
     }
-    over = O::bitAnd(over, m_norm);
-
-    const I vmant = O::bitAnd(vm, O::splatI(k.mantMask));
-    const I vcode_norm = O::bitOr(
-        vsign_code,
-        O::bitOr(O::shl(O::add(ven, O::splatI(k.bias)), O::splatI(k.mbits)),
-                 vmant));
-    const D vvalue_norm = O::asDouble(O::bitOr(
-        vsign63, O::bitOr(O::shl(O::add(ven, O::splatI(1023)), imm<52>),
-                          O::shl(vmant, O::splatI(shift)))));
-
-    // -- below the normal range: fixed-point at the subnormal ULP --
-    const I vs =
-        O::add(O::sub(O::splatI(k.emin), ve), O::splatI(shift));
-    I vms = O::shr(vsig, vs); // 0 when s >= 64
-    const I vhalf_s = O::shl(vone, O::sub(vs, vone));
-    const I vrem_s = O::bitAnd(vsig, O::sub(O::shl(vone, vs), vone));
-    vms = O::addOne(
-        vms, O::bitAnd(O::bitOr(O::gt(vrem_s, vhalf_s),
-                                O::bitAnd(O::eq(vrem_s, vhalf_s),
-                                          O::odd(vms))),
-                       O::gt(O::splatI(64), vs)));
-    const I vcode_sub = O::bitOr(vsign_code, vms);
-    const D vvalue_sub = O::asDouble(O::bitOr(
-        O::asInt(O::mul(O::smallToDouble(vms), O::splat(k.subScale))),
-        vsign63));
-
-    // -- blend the paths, worst case last --
-    I vcode = O::select(m_norm, vcode_norm, vcode_sub);
-    D vvalue = O::select(m_norm, vvalue_norm, vvalue_sub);
-
-    const auto withSign = [&](double mag) {
-        return O::asDouble(O::bitOr(O::asInt(O::splat(mag)), vsign63));
-    };
-    const auto codeWithSign = [&](std::uint32_t code) {
-        return O::bitOr(vsign_code, O::splatI(code));
-    };
-    vcode = O::select(over,
-                      codeWithSign(k.finiteOnly ? k.maxCode : k.infCode),
-                      vcode);
-    vvalue = O::select(over, withSign(k.finiteOnly ? k.maxFinite : kInf),
-                       vvalue);
-
-    vcode = O::select(m_zero, vsign_code, vcode);
-    vvalue = O::select(m_zero, vx, vvalue); // +-0 keeps its sign
-
-    const M m_nan = O::andNot(m_fracz, m_special);
-    const M m_inf = O::bitAnd(m_special, m_fracz);
-    vcode = O::select(m_nan, codeWithSign(k.nanCode), vcode);
-    vvalue = O::select(m_nan, vx, vvalue); // payload preserved
-    if (k.finiteOnly) {
-        vcode = O::select(m_inf, codeWithSign(k.maxCode), vcode);
-        vvalue = O::select(m_inf, withSign(k.maxFinite), vvalue);
-    } else {
-        vcode = O::select(m_inf, codeWithSign(k.infCode), vcode);
-        vvalue = O::select(m_inf, vx, vvalue);
-    }
-    return {vcode, vvalue, m_patch};
 }
 
 template <class O>
 void
-quantizeSpan(const FormatKernels &k, const double *in, double *out,
-             std::size_t n)
+quantizeSpan(const FormatKernels &k, const double *in, double div,
+             double *out, std::size_t n, bool canonical_nan,
+             std::uint64_t *saturated, std::uint64_t *flushed)
 {
-    const KernelTable &scalar = *detail::scalarKernelTable();
-    // A copy no output store can alias, so chunks need not reload it.
-    const FormatConstants f = k;
-    forEachChunk<O>(n, [&](std::size_t i, auto lanes) {
-        const Encoded<O> r = encode<O>(f, O::load(in + i, lanes));
-        O::store(out + i, r.value, lanes);
-        forEachLane(O::bits(O::bitAnd(r.patch, O::live(lanes))),
-                    [&](unsigned l) {
-                        scalar.quantizeSpan(k, in + i + l, out + i + l, 1);
-                    });
-    });
+    using Loop = decltype(&quantizeLanes<O, false, false>);
+    static constexpr Loop kLoops[2][2] = {
+        {quantizeLanes<O, false, false>, quantizeLanes<O, false, true>},
+        {quantizeLanes<O, true, false>, quantizeLanes<O, true, true>}};
+    kLoops[div != 1.0][saturated != nullptr](k, in, div, out, n,
+                                             canonical_nan, saturated,
+                                             flushed);
 }
 
 template <class O>
@@ -263,42 +223,40 @@ decodeLutSpan(const double *lut, const std::uint32_t *in, double *out,
     });
 }
 
+/**
+ * Codes from roundMagnitude(): below 2^emin the subnormal count in
+ * fixed's low bits, at or above it the rounded bits shifted down to
+ * the format's mantissa width with the double's exponent bias swapped
+ * for the format's; then +inf, NaN and the sign.
+ */
 template <class O>
 void
 encodeScaledSpan(const FormatKernels &k, const double *in, double s,
-                 std::uint32_t *out, std::size_t n, double fmt_max,
-                 std::uint32_t mag_mask, std::uint64_t *saturated,
-                 std::uint64_t *flushed)
+                 std::uint32_t *out, std::size_t n,
+                 std::uint64_t *saturated, std::uint64_t *flushed)
 {
-    using D = typename O::D;
-    using M = typename O::M;
-    const KernelTable &scalar = *detail::scalarKernelTable();
-    const D vdiv = O::splat(s);
-    const D vfmt_max = O::splat(fmt_max);
-    const D vzero = O::splat(0.0);
-    const typename O::I vmag_mask = O::splatI(mag_mask);
-    const FormatConstants f = k; // unaliased, as in quantizeSpan
+    using I = typename O::I;
+    const FormatConstants f = k; // unaliased, as in quantizeLanes
+    const typename O::D vdiv = O::splat(s);
+    const typename O::D vmax = O::splat(f.maxFinite);
+    const I vshift = O::splatI(52 - f.mbits);
+    const I vrebias = O::splatI((std::int64_t)(1023 - f.bias) << f.mbits);
+    const I vmagic = O::splatI(bitsOf(f.subMagic));
+    const I vinf = O::splatI((std::int64_t)detail::kInfBits);
+    const I vsign_shift = O::splatI(f.signShift);
     std::uint64_t sat = 0, flush = 0;
     forEachChunk<O>(n, [&](std::size_t i, auto lanes) {
-        const D vscaled = O::div(O::load(in + i, lanes), vdiv);
-        const Encoded<O> r = encode<O>(f, vscaled);
-        O::storeC(out + i, O::narrow(r.code), lanes);
-        const M patch = O::bitAnd(r.patch, O::live(lanes));
-        if (saturated) {
-            const M vec = O::andNot(patch, O::live(lanes));
-            const M msat =
-                O::bitAnd(O::gt(O::abs(vscaled), vfmt_max), vec);
-            const M mflush = O::bitAnd(
-                O::andNot(msat, O::ne(vscaled, vzero)),
-                O::bitAnd(O::isZero(O::bitAnd(r.code, vmag_mask)), vec));
-            sat += (unsigned)__builtin_popcount(O::bits(msat));
-            flush += (unsigned)__builtin_popcount(O::bits(mflush));
-        }
-        forEachLane(O::bits(patch), [&](unsigned l) {
-            scalar.encodeScaledSpan(k, in + i + l, s, out + i + l, 1,
-                                    fmt_max, mag_mask, saturated,
-                                    flushed);
-        });
+        const typename O::D vx = O::div(O::load(in + i, lanes), vdiv);
+        const Rounded<O> r = roundMagnitude<O>(f, vx);
+        I code = O::select(r.low, O::sub(r.fixed, vmagic),
+                           O::sub(O::shr(r.q, vshift), vrebias));
+        code = O::select(O::eq(r.q, vinf), O::splatI(f.infCode), code);
+        code = O::select(r.nan, O::splatI(f.nanCode), code);
+        code = O::bitOr(
+            code, O::shl(O::shr(O::asInt(vx), imm<63>), vsign_shift));
+        O::storeC(out + i, O::narrow(code), lanes);
+        if (saturated)
+            tally<O>(r, vmax, lanes, sat, flush);
     });
     if (saturated) {
         *saturated += sat;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <new>
 #include <vector>
 
 #include "common/rng.hh"
@@ -28,6 +29,11 @@ void alignedFree(void *p, std::size_t align) noexcept;
  * use it at 64 bytes so a full cache line -- and therefore any
  * aligned vector register width up to 512 bits -- can be loaded from
  * element 0 of every row-major buffer the SIMD kernels stream over.
+ *
+ * Elements inserted without a value are default-initialized: an
+ * AlignedVector<double>(n) or resize(n) leaves its doubles unwritten
+ * (no zero-fill pass over a panel the kernels then overwrite), so
+ * every such buffer must be written before it is read.
  */
 template <typename T, std::size_t Align = 64>
 struct AlignedAlloc
@@ -48,6 +54,13 @@ struct AlignedAlloc
     void deallocate(T *p, std::size_t) noexcept
     {
         detail::alignedFree(p, Align);
+    }
+
+    /** Insertion with a value falls back to allocator_traits. */
+    template <typename U>
+    void construct(U *p) noexcept
+    {
+        ::new ((void *)p) U;
     }
 
     template <typename U>

@@ -46,87 +46,118 @@ granularityName(Granularity g)
     return "?";
 }
 
+namespace {
+
+/**
+ * The one amax/scale rule. Walks @p m's scale regions in scale-grid
+ * order (one row's tile run, a tile x tile block, or the whole
+ * matrix), sets each region's scale to amax / maxFinite (1 when the
+ * amax is 0: all zeros or NaN), and right after, while the region is
+ * still in cache, calls emit(k, r, c_lo, c_hi, s, saturated, flushed)
+ * on each of its row runs, with the tally pointers null when stats are
+ * off. absMax ignores NaNs and max is order-free on the rest, so every
+ * amax is bit-identical under every dispatch table. Returns the grid
+ * and tallies numerics.quantize.*.
+ */
+template <class Emit>
+std::vector<double>
+quantizeRegions(const Matrix &m, const FloatFormat &fmt, Granularity g,
+                std::size_t tile, Emit emit)
+{
+    DSV3_ASSERT(tile > 0, "quantization tile must be > 0");
+    const std::size_t rows = m.rows(), cols = m.cols();
+    const std::size_t band = g == Granularity::TILE_1X128 ? 1
+        : g == Granularity::BLOCK_128X128 ? tile : rows;
+    const std::size_t width = g == Granularity::PER_TENSOR ? cols : tile;
+    std::vector<double> scales(
+        g == Granularity::PER_TENSOR
+            ? 1 : ((rows + band - 1) / band) * ((cols + tile - 1) / tile),
+        1.0);
+
+    const KernelTable &kt = kernels();
+    const FormatKernels &k = formatKernels(fmt);
+    const bool tally = obs::statsEnabled();
+    std::uint64_t saturated = 0, flushed = 0;
+    std::uint64_t *sat_p = tally ? &saturated : nullptr;
+    std::uint64_t *flush_p = tally ? &flushed : nullptr;
+    const double *data = m.data().data();
+    std::size_t idx = 0;
+    for (std::size_t r_lo = 0; r_lo < rows; r_lo += band) {
+        const std::size_t r_hi = std::min(rows, r_lo + band);
+        for (std::size_t c_lo = 0; c_lo < cols; c_lo += width, ++idx) {
+            const std::size_t c_hi = std::min(cols, c_lo + width);
+            double amax = 0.0;
+            if (c_hi - c_lo == cols) // whole rows: one contiguous run
+                amax = kt.absMax(data + r_lo * cols, (r_hi - r_lo) * cols,
+                                 amax);
+            else
+                for (std::size_t r = r_lo; r < r_hi; ++r)
+                    amax = kt.absMax(data + r * cols + c_lo, c_hi - c_lo,
+                                     amax);
+            const double s = amax > 0.0 ? amax / k.maxFinite : 1.0;
+            scales[idx] = s;
+            for (std::size_t r = r_lo; r < r_hi; ++r)
+                emit(k, r, c_lo, c_hi, s, sat_p, flush_p);
+        }
+    }
+    if (tally) {
+        QuantizeStats &stats = quantizeStats();
+        stats.values.inc((std::uint64_t)(rows * cols));
+        stats.saturated.inc(saturated);
+        stats.flushedToZero.inc(flushed);
+    }
+    return scales;
+}
+
+} // namespace
+
+std::vector<double>
+packQuantized(const Matrix &m, const FloatFormat &fmt,
+              Granularity granularity, std::size_t tile, double *out,
+              std::size_t ld)
+{
+    DSV3_TRACE_SPAN("numerics.quantize.pack", "rows", m.rows(), "cols",
+                    m.cols(), "fmt", fmt.name);
+    const KernelTable &kt = kernels();
+    const double *data = m.data().data();
+    const std::size_t cols = m.cols();
+    return quantizeRegions(
+        m, fmt, granularity, tile,
+        [&](const FormatKernels &k, std::size_t r, std::size_t c_lo,
+            std::size_t c_hi, double s, std::uint64_t *sat,
+            std::uint64_t *flush) {
+            kt.quantizeSpan(k, data + r * cols + c_lo, s,
+                            out + r * ld + c_lo, c_hi - c_lo, true, sat,
+                            flush);
+        });
+}
+
 QuantizedMatrix::QuantizedMatrix(const Matrix &m, const FloatFormat &fmt,
                                  Granularity granularity, std::size_t tile)
     : fmt_(&fmt), granularity_(granularity), tile_(tile),
       rows_(m.rows()), cols_(m.cols())
 {
-    DSV3_ASSERT(tile_ > 0);
-    std::size_t tiles_x = (cols_ + tile_ - 1) / tile_;
-    std::size_t tiles_y = (rows_ + tile_ - 1) / tile_;
-
-    switch (granularity_) {
-      case Granularity::PER_TENSOR:
-        scaleCols_ = 1;
-        scales_.assign(1, 0.0);
-        break;
-      case Granularity::TILE_1X128:
-        scaleCols_ = tiles_x;
-        scales_.assign(rows_ * tiles_x, 0.0);
-        break;
-      case Granularity::BLOCK_128X128:
-        scaleCols_ = tiles_x;
-        scales_.assign(tiles_y * tiles_x, 0.0);
-        break;
-    }
-
-    // Pass 1: per-region amax -> scale = amax / maxFinite. Each row is
-    // walked tile-run by tile-run so the scale index is computed once
-    // per run instead of once per element; within a region elements
-    // are visited in the same order as before. absMax's vector
-    // reduction keeps std::max's NaN-dropping/keep-first semantics,
-    // so the amax (and therefore every scale) is bit-identical under
-    // every dispatch table.
-    const KernelTable &kt = kernels();
-    const double max_code = fmt_->maxFinite();
-    std::vector<double> amax(scales_.size(), 0.0);
-    const double *data = m.data().data();
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double *row = data + r * cols_;
-        for (std::size_t c_lo = 0; c_lo < cols_; c_lo += tile_) {
-            const std::size_t c_hi = std::min(cols_, c_lo + tile_);
-            double &a = amax[scaleIndex(r, c_lo)];
-            a = kt.absMax(row + c_lo, c_hi - c_lo, a);
-        }
-    }
-    for (std::size_t i = 0; i < scales_.size(); ++i)
-        scales_[i] = amax[i] > 0.0 ? amax[i] / max_code : 1.0;
-
-    // Pass 2: encode through the bit-classification kernel, one scale
-    // lookup per tile run. Saturation (|x/s| beyond the format's
-    // largest finite) and underflow-to-zero events are tallied --
-    // amax scaling makes saturation rare by construction, so a
-    // nonzero count flags a scale-selection bug or an adversarial
-    // input distribution. A flushed element is recognisable from its
-    // code alone (all magnitude bits zero), so the tally costs no
-    // decode; with stats gated off it is skipped entirely.
+    // Codes, a scale region at a time. Saturation (|x/s| beyond the
+    // format's largest finite) and underflow-to-zero events are
+    // tallied: amax scaling makes saturation rare by construction, so
+    // a nonzero count flags a scale-selection bug or an adversarial
+    // input distribution.
     DSV3_TRACE_SPAN("numerics.quantize.encode", "rows", rows_, "cols",
                     cols_, "fmt", fmt_->name);
-    const FormatKernels &kern = formatKernels(*fmt_);
-    const double fmt_max = fmt_->maxFinite();
-    const std::uint32_t mag_mask = (1u << kern.signShift) - 1;
-    const bool tally = obs::statsEnabled();
-    std::uint64_t saturated = 0, flushed = 0;
-    std::uint64_t *sat_p = tally ? &saturated : nullptr;
-    std::uint64_t *flush_p = tally ? &flushed : nullptr;
+    const KernelTable &kt = kernels();
+    const double *data = m.data().data();
     codes_.resize(rows_ * cols_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double *row = data + r * cols_;
-        std::uint32_t *crow = codes_.data() + r * cols_;
-        for (std::size_t c_lo = 0; c_lo < cols_; c_lo += tile_) {
-            const std::size_t c_hi = std::min(cols_, c_lo + tile_);
-            const double s = scales_[scaleIndex(r, c_lo)];
-            kt.encodeScaledSpan(kern, row + c_lo, s, crow + c_lo,
-                                c_hi - c_lo, fmt_max, mag_mask, sat_p,
-                                flush_p);
-        }
-    }
-    if (tally) {
-        QuantizeStats &stats = quantizeStats();
-        stats.values.inc((std::uint64_t)(rows_ * cols_));
-        stats.saturated.inc(saturated);
-        stats.flushedToZero.inc(flushed);
-    }
+    scales_ = quantizeRegions(
+        m, fmt, granularity, tile,
+        [&](const FormatKernels &k, std::size_t r, std::size_t c_lo,
+            std::size_t c_hi, double s, std::uint64_t *sat,
+            std::uint64_t *flush) {
+            kt.encodeScaledSpan(k, data + r * cols_ + c_lo, s,
+                                codes_.data() + r * cols_ + c_lo,
+                                c_hi - c_lo, sat, flush);
+        });
+    scaleCols_ = granularity_ == Granularity::PER_TENSOR
+        ? 1 : (cols_ + tile_ - 1) / tile_;
 }
 
 std::size_t

@@ -91,6 +91,18 @@ class QuantizedMatrix
 };
 
 /**
+ * The raw values a QuantizedMatrix of @p m decodes to (rawValue(), a
+ * NaN as decode()'s canonical quiet NaN), with no code plane: element
+ * (r, c) goes to out[r * ld + c], and the return value is the
+ * scaleGrid(). Each scale region is quantized right after its amax,
+ * and the numerics.quantize.* tallies match the QuantizedMatrix's.
+ */
+std::vector<double> packQuantized(const Matrix &m, const FloatFormat &fmt,
+                                  Granularity granularity,
+                                  std::size_t tile, double *out,
+                                  std::size_t ld);
+
+/**
  * Convenience: quantize then dequantize, returning the lossy matrix.
  * Useful for measuring pure quantization error.
  */

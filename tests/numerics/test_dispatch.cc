@@ -141,6 +141,72 @@ class DispatchTest : public ::testing::TestWithParam<KernelIsa>
         GTEST_SKIP() << isaName(GetParam())                          \
                      << " not available on this host"
 
+/**
+ * A format's rounding edges, both signs and each value's two double
+ * neighbours: exact ties that round down and up, the mantissa carry
+ * into the next binade, in the lowest, a middle and the top binade;
+ * the largest value below 2^emin (it rounds up to 2^emin) and the
+ * subnormal ties; the overflow midpoint (E4M3 464, E5M2 61440); and
+ * DBL_MAX, double subnormals, +-0, +-inf and NaN payloads.
+ */
+std::vector<double>
+roundingEdges(const FormatKernels &k)
+{
+    const double half = std::ldexp(1.0, -k.mbits - 1); // ULP(1) / 2
+    std::vector<double> mags = {
+        std::nextafter(k.minNormal, 0.0),
+        k.minNormal - k.subScale / 2,
+        k.subScale / 2,
+        k.subScale * 1.5,
+        k.subScale * 2.5,
+        k.maxFinite,
+        k.maxFinite + std::ldexp(1.0, k.emax - k.mbits - 1),
+    };
+    for (int e : {k.emin, k.emin + 1, 0, k.emax}) {
+        mags.push_back(std::ldexp(1.0 + half, e));     // tie, rounds down
+        mags.push_back(std::ldexp(1.0 + 3 * half, e)); // tie, rounds up
+        mags.push_back(std::ldexp(2.0 - half, e));     // carries to 2^(e+1)
+    }
+    std::vector<double> out;
+    for (double m : mags)
+        for (double v : {std::nextafter(m, 0.0), m, std::nextafter(m, kInf)})
+            out.insert(out.end(), {v, -v});
+    const double specials[] = {
+        0.0,
+        -0.0,
+        kInf,
+        -kInf,
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::bit_cast<double>(0x000fffffffffffffULL),
+        std::bit_cast<double>(0x0000000123456789ULL),
+        std::numeric_limits<double>::quiet_NaN(),
+        std::bit_cast<double>(0xfff800000000beefULL), // -NaN, payload
+        std::bit_cast<double>(0x7ff0000000000001ULL), // signalling
+    };
+    out.insert(out.end(), std::begin(specials), std::end(specials));
+    return out;
+}
+
+/** Divisors: none, exact powers of two, and inexact ones. */
+const double kDivisors[] = {1.0, 0.25, 1024.0, 3.7e-3, 1.9e4, 1e200};
+
+/**
+ * The inputs of one divisor: @p edges times @p div, so in / div lands
+ * on each edge again where the product is exact, then @p fuzz.
+ */
+std::vector<double>
+scaledInputs(const std::vector<double> &edges,
+             const std::vector<double> &fuzz, double div)
+{
+    std::vector<double> in;
+    for (double e : edges)
+        in.push_back(std::isnan(e) ? e : e * div);
+    in.insert(in.end(), fuzz.begin(), fuzz.end());
+    return in;
+}
+
 TEST_P(DispatchTest, CodecSpansMatchScalar)
 {
     DSV3_REQUIRE_ISA_TABLE(t);
@@ -148,30 +214,57 @@ TEST_P(DispatchTest, CodecSpansMatchScalar)
     for (const FloatFormat *fmt : kAllFormats) {
         const FormatKernels &k = formatKernels(*fmt);
         SCOPED_TRACE(fmt->name);
-        for (std::size_t n : kLengths) {
-            const std::vector<double> in = fuzzInputs(rng, n);
-            std::vector<double> q_s(n + 1, -7.0), q_v(n + 1, -7.0);
-            oracle().quantizeSpan(k, in.data(), q_s.data(), n);
-            t->quantizeSpan(k, in.data(), q_v.data(), n);
-            for (std::size_t i = 0; i <= n; ++i)
-                ASSERT_EQ(dbits(q_v[i]), dbits(q_s[i]))
-                    << "quantize n=" << n << " i=" << i
-                    << " in=" << (i < n ? in[i] : 0.0);
-
-            if (k.hasLut()) {
-                std::vector<std::uint32_t> codes(n);
-                for (auto &c : codes)
-                    c = (std::uint32_t)rng.nextBounded(
-                        k.decodeLut.size());
-                std::vector<double> d_s(n + 1, -7.0), d_v(n + 1, -7.0);
-                oracle().decodeLutSpan(k.decodeLut.data(),
-                                       codes.data(), d_s.data(), n);
-                t->decodeLutSpan(k.decodeLut.data(), codes.data(),
-                                 d_v.data(), n);
-                for (std::size_t i = 0; i <= n; ++i)
-                    ASSERT_EQ(dbits(d_v[i]), dbits(d_s[i]))
-                        << "decode n=" << n << " i=" << i;
+        const std::vector<double> edges = roundingEdges(k);
+        for (double div : kDivisors) {
+            const std::vector<double> all =
+                scaledInputs(edges, fuzzInputs(rng, 300), div);
+            for (std::size_t n : kLengths) {
+                // Ragged lengths from both ends of the input set.
+                for (const double *in :
+                     {all.data(), all.data() + all.size() - n}) {
+                    for (bool canonical : {false, true}) {
+                        for (bool tally : {false, true}) {
+                            std::vector<double> q_s(n + 1, -7.0),
+                                q_v(n + 1, -7.0);
+                            std::uint64_t sat_s = 3, flush_s = 5;
+                            std::uint64_t sat_v = 3, flush_v = 5;
+                            oracle().quantizeSpan(
+                                k, in, div, q_s.data(), n, canonical,
+                                tally ? &sat_s : nullptr,
+                                tally ? &flush_s : nullptr);
+                            t->quantizeSpan(k, in, div, q_v.data(), n,
+                                            canonical,
+                                            tally ? &sat_v : nullptr,
+                                            tally ? &flush_v : nullptr);
+                            for (std::size_t i = 0; i < n; ++i)
+                                ASSERT_EQ(dbits(q_v[i]), dbits(q_s[i]))
+                                    << "quantize n=" << n << " i=" << i
+                                    << " div=" << div
+                                    << " canonical=" << canonical
+                                    << " in=" << in[i];
+                            ASSERT_EQ(q_v[n], -7.0) << "wrote past n=" << n;
+                            ASSERT_EQ(sat_v, sat_s) << "n=" << n;
+                            ASSERT_EQ(flush_v, flush_s) << "n=" << n;
+                        }
+                    }
+                }
             }
+        }
+
+        for (std::size_t n : kLengths) {
+            if (!k.hasLut())
+                break;
+            std::vector<std::uint32_t> codes(n);
+            for (auto &c : codes)
+                c = (std::uint32_t)rng.nextBounded(k.decodeLut.size());
+            std::vector<double> d_s(n + 1, -7.0), d_v(n + 1, -7.0);
+            oracle().decodeLutSpan(k.decodeLut.data(), codes.data(),
+                                   d_s.data(), n);
+            t->decodeLutSpan(k.decodeLut.data(), codes.data(), d_v.data(),
+                             n);
+            for (std::size_t i = 0; i <= n; ++i)
+                ASSERT_EQ(dbits(d_v[i]), dbits(d_s[i]))
+                    << "decode n=" << n << " i=" << i;
         }
     }
 }
@@ -180,42 +273,84 @@ TEST_P(DispatchTest, EncodeScaledSpanMatchesScalarWithTallies)
 {
     DSV3_REQUIRE_ISA_TABLE(t);
     Rng rng(0x5ca1ed);
-    const double scales[] = {1.0, 0.25, 3.7e-3, 1.9e4, 1e200};
     for (const FloatFormat *fmt : kAllFormats) {
         const FormatKernels &k = formatKernels(*fmt);
-        const std::uint32_t mag_mask =
-            (1u << k.signShift) - 1;
         SCOPED_TRACE(fmt->name);
-        for (std::size_t n : kLengths) {
-            const std::vector<double> in = fuzzInputs(rng, n);
-            const double s =
-                scales[rng.nextBounded(std::size(scales))];
-            std::vector<std::uint32_t> code_s(n + 1, 0xabababab);
-            std::vector<std::uint32_t> code_v(n + 1, 0xabababab);
-            std::uint64_t sat_s = 3, flush_s = 5;
-            std::uint64_t sat_v = 3, flush_v = 5;
-            oracle().encodeScaledSpan(k, in.data(), s, code_s.data(),
-                                      n, k.maxFinite, mag_mask,
-                                      &sat_s, &flush_s);
-            t->encodeScaledSpan(k, in.data(), s, code_v.data(), n,
-                                k.maxFinite, mag_mask, &sat_v,
-                                &flush_v);
-            for (std::size_t i = 0; i <= n; ++i)
-                ASSERT_EQ(code_v[i], code_s[i])
-                    << "n=" << n << " i=" << i << " s=" << s;
-            ASSERT_EQ(sat_v, sat_s) << "n=" << n;
-            ASSERT_EQ(flush_v, flush_s) << "n=" << n;
+        const std::vector<double> edges = roundingEdges(k);
+        for (double s : kDivisors) {
+            const std::vector<double> all =
+                scaledInputs(edges, fuzzInputs(rng, 300), s);
+            for (std::size_t n : kLengths) {
+                for (const double *in :
+                     {all.data(), all.data() + all.size() - n}) {
+                    for (bool tally : {false, true}) {
+                        std::vector<std::uint32_t> code_s(n + 1, 0xabababab);
+                        std::vector<std::uint32_t> code_v(n + 1, 0xabababab);
+                        std::uint64_t sat_s = 3, flush_s = 5;
+                        std::uint64_t sat_v = 3, flush_v = 5;
+                        oracle().encodeScaledSpan(
+                            k, in, s, code_s.data(), n,
+                            tally ? &sat_s : nullptr,
+                            tally ? &flush_s : nullptr);
+                        t->encodeScaledSpan(k, in, s, code_v.data(), n,
+                                            tally ? &sat_v : nullptr,
+                                            tally ? &flush_v : nullptr);
+                        for (std::size_t i = 0; i < n; ++i)
+                            ASSERT_EQ(code_v[i], code_s[i])
+                                << "n=" << n << " i=" << i << " s=" << s
+                                << " in=" << in[i];
+                        ASSERT_EQ(code_v[n], 0xababababu)
+                            << "wrote past n=" << n;
+                        ASSERT_EQ(sat_v, sat_s) << "n=" << n;
+                        ASSERT_EQ(flush_v, flush_s) << "n=" << n;
+                    }
+                }
+            }
+        }
+    }
+}
 
-            // Tally-free variant must also match.
-            oracle().encodeScaledSpan(k, in.data(), s, code_s.data(),
-                                      n, k.maxFinite, mag_mask,
-                                      nullptr, nullptr);
-            t->encodeScaledSpan(k, in.data(), s, code_v.data(), n,
-                                k.maxFinite, mag_mask, nullptr,
-                                nullptr);
-            for (std::size_t i = 0; i <= n; ++i)
-                ASSERT_EQ(code_v[i], code_s[i])
-                    << "no-tally n=" << n << " i=" << i;
+/**
+ * The scalar table's quantizeSpan -- quantizeValue() on the double's
+ * bits -- is the reference codec: quantizeRef(in / div) with NaN
+ * payloads kept, decodeRef(encodeRef(in / div)) with canonical NaNs,
+ * and the tallies counted longhand. The fuzz above holds every SIMD
+ * table to it.
+ */
+TEST(QuantizeSpan, ScalarTableMatchesReferenceCodec)
+{
+    const KernelTable &scalar = *kernelTable(KernelIsa::SCALAR);
+    Rng rng(0x9a1e);
+    for (const FloatFormat *fmt : kAllFormats) {
+        const FormatKernels &k = formatKernels(*fmt);
+        SCOPED_TRACE(fmt->name);
+        const std::vector<double> edges = roundingEdges(k);
+        for (double div : kDivisors) {
+            const std::vector<double> in =
+                scaledInputs(edges, fuzzInputs(rng, 20000), div);
+            const std::size_t n = in.size();
+            std::vector<double> q(n), c(n);
+            std::uint64_t sat = 0, flush = 0, sat_c = 0, flush_c = 0;
+            scalar.quantizeSpan(k, in.data(), div, q.data(), n, false,
+                                &sat, &flush);
+            scalar.quantizeSpan(k, in.data(), div, c.data(), n, true,
+                                &sat_c, &flush_c);
+            std::uint64_t want_sat = 0, want_flush = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double x = div == 1.0 ? in[i] : in[i] / div;
+                const double want = quantizeRef(*fmt, x);
+                ASSERT_EQ(dbits(q[i]), dbits(want))
+                    << "i=" << i << " div=" << div << " in=" << in[i];
+                ASSERT_EQ(dbits(c[i]),
+                          dbits(decodeRef(*fmt, encodeRef(*fmt, x))))
+                    << "canonical i=" << i << " div=" << div;
+                want_sat += std::fabs(x) > fmt->maxFinite();
+                want_flush += x != 0.0 && want == 0.0;
+            }
+            EXPECT_EQ(sat, want_sat) << "div=" << div;
+            EXPECT_EQ(flush, want_flush) << "div=" << div;
+            EXPECT_EQ(sat_c, want_sat) << "div=" << div;
+            EXPECT_EQ(flush_c, want_flush) << "div=" << div;
         }
     }
 }
