@@ -84,7 +84,8 @@ generatedSchedule(std::size_t engines, double fail_per_hour,
  * schedule seeds, against the analytic per-engine steady-state bound
  * A = MTBF/(MTBF+MTTR). Rows outside the valid regime (too few
  * expected failures or a span dominated by the all-up transient) are
- * marked and exempt from the CI 5% gate.
+ * marked and exempt from the 5% gate of
+ * ServingChaosAvailability.SimulatedMatchesAnalyticInRegime.
  */
 Table
 availabilityVsFaultRate()
@@ -361,7 +362,7 @@ BM_SimulateChaosClosedLoop(benchmark::State &state)
 }
 // The 1024-request arg exists to show the event-loop scaling the
 // event-heap + per-engine-slot core buys; it runs only when the
-// microbenchmarks do (CI's table runs filter them out).
+// microbenchmarks do (the golden table runs filter them out).
 BENCHMARK(BM_SimulateChaosClosedLoop)->Arg(64)->Arg(256)->Arg(1024);
 
 void

@@ -19,7 +19,8 @@
  *                   timestamps are simulated time, so the file is
  *                   byte-identical across reruns and thread widths.
  *                   Only benches that drive a simulator honor it
- *                   (currently bench_serving); others ignore it.
+ *                   (bench_serving and bench_serving_chaos);
+ *                   others ignore it.
  *   --threads=<N>   cap the sweep width: parallelFor()/runSweepGrid()
  *                   use at most N threads, caller included (1 =
  *                   serial, 0 = uncapped default). Table output is
@@ -28,12 +29,11 @@
  *   --repeat=<N>    after the normal (printing) table pass, rebuild
  *                   the tables N more times with output suppressed
  *                   and log the min wall seconds per pass to stderr.
- *                   This is the wall-time trend harness the CI
- *                   non-gating perf log uses: min-of-N of the full
- *                   table build (simulations included), stdout
- *                   untouched. Don't combine with --json: the obs
- *                   stats counters accumulate across passes, so a
- *                   report written after a --repeat run is not
+ *                   This is the wall-time trend harness: min-of-N
+ *                   of the full table build (simulations included),
+ *                   stdout untouched. Don't combine with --json:
+ *                   the obs stats counters accumulate across passes,
+ *                   so a report written after a --repeat run is not
  *                   comparable to a single-pass baseline.
  *
  * All default off; without them a bench run is byte-identical to the

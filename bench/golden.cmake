@@ -3,16 +3,17 @@
 #
 #   cmake -DBENCH=<bench exe> -DREPORT_DIFF=<report_diff exe>
 #         -DBASELINE=<BENCH_*.json> -DOUT=<report.json>
-#         [-DBENCH_ARGS=<extra;args>]
+#         [-DBENCH_ARGS=<extra;args>] [-DSTATS=<name,name,...>]
 #         [-DTIMELINE=<timeline.json> [-DTIMELINE_REF=<timeline.json>]
 #          [-DTIMELINE_SHA256=<hex>]]
 #         -P golden.cmake
 #
-# Fails when the bench exits non-zero or report_diff --ignore-timings
-# finds a differing cell or timeseries sample. TIMELINE also writes the
-# run's sim-time timeline; with TIMELINE_REF that timeline must match
-# the reference byte for byte, and is deleted when it does; with
-# TIMELINE_SHA256 its SHA-256 must equal <hex>. With DSV3_KERNEL_DISPATCH
+# Fails when the bench exits non-zero, report_diff --ignore-timings
+# finds a differing cell or timeseries sample, or the report lacks one
+# of the STATS. TIMELINE also writes the run's sim-time timeline; with
+# TIMELINE_REF that timeline must match the reference byte for byte,
+# and is deleted when it does; with TIMELINE_SHA256 its SHA-256 must
+# equal <hex>. With DSV3_KERNEL_DISPATCH
 # set to an ISA in the environment, the report's dispatch stamp must
 # name that ISA as forced; when the host cannot run it the tables are
 # still checked, and the test prints "golden test skipped" (which the
@@ -43,9 +44,20 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${name} tables differ from ${BASELINE}")
 endif()
 
+file(READ ${OUT} report)
+if(DEFINED STATS)
+    string(REPLACE "," ";" stats "${STATS}")
+    foreach(stat ${stats})
+        string(JSON type ERROR_VARIABLE missing TYPE "${report}" stats
+               ${stat})
+        if(missing)
+            message(FATAL_ERROR "${name} report ${OUT} has no stat ${stat}")
+        endif()
+    endforeach()
+endif()
+
 if(DEFINED ENV{DSV3_KERNEL_DISPATCH})
     string(TOLOWER "$ENV{DSV3_KERNEL_DISPATCH}" want)
-    file(READ ${OUT} report)
     string(JSON isa GET "${report}" dispatch isa)
     string(JSON forced GET "${report}" dispatch forced)
     if(NOT (isa STREQUAL want AND forced))

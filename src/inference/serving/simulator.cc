@@ -475,8 +475,9 @@ class Simulation
         chaosEnabled_ = fleet.chaos.enabled();
 
         // Kill switch for the step-cost memo (a hit returns the exact
-        // value a miss would compute, so this only trades speed; CI
-        // cross-checks byte-identity of the reports both ways).
+        // value a miss would compute, so this only trades speed; the
+        // serving goldens' step_cache_off variants and the
+        // StepCacheKillSwitch tests hold the results bitwise equal).
         const char *cache_env = std::getenv("DSV3_STEP_CACHE");
         stepCacheOn_ =
             !(cache_env && cache_env[0] == '0' && cache_env[1] == '\0');

@@ -5,7 +5,7 @@
  * The hot numerics loops (minifloat codecs, LogFMT log/exp, the GEMM
  * lane reductions) exist as one scalar table and two SIMD tables,
  * compiled into separate translation units with per-TU ISA flags (see
- * src/CMakeLists.txt). The SIMD tables share one source for their ten
+ * src/CMakeLists.txt). The SIMD tables share one source for their eight
  * codec and LogFMT entries: templates in numerics/kernels_lanes.hh,
  * instantiated by each ISA TU over its own lane-ops struct. Their GEMM
  * lane entries are written per ISA. At first use the process picks one
@@ -75,30 +75,15 @@ struct KernelTable
     // -- minifloat codec family ------------------------------------
     /**
      * out[i] = quantizeValue(k, in[i] / div), with no division when
-     * div == 1 (a signalling NaN then passes through unquieted). A NaN
-     * keeps its payload, or with @p canonical_nan becomes the quiet
-     * NaN decode() returns for every NaN code, so out[i] is
-     * decode(encode(in[i] / div)) bit for bit. When @p saturated /
-     * @p flushed are non-null, adds the count of |in[i] / div| >
-     * k.maxFinite to *saturated, and of nonzero in[i] / div that
-     * quantize to +-0 to *flushed.
+     * div == 1 (a signalling NaN then passes through unquieted); a NaN
+     * keeps its payload. When @p saturated / @p flushed are non-null,
+     * adds the count of |in[i] / div| > k.maxFinite to *saturated, and
+     * of nonzero in[i] / div that quantize to +-0 to *flushed.
      */
     void (*quantizeSpan)(const FormatKernels &k, const double *in,
                          double div, double *out, std::size_t n,
-                         bool canonical_nan, std::uint64_t *saturated,
+                         std::uint64_t *saturated,
                          std::uint64_t *flushed) = nullptr;
-    /** out[i] = lut[in[i]] (decode gather; lut from FormatKernels). */
-    void (*decodeLutSpan)(const double *lut, const std::uint32_t *in,
-                          double *out, std::size_t n) = nullptr;
-    /**
-     * QuantizedMatrix codes: out[i] = encodeFast(k, in[i] / s), with
-     * the optional tallies of quantizeSpan (a code with no magnitude
-     * bits is a flush).
-     */
-    void (*encodeScaledSpan)(const FormatKernels &k, const double *in,
-                             double s, std::uint32_t *out,
-                             std::size_t n, std::uint64_t *saturated,
-                             std::uint64_t *flushed) = nullptr;
     /**
      * Quantization amax: the running max. Returns
      * max(init, max_i |in[i]|) with NaNs ignored (matching
@@ -106,7 +91,7 @@ struct KernelTable
      */
     double (*absMax)(const double *in, std::size_t n,
                      double init) = nullptr;
-    /** inout[i] *= s (dequantize scale application). */
+    /** inout[i] *= s (fakeQuantize's rescale). */
     void (*scaleSpan)(double *inout, double s, std::size_t n) = nullptr;
 
     // -- LogFMT log/exp family -------------------------------------

@@ -1,6 +1,8 @@
 #include "numerics/gemm.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -71,6 +73,46 @@ checkOptions(const GemmOptions &options)
         return {Granularity::PER_TENSOR, Granularity::PER_TENSOR};
     return {Granularity::TILE_1X128, Granularity::BLOCK_128X128};
 }
+
+/**
+ * gemmQuantizedRef's operand, quantized longhand on the reference
+ * codec with no KernelTable entry: each scale region (band rows by
+ * width columns) has the scale s = amax / maxFinite, or 1 when the
+ * amax is 0, with the amax taken by std::max, and raw(r, c) is
+ * quantizeRef(fmt, m(r, c) / s).
+ */
+struct RefOperand
+{
+    RefOperand(const Matrix &m, const FloatFormat &fmt, Granularity g,
+               std::size_t tile)
+        : band(g == Granularity::TILE_1X128 ? 1
+               : g == Granularity::BLOCK_128X128 ? tile : SIZE_MAX),
+          width(g == Granularity::PER_TENSOR ? SIZE_MAX : tile),
+          raw(m.rows(), m.cols()), grid(m.rows() / band + 1,
+                                        m.cols() / width + 1)
+    {
+        for (std::size_t r = 0; r < m.rows(); ++r) {
+            for (std::size_t c = 0; c < m.cols(); ++c) {
+                double &amax = grid.at(r / band, c / width);
+                amax = std::max(amax, std::fabs(m.at(r, c)));
+            }
+        }
+        for (double &s : grid.data())
+            s = s > 0.0 ? s / fmt.maxFinite() : 1.0;
+        for (std::size_t r = 0; r < m.rows(); ++r)
+            for (std::size_t c = 0; c < m.cols(); ++c)
+                raw.at(r, c) = quantizeRef(fmt, m.at(r, c) / scale(r, c));
+    }
+
+    double scale(std::size_t r, std::size_t c) const
+    {
+        return grid.at(r / band, c / width);
+    }
+
+    std::size_t band, width; //!< a scale region's rows and columns
+    Matrix raw;
+    Matrix grid; //!< the scale of region (r / band, c / width)
+};
 
 /**
  * Run fn(i_lo, i_hi, j_lo, j_hi) over kRowBlock x kColBlock blocks of
@@ -297,18 +339,10 @@ gemmQuantizedRef(const Matrix &a, const Matrix &b,
     const std::size_t tile_k = options.tileK;
     const std::size_t group = options.groupSize;
 
-    QuantizedMatrix aq(a, *options.fmt, ga, tile_k);
-    QuantizedMatrix bq(b, *options.fmt, gb, tile_k);
-
-    // Decode the raw (unscaled) operand values once; the inner loops
-    // below then only multiply doubles.
-    Matrix araw(m, k), braw(k, n);
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t kk = 0; kk < k; ++kk)
-            araw.at(i, kk) = aq.rawValue(i, kk);
-    for (std::size_t kk = 0; kk < k; ++kk)
-        for (std::size_t j = 0; j < n; ++j)
-            braw.at(kk, j) = bq.rawValue(kk, j);
+    const RefOperand aq(a, *options.fmt, ga, tile_k);
+    const RefOperand bq(b, *options.fmt, gb, tile_k);
+    const Matrix &araw = aq.raw;
+    const Matrix &braw = bq.raw;
 
     Matrix c(m, n);
     std::vector<double> products;

@@ -59,7 +59,8 @@ Matrix gemmQuantized(const Matrix &a, const Matrix &b,
 // single-threaded triple loops, kept verbatim (and stats/trace-free)
 // as the oracles the blocked + parallel kernels above are golden-tested
 // against. gemmRef/gemmBf16/gemmQuantized must return byte-identical
-// matrices to these at every thread width.
+// matrices to these at every thread width. They call no KernelTable
+// entry: gemmQuantizedRef quantizes its operands with quantizeRef().
 Matrix gemmRefScalar(const Matrix &a, const Matrix &b);
 Matrix gemmBf16Ref(const Matrix &a, const Matrix &b);
 Matrix gemmQuantizedRef(const Matrix &a, const Matrix &b,

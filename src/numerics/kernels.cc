@@ -1,7 +1,6 @@
 #include "numerics/kernels.hh"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -18,13 +17,12 @@ constexpr int kDoubleBias = 1023;
 FormatKernels
 buildKernels(const FloatFormat &fmt)
 {
-    // The integer rounding below needs the significand math to stay
-    // exact in 64 bits and the reconstructed values to stay in the
+    // quantizeValue()'s integer rounding needs the significand math to
+    // stay exact in 64 bits and the reconstructed values to stay in the
     // double normal range; every format the paper touches is far
     // inside these bounds.
     DSV3_ASSERT(fmt.ebits >= 2 && fmt.mbits >= 1, "fmt=", fmt.name);
-    DSV3_ASSERT(fmt.mbits <= 51 && fmt.totalBits() <= 32,
-                "fmt=", fmt.name);
+    DSV3_ASSERT(fmt.mbits <= 51, "fmt=", fmt.name);
     const int emin = 1 - fmt.bias;
     const int emax =
         (fmt.finiteOnly ? (1 << fmt.ebits) - 1 : (1 << fmt.ebits) - 2) -
@@ -32,35 +30,15 @@ buildKernels(const FloatFormat &fmt)
     DSV3_ASSERT(emax <= kDoubleBias && emin - fmt.mbits >= -1022,
                 "format exceeds double range: ", fmt.name);
 
-    FormatKernels k;
-    k.ebits = fmt.ebits;
-    k.mbits = fmt.mbits;
-    k.bias = fmt.bias;
-    k.finiteOnly = fmt.finiteOnly;
-    k.emin = emin;
-    k.emax = emax;
-    k.expMask = (1u << fmt.ebits) - 1;
-    k.mantMask = (1u << fmt.mbits) - 1;
-    k.signShift = fmt.ebits + fmt.mbits;
-    k.nanCode = fmt.finiteOnly
-        ? (k.expMask << fmt.mbits) | k.mantMask
-        : (k.expMask << fmt.mbits) | (1u << (fmt.mbits - 1));
-    k.infCode = k.expMask << fmt.mbits;
-    k.maxCode = fmt.finiteOnly
-        ? (k.expMask << fmt.mbits) | (k.mantMask - 1)
-        : ((k.expMask - 1) << fmt.mbits) | k.mantMask;
-    k.maxFinite = fmt.maxFinite();
-    k.subScale = std::ldexp(1.0, emin - fmt.mbits);
-    k.minNormal = std::ldexp(1.0, emin);
-    k.subMagic = std::ldexp(1.0, emin - fmt.mbits + 52);
-    k.overflow = fmt.finiteOnly ? k.maxFinite
-                                : std::numeric_limits<double>::infinity();
-    if (fmt.totalBits() <= kMaxLutBits) {
-        k.decodeLut.resize(fmt.codeCount());
-        for (std::uint32_t code = 0; code < fmt.codeCount(); ++code)
-            k.decodeLut[code] = decodeRef(fmt, code);
-    }
-    return k;
+    const double max_finite = fmt.maxFinite();
+    return {.mbits = fmt.mbits,
+            .finiteOnly = fmt.finiteOnly,
+            .maxFinite = max_finite,
+            .subScale = std::ldexp(1.0, emin - fmt.mbits),
+            .minNormal = std::ldexp(1.0, emin),
+            .subMagic = std::ldexp(1.0, emin - fmt.mbits + 52),
+            .overflow = fmt.finiteOnly
+                ? max_finite : std::numeric_limits<double>::infinity()};
 }
 
 /**
@@ -97,7 +75,7 @@ const FormatKernels &
 formatKernels(const FloatFormat &fmt)
 {
     // Per-thread memo of the last format resolved: scalar call sites
-    // (quantize()/encode()/decode() on one value) hit the same format
+    // (quantize()/quantizeTruncate() on one value) hit the same format
     // over and over, so this turns the list walk into four compares.
     struct LastUsed
     {
@@ -130,33 +108,12 @@ formatKernels(const FloatFormat &fmt)
     return *k;
 }
 
-double
-detail::decodeWide(const FormatKernels &k, std::uint32_t code)
-{
-    const FloatFormat fmt{"", k.ebits, k.mbits, k.bias, k.finiteOnly};
-    return decodeRef(fmt, code);
-}
-
-void
-decodeSpan(const FloatFormat &fmt, std::span<const std::uint32_t> in,
-           double *out)
-{
-    const FormatKernels &k = formatKernels(fmt);
-    if (k.hasLut()) {
-        kernels().decodeLutSpan(k.decodeLut.data(), in.data(), out,
-                                in.size());
-        return;
-    }
-    for (std::size_t i = 0; i < in.size(); ++i)
-        out[i] = decodeFast(k, in[i]);
-}
-
 void
 quantizeSpan(const FloatFormat &fmt, std::span<const double> in,
              double *out)
 {
     kernels().quantizeSpan(formatKernels(fmt), in.data(), 1.0, out,
-                           in.size(), false, nullptr, nullptr);
+                           in.size(), nullptr, nullptr);
 }
 
 } // namespace dsv3::numerics

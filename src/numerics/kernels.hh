@@ -1,27 +1,22 @@
 /**
  * @file
- * Fast minifloat kernels: decode LUTs, bit-classified encode, and
- * batched span codecs.
+ * Fast minifloat kernels: the value-only quantizer, its truncating
+ * twin, and the span API over the dispatched quantizeSpan.
  *
- * The scalar reference codec in minifloat.cc (encodeRef / quantizeRef
- * / decodeRef) goes through frexp/ldexp/nearbyint double math per
- * element. These kernels produce byte-identical results while staying
- * branch-light on the hot path:
+ * The scalar reference codec in minifloat.cc (quantizeRef /
+ * quantizeTruncateRef) goes through frexp/ldexp/nearbyint double math
+ * per element. These kernels produce byte-identical values on the
+ * double's bit pattern, with no per-element format lookup:
  *
- *  - decode: formats of <= kMaxLutBits total bits get a lazily built,
- *    process-cached table of every code's value (<= 65,536 doubles),
- *    so decoding is one indexed load;
- *  - encode: the input double is classified from its raw IEEE-754
- *    bits. Round-to-nearest-even happens on the 53-bit integer
- *    significand (exact; power-of-two scalings introduce no error), so
- *    the result provably matches the frexp/nearbyint reference for
- *    every input;
  *  - quantize: quantizeValue() rounds the magnitude's bit pattern as
  *    an integer at or above 2^emin and with one exact add-subtract
  *    below it, with no classification of the input;
- *  - span APIs amortize the per-call format lookup across whole
- *    matrices/tiles (QuantizedMatrix construction, dequantize(), the
- *    GEMM operand packing).
+ *  - truncate: quantizeTruncateFast() clears the dropped bits at or
+ *    above 2^emin and truncates a fixed-point count below it (the
+ *    Hopper FP22 accumulator, Fp22Register);
+ *  - quantizeSpan() amortizes the format lookup across a whole span;
+ *    the fine-grained quantizer (quantize.cc) calls the KernelTable
+ *    slot directly, a scale region at a time.
  *
  * Kernels are cached per *semantic* format (ebits/mbits/bias/
  * finiteOnly), not per FloatFormat address, so short-lived format
@@ -33,51 +28,26 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <span>
-#include <vector>
 
 #include "numerics/minifloat.hh"
 
 namespace dsv3::numerics {
 
-/** Formats up to this many total bits get an eager decode LUT. */
-inline constexpr int kMaxLutBits = 16;
-
-/** Precomputed per-format constants. */
-struct FormatConstants
+/**
+ * Precomputed per-format constants. Obtain via formatKernels();
+ * instances live for the whole process.
+ */
+struct FormatKernels
 {
-    int ebits;
-    int mbits;
-    int bias;
+    int mbits;                 //!< mantissa (fraction) field width
     bool finiteOnly;
-
-    int emin;            //!< smallest normal exponent, 1 - bias
-    int emax;            //!< largest normal exponent (format-dependent)
-    std::uint32_t expMask;
-    std::uint32_t mantMask;
-    int signShift;       //!< ebits + mbits
-    std::uint32_t nanCode;     //!< canonical (positive) NaN pattern
-    std::uint32_t infCode;     //!< +inf pattern (IEEE formats only)
-    std::uint32_t maxCode;     //!< code of +maxFinite
     double maxFinite;
     double subScale;           //!< 2^(emin - mbits), the subnormal ULP
     double minNormal;          //!< 2^emin
     double subMagic;           //!< 2^(emin - mbits + 52): ULP subScale
     double overflow;           //!< |x| past maxFinite becomes this:
                                //!< maxFinite (finite-only) or +inf
-};
-
-/**
- * The per-format constants plus the decode LUT. Obtain via
- * formatKernels(); instances live for the whole process.
- */
-struct FormatKernels : FormatConstants
-{
-    /** decodeRef() of every code; empty when totalBits > kMaxLutBits. */
-    std::vector<double> decodeLut;
-
-    bool hasLut() const { return !decodeLut.empty(); }
 };
 
 /**
@@ -92,111 +62,6 @@ namespace detail {
 
 inline constexpr std::uint64_t kSignBit = 1ull << 63;
 inline constexpr std::uint64_t kInfBits = 0x7ffull << 52;
-
-struct QResult
-{
-    std::uint32_t code;
-    double value;
-};
-
-/** Cold decode for formats too wide for a LUT (delegates to decodeRef). */
-double decodeWide(const FormatKernels &k, std::uint32_t code);
-
-/**
- * Classify + round @p x per the reference codec semantics, returning
- * both the bit pattern and the quantized value. Byte-identical to
- * encodeRef/quantizeRef: rounding happens on the exact 53-bit integer
- * significand, and power-of-two scalings are exact, so nearest-even
- * here can never disagree with nearbyint there. Defined in the header
- * so scalar call sites compile down to straight-line bit math.
- */
-inline QResult
-quantizeCore(const FormatKernels &k, double x, bool truncate)
-{
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-    const std::uint32_t sign = (std::uint32_t)(bits >> 63);
-    const std::uint32_t sign_code = sign << k.signShift;
-    const int dexp = (int)((bits >> 52) & 0x7ff);
-    const std::uint64_t frac = bits & ((1ull << 52) - 1);
-
-    if (dexp == 0x7ff) {
-        if (frac)
-            return {sign_code | k.nanCode, x}; // NaN payload preserved
-        if (k.finiteOnly)
-            return {sign_code | k.maxCode,
-                    sign ? -k.maxFinite : k.maxFinite};
-        return {sign_code | k.infCode, x};
-    }
-    if ((bits << 1) == 0)
-        return {sign_code, x}; // +-0 keeps its sign
-
-    // mag = sig * 2^(e - 52) with sig in [2^52, 2^53).
-    int e;
-    std::uint64_t sig;
-    if (dexp == 0) {
-        // Double subnormal (|x| < 2^-1022): normalize. Far below any
-        // practical format's range, but classified exactly anyway.
-        const int lz = std::countl_zero(frac); // in [12, 63]
-        e = -1011 - lz;
-        sig = frac << (lz - 11);
-    } else {
-        e = dexp - 1023;
-        sig = (1ull << 52) | frac;
-    }
-
-    if (e >= k.emin) {
-        // Normal-range: round the significand to mbits fraction bits.
-        const int shift = 52 - k.mbits;
-        std::uint64_t m = sig >> shift;
-        if (!truncate) {
-            const std::uint64_t half = 1ull << (shift - 1);
-            const std::uint64_t rem = sig & ((half << 1) - 1);
-            m += (rem > half) || (rem == half && (m & 1));
-            if (m == (2ull << k.mbits)) { // carried into next binade
-                m >>= 1;
-                ++e;
-            }
-        }
-        if (e > k.emax ||
-            (k.finiteOnly && e == k.emax &&
-             m == (2ull << k.mbits) - 1)) {
-            // Past maxFinite (the finite-only all-ones mantissa in the
-            // top binade is the NaN slot): saturate, or overflow to
-            // infinity for IEEE nearest rounding.
-            if (k.finiteOnly || truncate) {
-                return {sign_code | k.maxCode,
-                        sign ? -k.maxFinite : k.maxFinite};
-            }
-            const double inf = std::numeric_limits<double>::infinity();
-            return {sign_code | k.infCode, sign ? -inf : inf};
-        }
-        const std::uint32_t mant = (std::uint32_t)m & k.mantMask;
-        const std::uint32_t code = sign_code |
-            ((std::uint32_t)(e + k.bias) << k.mbits) | mant;
-        const std::uint64_t vbits = ((std::uint64_t)sign << 63) |
-            ((std::uint64_t)(e + 1023) << 52) |
-            ((std::uint64_t)mant << shift);
-        return {code, std::bit_cast<double>(vbits)};
-    }
-
-    // Below the normal range: fixed-point at the subnormal ULP,
-    // 2^(emin - mbits).
-    const int s = (k.emin - e) + (52 - k.mbits); // >= 2
-    std::uint64_t m = 0;
-    if (s < 64) {
-        m = sig >> s;
-        if (!truncate) {
-            const std::uint64_t half = 1ull << (s - 1);
-            const std::uint64_t rem = sig & ((half << 1) - 1);
-            m += (rem > half) || (rem == half && (m & 1));
-        }
-    }
-    // m == 2^mbits (rounded up to minNormal) encodes as exp field 1 /
-    // mantissa 0, which is exactly the integer m; the multiply below
-    // is exact because the result is a double-normal value.
-    return {sign_code | (std::uint32_t)m,
-            std::copysign((double)m * k.subScale, x)};
-}
 
 } // namespace detail
 
@@ -213,11 +78,11 @@ quantizeCore(const FormatKernels &k, double x, bool truncate)
  *    subtraction is exact. A result of 2^emin is the round-up to the
  *    smallest normal; double subnormals need no normalization;
  *  - past maxFinite (infinity included) the magnitude saturates or
- *    becomes +inf, per FormatConstants::overflow; then the sign comes
+ *    becomes +inf, per FormatKernels::overflow; then the sign comes
  *    back. NaN passes through with its payload.
  */
 inline double
-quantizeValue(const FormatConstants &k, double x)
+quantizeValue(const FormatKernels &k, double x)
 {
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
     const std::uint64_t mag = bits & ~detail::kSignBit;
@@ -237,40 +102,32 @@ quantizeValue(const FormatConstants &k, double x)
     return std::bit_cast<double>(q | (bits & detail::kSignBit));
 }
 
-// Scalar fast paths. Byte-identical to the minifloat.cc reference
-// codec: encodeFast(k, x) == encodeRef(fmt, x) for every double x,
-// and likewise quantize/decode (NaN results may differ in payload
-// only where the reference also returns a canonical NaN).
-
-inline std::uint32_t
-encodeFast(const FormatKernels &k, double x)
-{
-    return detail::quantizeCore(k, x, false).code;
-}
-
-inline double
-quantizeFast(const FormatKernels &k, double x)
-{
-    return quantizeValue(k, x);
-}
-
+/**
+ * quantizeTruncateRef(fmt, x) on the double's bit pattern, for
+ * quantizeTruncate() and Fp22Register. Truncation never carries, so
+ * at or above 2^emin it clears the s = 52 - mbits dropped bits of
+ * |x|, and below 2^emin it keeps the whole subnormal ULPs of |x| (the
+ * quotient and product are exact power-of-two scalings). A finite
+ * magnitude past maxFinite saturates; an infinity saturates only in a
+ * finite-only format, and NaN passes through with its payload.
+ */
 inline double
 quantizeTruncateFast(const FormatKernels &k, double x)
 {
-    return detail::quantizeCore(k, x, true).value;
+    const std::uint64_t mag =
+        std::bit_cast<std::uint64_t>(x) & ~detail::kSignBit;
+    if (mag >= detail::kInfBits)
+        return mag == detail::kInfBits && k.finiteOnly
+            ? std::copysign(k.maxFinite, x) : x;
+    double y = std::bit_cast<double>(mag);
+    if (mag < std::bit_cast<std::uint64_t>(k.minNormal))
+        y = std::trunc(y / k.subScale) * k.subScale;
+    else
+        y = std::bit_cast<double>(mag & ~((1ull << (52 - k.mbits)) - 1));
+    return std::copysign(y > k.maxFinite ? k.maxFinite : y, x);
 }
 
-inline double
-decodeFast(const FormatKernels &k, std::uint32_t code)
-{
-    if (k.hasLut())
-        return k.decodeLut[code];
-    return detail::decodeWide(k, code);
-}
-
-// Batched span codecs (out must have in.size() capacity).
-void decodeSpan(const FloatFormat &fmt,
-                std::span<const std::uint32_t> in, double *out);
+/** quantize(fmt, x) over a span: out[i] = quantizeValue(k, in[i]). */
 void quantizeSpan(const FloatFormat &fmt, std::span<const double> in,
                   double *out);
 

@@ -65,11 +65,6 @@ struct Avx2
         return _mm_maskload_epi32((const int *)p, narrow(m));
     }
     static void
-    storeC(std::uint32_t *p, C v, Full)
-    {
-        _mm_storeu_si128((__m128i *)p, v);
-    }
-    static void
     storeC(std::uint32_t *p, C v, M m)
     {
         _mm_maskstore_epi32((int *)p, narrow(m), v);
@@ -147,14 +142,7 @@ struct Avx2
     {
         return _mm256_slli_epi64(v, N);
     }
-    template <int N>
-    static I shr(I v, std::integral_constant<int, N>)
-    {
-        return _mm256_srli_epi64(v, N);
-    }
-    static I shl(I v, I n) { return _mm256_sllv_epi64(v, n); }
     static I shr(I v, I n) { return _mm256_srlv_epi64(v, n); }
-    static M eq(I a, I b) { return _mm256_cmpeq_epi64(a, b); }
     /**
      * Signed. Where the scalar compares unsigned values there is no
      * unsigned 64-bit compare to use; the signed one is exact because
@@ -162,7 +150,11 @@ struct Avx2
      * magnitudes but a NaN lane's, which is replaced afterwards).
      */
     static M gt(I a, I b) { return _mm256_cmpgt_epi64(a, b); }
-    static M isZero(I v) { return eq(v, _mm256_setzero_si256()); }
+    static M
+    isZero(I v)
+    {
+        return _mm256_cmpeq_epi64(v, _mm256_setzero_si256());
+    }
     static I select(M m, I a, I b) { return _mm256_blendv_epi8(b, a, m); }
     /**
      * double((int64)v >> 52), minus 54 on the lanes of @p m. There

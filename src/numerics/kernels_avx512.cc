@@ -66,11 +66,6 @@ struct Avx512
         return _mm256_maskz_loadu_epi32(m, p);
     }
     static void
-    storeC(std::uint32_t *p, C v, Full)
-    {
-        _mm256_storeu_si256((__m256i *)p, v);
-    }
-    static void
     storeC(std::uint32_t *p, C v, M m)
     {
         _mm256_mask_storeu_epi32(p, m, v);
@@ -127,7 +122,6 @@ struct Avx512
     static I bitAnd(I a, I b) { return _mm512_and_si512(a, b); }
     static I bitOr(I a, I b) { return _mm512_or_si512(a, b); }
     static M bitAnd(M a, M b) { return (M)(a & b); }
-    static M bitOr(M a, M b) { return (M)(a | b); }
     /** ~a & b. */
     static M andNot(M a, M b) { return (M)(~a & b); }
     template <int N>
@@ -135,14 +129,7 @@ struct Avx512
     {
         return _mm512_slli_epi64(v, N);
     }
-    template <int N>
-    static I shr(I v, std::integral_constant<int, N>)
-    {
-        return _mm512_srli_epi64(v, N);
-    }
-    static I shl(I v, I n) { return _mm512_sllv_epi64(v, n); }
     static I shr(I v, I n) { return _mm512_srlv_epi64(v, n); }
-    static M eq(I a, I b) { return _mm512_cmpeq_epi64_mask(a, b); }
     /** Signed; exact on the unsigned values compared too (< 2^63). */
     static M gt(I a, I b) { return _mm512_cmpgt_epi64_mask(a, b); }
     static M isZero(I v) { return _mm512_testn_epi64_mask(v, v); }

@@ -1,6 +1,7 @@
 /**
  * @file
- * The codec and LogFMT KernelTable entries, written once over a per-ISA
+ * The eight codec and LogFMT KernelTable entries (quantizeSpan, absMax,
+ * scaleSpan and the five LogFMT slots), written once over a per-ISA
  * lane-ops struct.
  *
  * Included only by kernels_avx2.cc and kernels_avx512.cc. Each of them
@@ -19,14 +20,13 @@
  * no unsigned 64-bit compare and no 64-bit arithmetic shift) states in
  * the ops struct why it is exact here.
  *
- * Every entry is bit-identical to kernels_scalar.cc. The codec entries
- * run quantizeValue()'s steps lane-wise (integer rounding on the
- * magnitude bits, one exact add-subtract below 2^emin), with no lane
- * left to a scalar rerun; the LogFMT entries perform the pinned
- * operation sequences of numerics/fastmath.hh lane-wise, one
- * correctly-rounded instruction per pinned operation (the repo builds
- * with -ffp-contract=off, so nothing is fused). The non-obvious
- * choices:
+ * Every entry is bit-identical to kernels_scalar.cc. quantizeSpan runs
+ * quantizeValue()'s steps lane-wise (integer rounding on the magnitude
+ * bits, one exact add-subtract below 2^emin), with no lane left to a
+ * scalar rerun; the LogFMT entries perform the pinned operation
+ * sequences of numerics/fastmath.hh lane-wise, one correctly-rounded
+ * instruction per pinned operation (the repo builds with
+ * -ffp-contract=off, so nothing is fused). The non-obvious choices:
  *  - max/min operand order: max(|x|, acc) returns acc when |x| is NaN
  *    and on ties, as std::max(acc, |x|) keeps its first operand;
  *  - ne() is unordered (true on NaN, like scalar !=); lt/gt/le are
@@ -62,7 +62,6 @@ template <int N>
 constexpr std::integral_constant<int, N> imm{};
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kQuietNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr std::int64_t kAbsMask = 0x7fffffffffffffff;
 
 /**
@@ -112,11 +111,8 @@ pinnedTree(const V (&lane)[8], Add add)
 template <class O>
 struct Rounded
 {
-    typename O::I mag;   //!< |x|
-    typename O::I q;     //!< |quantizeValue(k, x)|, unless x is NaN
-    typename O::I fixed; //!< |x| + subMagic; below 2^emin its low bits
-                         //!< are the count of subnormal ULPs
-    typename O::M low;   //!< |x| < 2^emin
+    typename O::I mag; //!< |x|
+    typename O::I q;   //!< |quantizeValue(k, x)|, unless x is NaN
     typename O::M nan;
 };
 
@@ -130,7 +126,7 @@ bitsOf(double v)
 /** Lane-parallel quantizeValue() on |x|, by the steps kernels.hh argues. */
 template <class O>
 inline Rounded<O>
-roundMagnitude(const FormatConstants &k, typename O::D vx)
+roundMagnitude(const FormatKernels &k, typename O::D vx)
 {
     using I = typename O::I;
     const int s = 52 - k.mbits;
@@ -145,8 +141,7 @@ roundMagnitude(const FormatConstants &k, typename O::D vx)
     // A NaN's q may have carried into bit 63; no caller reads it.
     q = O::select(O::gt(q, O::splatI(bitsOf(k.maxFinite))),
                   O::splatI(bitsOf(k.overflow)), q);
-    return {mag, q, O::asInt(fixed), low,
-            O::gt(mag, O::splatI((std::int64_t)detail::kInfBits))};
+    return {mag, q, O::gt(mag, O::splatI((std::int64_t)detail::kInfBits))};
 }
 
 /** The quantizeSpan tallies of one chunk's live lanes. */
@@ -166,17 +161,14 @@ tally(const Rounded<O> &r, typename O::D vmax, Lanes lanes,
 template <class O, bool kDivide, bool kTally>
 void
 quantizeLanes(const FormatKernels &k, const double *in, double div,
-              double *out, std::size_t n, bool canonical_nan,
-              std::uint64_t *saturated, std::uint64_t *flushed)
+              double *out, std::size_t n, std::uint64_t *saturated,
+              std::uint64_t *flushed)
 {
     using D = typename O::D;
     // A copy no output store can alias, so chunks need not reload it.
-    const FormatConstants f = k;
+    const FormatKernels f = k;
     const D vdiv = O::splat(div);
     const D vmax = O::splat(f.maxFinite);
-    const D vqnan = O::splat(kQuietNaN);
-    // All lanes or none: which NaN a NaN lane takes.
-    const typename O::M canonical = O::tail(canonical_nan ? O::W : 0);
     const typename O::I vsign = O::splatI((std::int64_t)detail::kSignBit);
     std::uint64_t sat = 0, flush = 0;
     forEachChunk<O>(n, [&](std::size_t i, auto lanes) {
@@ -186,9 +178,7 @@ quantizeLanes(const FormatKernels &k, const double *in, double div,
         const Rounded<O> r = roundMagnitude<O>(f, vx);
         const D q =
             O::asDouble(O::bitOr(r.q, O::bitAnd(O::asInt(vx), vsign)));
-        O::store(out + i,
-                 O::select(r.nan, O::select(canonical, vqnan, vx), q),
-                 lanes);
+        O::store(out + i, O::select(r.nan, vx, q), lanes);
         if constexpr (kTally)
             tally<O>(r, vmax, lanes, sat, flush);
     });
@@ -201,67 +191,15 @@ quantizeLanes(const FormatKernels &k, const double *in, double div,
 template <class O>
 void
 quantizeSpan(const FormatKernels &k, const double *in, double div,
-             double *out, std::size_t n, bool canonical_nan,
-             std::uint64_t *saturated, std::uint64_t *flushed)
+             double *out, std::size_t n, std::uint64_t *saturated,
+             std::uint64_t *flushed)
 {
     using Loop = decltype(&quantizeLanes<O, false, false>);
     static constexpr Loop kLoops[2][2] = {
         {quantizeLanes<O, false, false>, quantizeLanes<O, false, true>},
         {quantizeLanes<O, true, false>, quantizeLanes<O, true, true>}};
     kLoops[div != 1.0][saturated != nullptr](k, in, div, out, n,
-                                             canonical_nan, saturated,
-                                             flushed);
-}
-
-template <class O>
-void
-decodeLutSpan(const double *lut, const std::uint32_t *in, double *out,
-              std::size_t n)
-{
-    forEachChunk<O>(n, [&](std::size_t i, auto lanes) {
-        O::store(out + i, O::gather(lut, O::loadC(in + i, lanes)), lanes);
-    });
-}
-
-/**
- * Codes from roundMagnitude(): below 2^emin the subnormal count in
- * fixed's low bits, at or above it the rounded bits shifted down to
- * the format's mantissa width with the double's exponent bias swapped
- * for the format's; then +inf, NaN and the sign.
- */
-template <class O>
-void
-encodeScaledSpan(const FormatKernels &k, const double *in, double s,
-                 std::uint32_t *out, std::size_t n,
-                 std::uint64_t *saturated, std::uint64_t *flushed)
-{
-    using I = typename O::I;
-    const FormatConstants f = k; // unaliased, as in quantizeLanes
-    const typename O::D vdiv = O::splat(s);
-    const typename O::D vmax = O::splat(f.maxFinite);
-    const I vshift = O::splatI(52 - f.mbits);
-    const I vrebias = O::splatI((std::int64_t)(1023 - f.bias) << f.mbits);
-    const I vmagic = O::splatI(bitsOf(f.subMagic));
-    const I vinf = O::splatI((std::int64_t)detail::kInfBits);
-    const I vsign_shift = O::splatI(f.signShift);
-    std::uint64_t sat = 0, flush = 0;
-    forEachChunk<O>(n, [&](std::size_t i, auto lanes) {
-        const typename O::D vx = O::div(O::load(in + i, lanes), vdiv);
-        const Rounded<O> r = roundMagnitude<O>(f, vx);
-        I code = O::select(r.low, O::sub(r.fixed, vmagic),
-                           O::sub(O::shr(r.q, vshift), vrebias));
-        code = O::select(O::eq(r.q, vinf), O::splatI(f.infCode), code);
-        code = O::select(r.nan, O::splatI(f.nanCode), code);
-        code = O::bitOr(
-            code, O::shl(O::shr(O::asInt(vx), imm<63>), vsign_shift));
-        O::storeC(out + i, O::narrow(code), lanes);
-        if (saturated)
-            tally<O>(r, vmax, lanes, sat, flush);
-    });
-    if (saturated) {
-        *saturated += sat;
-        *flushed += flush;
-    }
+                                             saturated, flushed);
 }
 
 template <class O>
@@ -525,14 +463,12 @@ logfmtDecode(const std::uint32_t *codes, std::size_t n,
     });
 }
 
-/** Fill the ten codec and LogFMT entries of @p t with O's lanes. */
+/** Fill the eight codec and LogFMT entries of @p t with O's lanes. */
 template <class O>
 constexpr void
 fillLaneEntries(KernelTable &t)
 {
     t.quantizeSpan = quantizeSpan<O>;
-    t.decodeLutSpan = decodeLutSpan<O>;
-    t.encodeScaledSpan = encodeScaledSpan<O>;
     t.absMax = absMax<O>;
     t.scaleSpan = scaleSpan<O>;
     t.logAbsStats = logAbsStats<O>;

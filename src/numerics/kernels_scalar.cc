@@ -3,16 +3,15 @@
  * Scalar KernelTable: the oracle every SIMD table is fuzzed against.
  *
  * These entries are the pinned-order scalar implementations -- the
- * codec family routes through quantizeValue() and encodeFast()
- * (bit-identical to the minifloat.cc reference codec), the float
- * families through numerics/fastmath.hh. Everything here must stay
- * straightforward and readable; speed comes from the SIMD tables,
- * correctness arguments come from here.
+ * codec family routes through quantizeValue() (bit-identical to the
+ * minifloat.cc reference codec), the float families through
+ * numerics/fastmath.hh. Everything here must stay straightforward and
+ * readable; speed comes from the SIMD tables, correctness arguments
+ * come from here.
  */
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "numerics/dispatch.hh"
@@ -25,47 +24,16 @@ namespace {
 
 void
 quantizeSpanScalar(const FormatKernels &k, const double *in, double div,
-                   double *out, std::size_t n, bool canonical_nan,
-                   std::uint64_t *saturated, std::uint64_t *flushed)
+                   double *out, std::size_t n, std::uint64_t *saturated,
+                   std::uint64_t *flushed)
 {
     std::uint64_t sat = 0, flush = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const double x = div == 1.0 ? in[i] : in[i] / div;
         const double q = quantizeValue(k, x);
-        out[i] = canonical_nan && std::isnan(q)
-            ? std::numeric_limits<double>::quiet_NaN() : q;
+        out[i] = q;
         sat += std::fabs(x) > k.maxFinite;
         flush += x != 0.0 && q == 0.0;
-    }
-    if (saturated) {
-        *saturated += sat;
-        *flushed += flush;
-    }
-}
-
-void
-decodeLutSpanScalar(const double *lut, const std::uint32_t *in,
-                    double *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = lut[in[i]];
-}
-
-void
-encodeScaledSpanScalar(const FormatKernels &k, const double *in,
-                       double s, std::uint32_t *out, std::size_t n,
-                       std::uint64_t *saturated, std::uint64_t *flushed)
-{
-    const std::uint32_t mag_mask = (1u << k.signShift) - 1;
-    std::uint64_t sat = 0, flush = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double scaled = in[i] / s;
-        const std::uint32_t code = encodeFast(k, scaled);
-        out[i] = code;
-        if (std::fabs(scaled) > k.maxFinite)
-            ++sat;
-        else if (scaled != 0.0 && (code & mag_mask) == 0)
-            ++flush;
     }
     if (saturated) {
         *saturated += sat;
@@ -232,8 +200,6 @@ constexpr KernelTable kScalarTable = [] {
     KernelTable t;
     t.isa = KernelIsa::SCALAR;
     t.quantizeSpan = quantizeSpanScalar;
-    t.decodeLutSpan = decodeLutSpanScalar;
-    t.encodeScaledSpan = encodeScaledSpanScalar;
     t.absMax = absMaxScalar;
     t.scaleSpan = scaleSpanScalar;
     t.logAbsStats = logAbsStatsScalar;

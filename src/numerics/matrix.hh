@@ -25,10 +25,10 @@ void alignedFree(void *p, std::size_t align) noexcept;
 
 /**
  * Minimal std allocator returning @p Align -byte-aligned storage.
- * Matrix payloads, quantized code planes, and the GEMM packed panels
- * use it at 64 bytes so a full cache line -- and therefore any
- * aligned vector register width up to 512 bits -- can be loaded from
- * element 0 of every row-major buffer the SIMD kernels stream over.
+ * Matrix payloads and the GEMM packed panels use it at 64 bytes so a
+ * full cache line -- and therefore any aligned vector register width
+ * up to 512 bits -- can be loaded from element 0 of every row-major
+ * buffer the SIMD kernels stream over.
  *
  * Elements inserted without a value are default-initialized: an
  * AlignedVector<double>(n) or resize(n) leaves its doubles unwritten

@@ -176,12 +176,13 @@ decodeRef(const FloatFormat &fmt, std::uint32_t code)
     return s * frac * std::ldexp(1.0, (int)exp_field - fmt.bias);
 }
 
-// Public API: dispatch to the fast kernels (see kernels.hh). ------------
+// Public API: the value quantizers run on the double's bit pattern
+// (kernels.hh); the code path is the reference codec. ----------------
 
 double
 quantize(const FloatFormat &fmt, double x)
 {
-    return quantizeFast(formatKernels(fmt), x);
+    return quantizeValue(formatKernels(fmt), x);
 }
 
 double
@@ -193,13 +194,13 @@ quantizeTruncate(const FloatFormat &fmt, double x)
 std::uint32_t
 encode(const FloatFormat &fmt, double x)
 {
-    return encodeFast(formatKernels(fmt), x);
+    return encodeRef(fmt, x);
 }
 
 double
 decode(const FloatFormat &fmt, std::uint32_t code)
 {
-    return decodeFast(formatKernels(fmt), code);
+    return decodeRef(fmt, code);
 }
 
 bool

@@ -78,11 +78,10 @@ double decode(const FloatFormat &fmt, std::uint32_t code);
 // Scalar reference codec. ------------------------------------------------
 //
 // The original frexp/ldexp/nearbyint implementations, kept verbatim as
-// the oracle the fast kernels (kernels.hh) are tested against: the
-// golden bit-exactness suite asserts encode()/quantize()/decode()
-// match these for every input. Call sites should use the fast public
-// functions above; these exist for verification and as readable
-// documentation of the codec's semantics.
+// the oracle the fast value kernels (kernels.hh) are tested against:
+// the golden bit-exactness suite asserts quantize()/quantizeTruncate()
+// match these for every input. encode() and decode() are
+// encodeRef()/decodeRef(); nothing hot needs codes.
 
 /** Reference for quantize(): frexp/nearbyint scalar path. */
 double quantizeRef(const FloatFormat &fmt, double x);

@@ -2,10 +2,9 @@
  * @file
  * Structural diff between two dsv3-bench-report/v1 documents.
  *
- * CI used to compare bench reports against the committed BENCH_*.json
- * baselines with inline scripting; this is the same comparison as a
- * reusable library (and the tools/report_diff CLI), with one policy
- * baked in:
+ * Compares a bench report against a committed BENCH_*.json baseline
+ * (the golden ctests run it through the tools/report_diff CLI), with
+ * one policy baked in:
  *
  *  - tables are the reproduction deliverable, so any cell difference
  *    is a failure (tables are matched by title, compared cell by
@@ -18,11 +17,11 @@
  *    informational notes only;
  *  - microbenchmark timings vary with the host, so per-benchmark
  *    real-time ratios are failures only beyond a caller-set threshold
- *    (and can be ignored outright, which is what CI does across
- *    heterogeneous runners). Benchmark *presence* is structural under
- *    the timing comparison; with timings ignored it is informational
- *    too, so a tables-only CI run can be diffed against a baseline
- *    that carries timings.
+ *    (and can be ignored outright, which is what the golden ctests do
+ *    across heterogeneous hosts). Benchmark *presence* is structural
+ *    under the timing comparison; with timings ignored it is
+ *    informational too, so a tables-only run can be diffed against a
+ *    baseline that carries timings.
  *
  * findBenchReport() additionally understands dsv3-bench-baseline/v1
  * documents (the committed BENCH_*.json files, which wrap a list of

@@ -150,19 +150,22 @@ class DispatchTest : public ::testing::TestWithParam<KernelIsa>
  * DBL_MAX, double subnormals, +-0, +-inf and NaN payloads.
  */
 std::vector<double>
-roundingEdges(const FormatKernels &k)
+roundingEdges(const FloatFormat &fmt)
 {
-    const double half = std::ldexp(1.0, -k.mbits - 1); // ULP(1) / 2
+    const double half = std::ldexp(1.0, -fmt.mbits - 1); // ULP(1) / 2
+    const double sub = fmt.minSubnormal();
+    const int emin = 1 - fmt.bias;
+    const int emax = std::ilogb(fmt.maxFinite());
     std::vector<double> mags = {
-        std::nextafter(k.minNormal, 0.0),
-        k.minNormal - k.subScale / 2,
-        k.subScale / 2,
-        k.subScale * 1.5,
-        k.subScale * 2.5,
-        k.maxFinite,
-        k.maxFinite + std::ldexp(1.0, k.emax - k.mbits - 1),
+        std::nextafter(fmt.minNormal(), 0.0),
+        fmt.minNormal() - sub / 2,
+        sub / 2,
+        sub * 1.5,
+        sub * 2.5,
+        fmt.maxFinite(),
+        fmt.maxFinite() + std::ldexp(1.0, emax - fmt.mbits - 1),
     };
-    for (int e : {k.emin, k.emin + 1, 0, k.emax}) {
+    for (int e : {emin, emin + 1, 0, emax}) {
         mags.push_back(std::ldexp(1.0 + half, e));     // tie, rounds down
         mags.push_back(std::ldexp(1.0 + 3 * half, e)); // tie, rounds up
         mags.push_back(std::ldexp(2.0 - half, e));     // carries to 2^(e+1)
@@ -214,7 +217,7 @@ TEST_P(DispatchTest, CodecSpansMatchScalar)
     for (const FloatFormat *fmt : kAllFormats) {
         const FormatKernels &k = formatKernels(*fmt);
         SCOPED_TRACE(fmt->name);
-        const std::vector<double> edges = roundingEdges(k);
+        const std::vector<double> edges = roundingEdges(*fmt);
         for (double div : kDivisors) {
             const std::vector<double> all =
                 scaledInputs(edges, fuzzInputs(rng, 300), div);
@@ -222,85 +225,22 @@ TEST_P(DispatchTest, CodecSpansMatchScalar)
                 // Ragged lengths from both ends of the input set.
                 for (const double *in :
                      {all.data(), all.data() + all.size() - n}) {
-                    for (bool canonical : {false, true}) {
-                        for (bool tally : {false, true}) {
-                            std::vector<double> q_s(n + 1, -7.0),
-                                q_v(n + 1, -7.0);
-                            std::uint64_t sat_s = 3, flush_s = 5;
-                            std::uint64_t sat_v = 3, flush_v = 5;
-                            oracle().quantizeSpan(
-                                k, in, div, q_s.data(), n, canonical,
-                                tally ? &sat_s : nullptr,
-                                tally ? &flush_s : nullptr);
-                            t->quantizeSpan(k, in, div, q_v.data(), n,
-                                            canonical,
-                                            tally ? &sat_v : nullptr,
-                                            tally ? &flush_v : nullptr);
-                            for (std::size_t i = 0; i < n; ++i)
-                                ASSERT_EQ(dbits(q_v[i]), dbits(q_s[i]))
-                                    << "quantize n=" << n << " i=" << i
-                                    << " div=" << div
-                                    << " canonical=" << canonical
-                                    << " in=" << in[i];
-                            ASSERT_EQ(q_v[n], -7.0) << "wrote past n=" << n;
-                            ASSERT_EQ(sat_v, sat_s) << "n=" << n;
-                            ASSERT_EQ(flush_v, flush_s) << "n=" << n;
-                        }
-                    }
-                }
-            }
-        }
-
-        for (std::size_t n : kLengths) {
-            if (!k.hasLut())
-                break;
-            std::vector<std::uint32_t> codes(n);
-            for (auto &c : codes)
-                c = (std::uint32_t)rng.nextBounded(k.decodeLut.size());
-            std::vector<double> d_s(n + 1, -7.0), d_v(n + 1, -7.0);
-            oracle().decodeLutSpan(k.decodeLut.data(), codes.data(),
-                                   d_s.data(), n);
-            t->decodeLutSpan(k.decodeLut.data(), codes.data(), d_v.data(),
-                             n);
-            for (std::size_t i = 0; i <= n; ++i)
-                ASSERT_EQ(dbits(d_v[i]), dbits(d_s[i]))
-                    << "decode n=" << n << " i=" << i;
-        }
-    }
-}
-
-TEST_P(DispatchTest, EncodeScaledSpanMatchesScalarWithTallies)
-{
-    DSV3_REQUIRE_ISA_TABLE(t);
-    Rng rng(0x5ca1ed);
-    for (const FloatFormat *fmt : kAllFormats) {
-        const FormatKernels &k = formatKernels(*fmt);
-        SCOPED_TRACE(fmt->name);
-        const std::vector<double> edges = roundingEdges(k);
-        for (double s : kDivisors) {
-            const std::vector<double> all =
-                scaledInputs(edges, fuzzInputs(rng, 300), s);
-            for (std::size_t n : kLengths) {
-                for (const double *in :
-                     {all.data(), all.data() + all.size() - n}) {
                     for (bool tally : {false, true}) {
-                        std::vector<std::uint32_t> code_s(n + 1, 0xabababab);
-                        std::vector<std::uint32_t> code_v(n + 1, 0xabababab);
+                        std::vector<double> q_s(n + 1, -7.0),
+                            q_v(n + 1, -7.0);
                         std::uint64_t sat_s = 3, flush_s = 5;
                         std::uint64_t sat_v = 3, flush_v = 5;
-                        oracle().encodeScaledSpan(
-                            k, in, s, code_s.data(), n,
-                            tally ? &sat_s : nullptr,
-                            tally ? &flush_s : nullptr);
-                        t->encodeScaledSpan(k, in, s, code_v.data(), n,
-                                            tally ? &sat_v : nullptr,
-                                            tally ? &flush_v : nullptr);
+                        oracle().quantizeSpan(k, in, div, q_s.data(), n,
+                                              tally ? &sat_s : nullptr,
+                                              tally ? &flush_s : nullptr);
+                        t->quantizeSpan(k, in, div, q_v.data(), n,
+                                        tally ? &sat_v : nullptr,
+                                        tally ? &flush_v : nullptr);
                         for (std::size_t i = 0; i < n; ++i)
-                            ASSERT_EQ(code_v[i], code_s[i])
-                                << "n=" << n << " i=" << i << " s=" << s
-                                << " in=" << in[i];
-                        ASSERT_EQ(code_v[n], 0xababababu)
-                            << "wrote past n=" << n;
+                            ASSERT_EQ(dbits(q_v[i]), dbits(q_s[i]))
+                                << "quantize n=" << n << " i=" << i
+                                << " div=" << div << " in=" << in[i];
+                        ASSERT_EQ(q_v[n], -7.0) << "wrote past n=" << n;
                         ASSERT_EQ(sat_v, sat_s) << "n=" << n;
                         ASSERT_EQ(flush_v, flush_s) << "n=" << n;
                     }
@@ -313,9 +253,8 @@ TEST_P(DispatchTest, EncodeScaledSpanMatchesScalarWithTallies)
 /**
  * The scalar table's quantizeSpan -- quantizeValue() on the double's
  * bits -- is the reference codec: quantizeRef(in / div) with NaN
- * payloads kept, decodeRef(encodeRef(in / div)) with canonical NaNs,
- * and the tallies counted longhand. The fuzz above holds every SIMD
- * table to it.
+ * payloads kept, and the tallies counted longhand. The fuzz above
+ * holds every SIMD table to it.
  */
 TEST(QuantizeSpan, ScalarTableMatchesReferenceCodec)
 {
@@ -324,33 +263,26 @@ TEST(QuantizeSpan, ScalarTableMatchesReferenceCodec)
     for (const FloatFormat *fmt : kAllFormats) {
         const FormatKernels &k = formatKernels(*fmt);
         SCOPED_TRACE(fmt->name);
-        const std::vector<double> edges = roundingEdges(k);
+        const std::vector<double> edges = roundingEdges(*fmt);
         for (double div : kDivisors) {
             const std::vector<double> in =
                 scaledInputs(edges, fuzzInputs(rng, 20000), div);
             const std::size_t n = in.size();
-            std::vector<double> q(n), c(n);
-            std::uint64_t sat = 0, flush = 0, sat_c = 0, flush_c = 0;
-            scalar.quantizeSpan(k, in.data(), div, q.data(), n, false,
-                                &sat, &flush);
-            scalar.quantizeSpan(k, in.data(), div, c.data(), n, true,
-                                &sat_c, &flush_c);
+            std::vector<double> q(n);
+            std::uint64_t sat = 0, flush = 0;
+            scalar.quantizeSpan(k, in.data(), div, q.data(), n, &sat,
+                                &flush);
             std::uint64_t want_sat = 0, want_flush = 0;
             for (std::size_t i = 0; i < n; ++i) {
                 const double x = div == 1.0 ? in[i] : in[i] / div;
                 const double want = quantizeRef(*fmt, x);
                 ASSERT_EQ(dbits(q[i]), dbits(want))
                     << "i=" << i << " div=" << div << " in=" << in[i];
-                ASSERT_EQ(dbits(c[i]),
-                          dbits(decodeRef(*fmt, encodeRef(*fmt, x))))
-                    << "canonical i=" << i << " div=" << div;
                 want_sat += std::fabs(x) > fmt->maxFinite();
                 want_flush += x != 0.0 && want == 0.0;
             }
             EXPECT_EQ(sat, want_sat) << "div=" << div;
             EXPECT_EQ(flush, want_flush) << "div=" << div;
-            EXPECT_EQ(sat_c, want_sat) << "div=" << div;
-            EXPECT_EQ(flush_c, want_flush) << "div=" << div;
         }
     }
 }
@@ -735,8 +667,6 @@ TEST(Dispatch, ActiveTableIsAvailableAndGapFilled)
         if (!t)
             continue;
         EXPECT_NE(t->quantizeSpan, nullptr) << isaName(isa);
-        EXPECT_NE(t->decodeLutSpan, nullptr) << isaName(isa);
-        EXPECT_NE(t->encodeScaledSpan, nullptr) << isaName(isa);
         EXPECT_NE(t->absMax, nullptr) << isaName(isa);
         EXPECT_NE(t->scaleSpan, nullptr) << isaName(isa);
         EXPECT_NE(t->logAbsStats, nullptr) << isaName(isa);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "numerics/error.hh"
 #include "numerics/gemm.hh"
 #include "obs/registry.hh"
+#include "ref_quantize.hh"
 
 namespace dsv3::numerics {
 namespace {
@@ -221,18 +223,6 @@ dbits(double x)
     return std::bit_cast<std::uint64_t>(x);
 }
 
-/** numerics.quantize.{values,saturated,flushed_to_zero} as read now. */
-std::vector<std::uint64_t>
-quantizeTallies()
-{
-    std::vector<std::uint64_t> v;
-    for (const char *name :
-         {"numerics.quantize.values", "numerics.quantize.saturated",
-          "numerics.quantize.flushed_to_zero"})
-        v.push_back(obs::Registry::global().counter(name).value());
-    return v;
-}
-
 std::vector<std::uint64_t>
 minus(std::vector<std::uint64_t> a, const std::vector<std::uint64_t> &b)
 {
@@ -274,10 +264,10 @@ edgeOperand(std::size_t rows, std::size_t cols, std::uint64_t seed,
 }
 
 /**
- * The packing path against QuantizedMatrix: raw values (NaN lanes
- * included) and scales bit for bit, the same numerics.quantize.*
- * tallies, and, on finite inputs, gemmQuantized bit-equal to
- * gemmQuantizedRef.
+ * The packing path against refQuantize: raw values (NaN lanes
+ * included) and scales bit for bit, pad columns untouched, and the
+ * numerics.quantize.* tallies of the longhand count; on finite inputs,
+ * gemmQuantized bit-equal to gemmQuantizedRef.
  */
 TEST(GemmQuantized, PackingMatchesQuantizedMatrix)
 {
@@ -305,25 +295,26 @@ TEST(GemmQuantized, PackingMatchesQuantizedMatrix)
                 const std::vector<double> scales =
                     packQuantized(b, *fmt, g, 128, packed.data(), ld);
                 const auto t1 = quantizeTallies();
-                const QuantizedMatrix q(b, *fmt, g, 128);
-                const auto t2 = quantizeTallies();
-                EXPECT_EQ(minus(t1, t0), minus(t2, t1)) << what;
-                saturated += t1[1] - t0[1];
-                flushed += t1[2] - t0[2];
+                const RefQuantized ref = refQuantize(b, *fmt, g, 128);
+                EXPECT_EQ(minus(t1, t0), ref.tallies) << what;
+                saturated += ref.tallies[1];
+                flushed += ref.tallies[2];
 
-                std::vector<double> raw(sh.k * sh.n);
-                q.decodeRawInto(raw.data());
+                bool nan_lane = false;
                 for (std::size_t r = 0; r < sh.k; ++r) {
-                    for (std::size_t c = 0; c < sh.n; ++c)
-                        ASSERT_EQ(dbits(packed[r * ld + c]),
-                                  dbits(raw[r * sh.n + c]))
+                    for (std::size_t c = 0; c < sh.n; ++c) {
+                        const double want = ref.raw[r * sh.n + c];
+                        nan_lane |= std::isnan(want);
+                        ASSERT_EQ(dbits(packed[r * ld + c]), dbits(want))
                             << what << " (" << r << "," << c << ")";
+                    }
                     for (std::size_t c = sh.n; c < ld; ++c)
                         ASSERT_EQ(packed[r * ld + c], -7.0) << what;
                 }
-                ASSERT_EQ(scales.size(), q.scaleGrid().size()) << what;
+                EXPECT_TRUE(nan_lane) << what;
+                ASSERT_EQ(scales.size(), ref.scales.size()) << what;
                 for (std::size_t i = 0; i < scales.size(); ++i)
-                    ASSERT_EQ(dbits(scales[i]), dbits(q.scaleGrid()[i]))
+                    ASSERT_EQ(dbits(scales[i]), dbits(ref.scales[i]))
                         << what << " scale " << i;
             }
         }
@@ -352,17 +343,21 @@ TEST(GemmQuantized, PackingMatchesQuantizedMatrix)
                     const Granularity gb = fine
                         ? Granularity::BLOCK_128X128
                         : Granularity::PER_TENSOR;
-                    (void)QuantizedMatrix(a, *fmt, ga, opt.tileK);
-                    (void)QuantizedMatrix(b, *fmt, gb, opt.tileK);
-                    const auto t2 = quantizeTallies();
-                    EXPECT_EQ(minus(t1, t0), minus(t2, t1)) << what;
+                    std::vector<std::uint64_t> want =
+                        refQuantize(a, *fmt, ga, opt.tileK).tallies;
+                    const std::vector<std::uint64_t> want_b =
+                        refQuantize(b, *fmt, gb, opt.tileK).tallies;
+                    for (std::size_t i = 0; i < want.size(); ++i)
+                        want[i] += want_b[i];
+                    EXPECT_EQ(minus(t1, t0), want) << what;
                     if (!finite)
                         continue;
-                    const Matrix want = gemmQuantizedRef(a, b, opt);
+                    const Matrix ref = gemmQuantizedRef(a, b, opt);
+                    EXPECT_EQ(quantizeTallies(), t1) << what;
                     for (std::size_t r = 0; r < sh.m; ++r)
                         for (std::size_t c = 0; c < sh.n; ++c)
                             ASSERT_EQ(dbits(got.at(r, c)),
-                                      dbits(want.at(r, c)))
+                                      dbits(ref.at(r, c)))
                                 << what << " (" << r << "," << c << ")";
                 }
             }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hh"
 #include "numerics/error.hh"
@@ -24,15 +25,22 @@ randomMatrix(std::size_t r, std::size_t c, std::uint64_t seed,
     return m;
 }
 
+/** packQuantized()'s scale grid of @p m, in E4M3 at 128-wide tiles. */
+std::vector<double>
+scaleGrid(const Matrix &m, Granularity g)
+{
+    std::vector<double> raw(m.rows() * m.cols());
+    return packQuantized(m, kE4M3, g, 128, raw.data(), m.cols());
+}
+
 TEST(Quantize, ScaleCountPerGranularity)
 {
     Matrix m = randomMatrix(256, 512, 1);
-    QuantizedMatrix per_tensor(m, kE4M3, Granularity::PER_TENSOR);
-    QuantizedMatrix tiles(m, kE4M3, Granularity::TILE_1X128);
-    QuantizedMatrix blocks(m, kE4M3, Granularity::BLOCK_128X128);
-    EXPECT_EQ(per_tensor.scaleCount(), 1u);
-    EXPECT_EQ(tiles.scaleCount(), 256u * 4u);  // 512/128 tiles per row
-    EXPECT_EQ(blocks.scaleCount(), 2u * 4u);   // 256/128 x 512/128
+    EXPECT_EQ(scaleGrid(m, Granularity::PER_TENSOR).size(), 1u);
+    // 512/128 tiles per row
+    EXPECT_EQ(scaleGrid(m, Granularity::TILE_1X128).size(), 256u * 4u);
+    // 256/128 x 512/128
+    EXPECT_EQ(scaleGrid(m, Granularity::BLOCK_128X128).size(), 2u * 4u);
 }
 
 TEST(Quantize, DequantizedShapeMatches)
@@ -49,7 +57,7 @@ TEST(Quantize, TileAmaxMapsToMaxCode)
     // The largest |element| of each tile must be reproduced exactly
     // (it maps to the format's maxFinite).
     Matrix m = randomMatrix(4, 256, 3);
-    QuantizedMatrix q(m, kE4M3, Granularity::TILE_1X128);
+    const Matrix deq = fakeQuantize(m, kE4M3, Granularity::TILE_1X128);
     for (std::size_t r = 0; r < m.rows(); ++r) {
         for (std::size_t tile = 0; tile < 2; ++tile) {
             double amax = 0.0;
@@ -61,7 +69,7 @@ TEST(Quantize, TileAmaxMapsToMaxCode)
                     arg = c;
                 }
             }
-            EXPECT_NEAR(std::fabs(q.value(r, arg)), amax,
+            EXPECT_NEAR(std::fabs(deq.at(r, arg)), amax,
                         amax * 1e-12);
         }
     }
@@ -114,29 +122,31 @@ TEST(Quantize, NonMultipleTileWidth)
 {
     // 200 columns = one full tile + a 72-wide remainder tile.
     Matrix m = randomMatrix(4, 200, 7);
-    QuantizedMatrix q(m, kE4M3, Granularity::TILE_1X128);
-    EXPECT_EQ(q.scaleCount(), 4u * 2u);
-    Matrix deq = q.dequantize();
+    EXPECT_EQ(scaleGrid(m, Granularity::TILE_1X128).size(), 4u * 2u);
+    Matrix deq = fakeQuantize(m, kE4M3, Granularity::TILE_1X128);
     EXPECT_LT(relL2Error(deq, m), 0.05);
-}
-
-TEST(Quantize, CodeBytesMatchElementCount)
-{
-    Matrix m = randomMatrix(8, 128, 8);
-    QuantizedMatrix q8(m, kE4M3, Granularity::TILE_1X128);
-    EXPECT_EQ(q8.codeBytes(), 8u * 128u); // 1 byte per FP8 code
-    QuantizedMatrix q16(m, kBF16, Granularity::TILE_1X128);
-    EXPECT_EQ(q16.codeBytes(), 8u * 128u * 2u);
 }
 
 TEST(Quantize, BlockScaleSharedWithinBlock)
 {
     Matrix m = randomMatrix(256, 256, 9);
-    QuantizedMatrix q(m, kE4M3, Granularity::BLOCK_128X128);
-    EXPECT_DOUBLE_EQ(q.scale(0, 0), q.scale(127, 127));
-    EXPECT_DOUBLE_EQ(q.scale(0, 128), q.scale(100, 255));
+    std::vector<double> raw(256 * 256);
+    const std::vector<double> grid = packQuantized(
+        m, kE4M3, Granularity::BLOCK_128X128, 128, raw.data(), 256);
+    const Matrix deq = fakeQuantize(m, kE4M3, Granularity::BLOCK_128X128);
+    ASSERT_EQ(grid.size(), 4u);
+    // Each element dequantizes by its own block's one scale.
+    const struct
+    {
+        std::size_t r, c, block;
+    } cells[] = {{0, 0, 0}, {127, 127, 0}, {0, 128, 1}, {100, 255, 1},
+                 {128, 0, 2}, {255, 127, 2}, {128, 128, 3}, {255, 255, 3}};
+    for (const auto &cell : cells)
+        EXPECT_EQ(deq.at(cell.r, cell.c),
+                  raw[cell.r * 256 + cell.c] * grid[cell.block])
+            << cell.r << "," << cell.c;
     // Different blocks, (almost surely) different scales.
-    EXPECT_NE(q.scale(0, 0), q.scale(128, 128));
+    EXPECT_NE(grid[0], grid[3]);
 }
 
 TEST(Quantize, GranularityNames)

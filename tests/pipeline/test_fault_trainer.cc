@@ -155,6 +155,43 @@ TEST(FaultTrainer, MonteCarloMatchesYoungDaly)
     EXPECT_GE(mc.maxGoodput, mc.meanGoodput);
 }
 
+/**
+ * The Sec 6.1 bench's Monte-Carlo table, with its arguments: 2,048 and
+ * 16,384 GPUs, no hardware SDC detection, 8 trials, seed 2025, 25
+ * cluster MTBFs. Some row is in the valid regime, every valid-regime
+ * row is within 5% of Young/Daly, and a second run with the same
+ * arguments reproduces every row.
+ */
+TEST(FaultTrainer, BenchMonteCarloTableMatchesYoungDalyAndRepeats)
+{
+    std::size_t valid_rows = 0;
+    for (std::size_t gpus : {2048u, 16384u}) {
+        ReliabilityParams p;
+        p.gpus = gpus;
+        const MonteCarloReliability mc =
+            runMonteCarloReliability(p, false, 8, 2025, 25.0);
+        const MonteCarloReliability again =
+            runMonteCarloReliability(p, false, 8, 2025, 25.0);
+        EXPECT_EQ(mc.trials, 8u) << gpus;
+        EXPECT_EQ(again.trials, mc.trials) << gpus;
+        EXPECT_EQ(again.meanGoodput, mc.meanGoodput) << gpus;
+        EXPECT_EQ(again.minGoodput, mc.minGoodput) << gpus;
+        EXPECT_EQ(again.maxGoodput, mc.maxGoodput) << gpus;
+        EXPECT_EQ(again.analyticGoodput, mc.analyticGoodput) << gpus;
+        EXPECT_EQ(again.relError, mc.relError) << gpus;
+        EXPECT_EQ(again.meanFailures, mc.meanFailures) << gpus;
+        EXPECT_EQ(again.analytic.optimalCheckpointSec,
+                  mc.analytic.optimalCheckpointSec) << gpus;
+        EXPECT_EQ(again.analytic.validRegime, mc.analytic.validRegime)
+            << gpus;
+        if (!mc.analytic.validRegime)
+            continue;
+        ++valid_rows;
+        EXPECT_LT(mc.relError, 0.05) << gpus;
+    }
+    EXPECT_GE(valid_rows, 1u);
+}
+
 TEST(FaultTrainer, MonteCarloIsDeterministicAcrossThreadCounts)
 {
     ReliabilityParams p;
