@@ -12,7 +12,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/units.hh"
@@ -423,18 +425,19 @@ BM_KvPagerChurn(benchmark::State &state)
     cfg.budgetBytes = 64.0 * 1024 * 1024 * 1024;
     cfg.bytesPerToken =
         model::kvCacheBytesPerToken(model::deepSeekV3());
+    std::vector<std::uint32_t> held(256, 0);
     for (auto _ : state) {
         KvPager pager(cfg);
         std::size_t resident = 0;
         for (std::size_t s = 0; s < 256; ++s)
-            if (!pager.tryAllocate(s, 4096))
+            if (!pager.tryAllocate(held[s], 4096))
                 break;
             else
                 ++resident;
         for (std::size_t s = 0; s < resident; ++s)
-            pager.tryGrow(s, 4352);
+            pager.tryGrow(held[s], 4352);
         for (std::size_t s = 0; s < resident; ++s)
-            pager.release(s);
+            pager.release(held[s]);
         benchmark::DoNotOptimize(pager.usedBlocks());
     }
     state.SetItemsProcessed(state.iterations() * 768);

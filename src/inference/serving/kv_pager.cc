@@ -1,9 +1,6 @@
 #include "inference/serving/kv_pager.hh"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/logging.hh"
 
 namespace dsv3::inference::serving {
 
@@ -17,7 +14,11 @@ KvPager::KvPager(const KvPagerConfig &config) : config_(config)
     DSV3_ASSERT(config.bytesPerToken > 0.0,
                 "paged KV needs a per-token byte cost");
     blockBytes_ = config.bytesPerToken * (double)config.blockTokens;
-    total_ = (std::size_t)(config.budgetBytes / blockBytes_);
+    const double blocks = config.budgetBytes / blockBytes_;
+    DSV3_ASSERT(blocks < 0x1p32, "KV budget of ", blocks,
+                " blocks overflows the 32-bit per-sequence block "
+                "counts");
+    total_ = (std::size_t)blocks;
 }
 
 std::size_t
@@ -33,45 +34,18 @@ KvPager::fitsEver(std::size_t tokens) const
 }
 
 bool
-KvPager::allocateSlow(std::size_t seq, std::size_t tokens)
+KvPager::growSlow(std::uint32_t &held, std::size_t tokens)
 {
-    DSV3_ASSERT(held_.find(seq) == nullptr,
-                "sequence already resident in pager");
     const std::size_t need = blocksFor(tokens);
-    if (need > freeBlocks())
-        return false;
-    held_.insert(seq, need);
-    used_ += need;
-    highWater_ = std::max(highWater_, used_);
-    return true;
-}
-
-bool
-KvPager::growSlow(std::size_t seq, std::size_t tokens)
-{
-    std::size_t *held = held_.find(seq);
-    DSV3_ASSERT(held != nullptr, "growing a non-resident sequence");
-    const std::size_t need = blocksFor(tokens);
-    if (need <= *held)
+    if (need <= held)
         return true;
-    const std::size_t extra = need - *held;
+    const std::size_t extra = need - held;
     if (extra > freeBlocks())
         return false;
-    *held = need;
+    held = (std::uint32_t)need;
     used_ += extra;
     highWater_ = std::max(highWater_, used_);
     return true;
-}
-
-void
-KvPager::releaseSlow(std::size_t seq)
-{
-    std::size_t *held = held_.find(seq);
-    if (held == nullptr)
-        return;
-    DSV3_ASSERT(used_ >= *held);
-    used_ -= *held;
-    held_.erase(seq);
 }
 
 } // namespace dsv3::inference::serving

@@ -13,15 +13,24 @@
  * every step; a failed growth triggers preemption of the youngest
  * resident sequence.
  *
- * Invariant: usedBytes() never exceeds budgetBytes — there is no
- * overcommit path.
+ * The pager keeps only block totals. Each sequence's block count is
+ * the caller's (the simulator keeps one per request id, in a vector
+ * beside its request table) and is passed by reference: tryAllocate()
+ * needs it at 0, tryGrow() raises it, and release() returns its blocks
+ * to the pool and sets it to 0. An unlimited pager leaves it at 0.
+ * Counts are 32-bit, so the constructor rejects a budget of 2^32 or
+ * more blocks.
+ *
+ * Invariant: usedBlocks() is the sum of the counts handed out, and
+ * usedBytes() never exceeds budgetBytes — there is no overcommit path.
  */
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
-#include "common/flat_hash.hh"
+#include "common/logging.hh"
 
 namespace dsv3::inference::serving {
 
@@ -53,9 +62,21 @@ class KvPager
     bool fitsEver(std::size_t tokens) const;
 
     /**
-     * Reserve blocksFor(tokens) for a new sequence. Returns false
-     * (allocating nothing) if the free pool is short. @p seq must not
-     * already hold blocks.
+     * Reserve blocksFor(tokens) for a new sequence whose count
+     * @p held is 0. Returns false (allocating nothing) if the free
+     * pool is short.
+     */
+    bool
+    tryAllocate(std::uint32_t &held, std::size_t tokens)
+    {
+        DSV3_ASSERT(held == 0, "sequence already resident in pager");
+        return tryGrow(held, tokens);
+    }
+
+    /**
+     * Extend a reservation of @p held blocks to cover @p tokens.
+     * Growth is all-or-nothing; returns false if the extra blocks
+     * don't fit.
      *
      * The unlimited (budget 0) configuration is the common case in
      * closed-loop studies and is checked inline: the simulator calls
@@ -63,38 +84,24 @@ class KvPager
      * fast path must not cost a function call.
      */
     bool
-    tryAllocate(std::size_t seq, std::size_t tokens)
+    tryGrow(std::uint32_t &held, std::size_t tokens)
     {
         if (unlimited_)
             return true;
-        return allocateSlow(seq, tokens);
+        return growSlow(held, tokens);
     }
 
-    /**
-     * Extend @p seq's reservation to cover @p tokens. Growth is
-     * all-or-nothing; returns false if the extra blocks don't fit.
-     */
-    bool
-    tryGrow(std::size_t seq, std::size_t tokens)
-    {
-        if (unlimited_)
-            return true;
-        return growSlow(seq, tokens);
-    }
-
-    /** Release every block @p seq holds (no-op if it holds none). */
+    /** Return the @p held blocks to the pool and set @p held to 0. */
     void
-    release(std::size_t seq)
+    release(std::uint32_t &held)
     {
-        if (unlimited_)
-            return;
-        releaseSlow(seq);
+        DSV3_ASSERT(used_ >= held);
+        used_ -= held;
+        held = 0;
     }
 
   private:
-    bool allocateSlow(std::size_t seq, std::size_t tokens);
-    bool growSlow(std::size_t seq, std::size_t tokens);
-    void releaseSlow(std::size_t seq);
+    bool growSlow(std::uint32_t &held, std::size_t tokens);
 
     KvPagerConfig config_;
     bool unlimited_ = false;
@@ -102,11 +109,6 @@ class KvPager
     std::size_t total_ = 0;
     std::size_t used_ = 0;
     std::size_t highWater_ = 0;
-    /** seq id -> held blocks; flat so the per-step growth probe stays
-     *  a contiguous scan instead of an unordered_map node chase, with
-     *  the one-multiply hasher because sequence ids are small and
-     *  dense and this probes once per resident per decode step. */
-    FlatHashMap<std::size_t, std::size_t, FlatHashFibonacci> held_;
 };
 
 } // namespace dsv3::inference::serving

@@ -4,13 +4,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <numeric>
 #include <queue>
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/small_vec.hh"
 #include "common/stats.hh"
 #include "common/winner_tree.hh"
 #include "ep/deepep.hh"
@@ -18,7 +18,6 @@
 #include "inference/roofline.hh"
 #include "inference/serving/kv_pager.hh"
 #include "model/kv_cache.hh"
-#include "obs/batch.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/registry.hh"
 #include "obs/timeline.hh"
@@ -255,9 +254,9 @@ struct PrefillJob
 
 struct Engine
 {
-    SmallVec<std::size_t, 8> resident; //!< admission order (oldest first)
-    FlatDeque<std::size_t> ready;
-    FlatDeque<PrefillJob> prefillQ; //!< COLOCATED only
+    std::vector<std::size_t> resident; //!< admission order (oldest first)
+    std::deque<std::size_t> ready;
+    std::deque<PrefillJob> prefillQ; //!< COLOCATED only
     KvPager pager;
     EngineWork work = EngineWork::IDLE;
     bool lastWasPrefill = false;
@@ -325,6 +324,9 @@ struct ReqState
     bool outstanding = false;     //!< counted toward the shed cap
     std::size_t attempts = 0;     //!< failovers consumed so far
 };
+// The commit loop walks ReqStates in resident order, and growing one
+// past 160 bytes slowed it (DESIGN.md "Hot-loop containers").
+static_assert(sizeof(ReqState) <= 160, "keep ReqState within 160 bytes");
 
 /** Uniform [0, 1) from a hash key (no shared RNG state, so chaos
  *  jitter draws cannot perturb the MTP/trace streams). */
@@ -506,6 +508,7 @@ class Simulation
             st.decodeNeeded = r.genTokens > 0 ? r.genTokens - 1 : 0;
             reqs_.push_back(st);
         }
+        kvBlocks_.assign(reqs_.size(), 0);
         closedLoop_ = traffic.process == ArrivalProcess::CLOSED_LOOP;
         nextPending_ = reqs_.size();
         if (closedLoop_) {
@@ -627,23 +630,24 @@ class Simulation
         // Registered (and therefore present in the stats snapshot)
         // only when a cascade actually happened, exactly like the
         // seed's per-cascade add.
-        if (preemptDepths_.pending() > 0) {
+        if (!preemptDepths_.empty()) {
             static obs::Distribution &d_depth =
                 obs::Registry::global().distribution(
                     "inference.serving.preempt_depth", 0.0, 32.0, 16);
-            preemptDepths_.flushTo(d_depth);
+            for (double depth : preemptDepths_)
+                d_depth.add(depth);
         }
         return collect();
     }
 
-    /** One-shot flush of the step-cost memo counters (batched locally;
+    /** One-shot flush of the step-cost memo counts (plain members;
      *  the hot loop never touches an atomic). */
     void
     flushCacheStats(obs::Counter &hits, obs::Counter &misses,
                     obs::Counter &entries)
     {
-        cacheHits_.flushTo(hits);
-        cacheMisses_.flushTo(misses);
+        hits.inc(cacheHits_);
+        misses.inc(cacheMisses_);
         entries.inc(cacheEntries_);
     }
 
@@ -712,7 +716,7 @@ class Simulation
             std::llround(std::max(avgContextTokens, 1.0));
         if (!stepCacheOn_ || batch >= (std::size_t(1) << 24) ||
             ctx >= (1ll << 40)) {
-            cacheMisses_.inc();
+            ++cacheMisses_;
             return decodeStepBreakdown(fleet_, batch,
                                        avgContextTokens, scale);
         }
@@ -727,10 +731,10 @@ class Simulation
             stepCache_[hashCombine(hashU64(key), scale_bits) &
                        (stepCache_.size() - 1)];
         if (slot.key == key && slot.scaleBits == scale_bits) {
-            cacheHits_.inc();
+            ++cacheHits_;
             return slot.bd;
         }
-        cacheMisses_.inc();
+        ++cacheMisses_;
         if (slot.key == 0)
             ++cacheEntries_;
         slot.key = key;
@@ -1111,13 +1115,12 @@ class Simulation
         lost.reserve(e.resident.size() + e.ready.size() +
                      e.prefillQ.size());
         for (std::size_t id : e.resident) {
-            e.pager.release(id);
+            e.pager.release(kvBlocks_[id]);
             lost.push_back(id);
         }
-        for (std::size_t i = 0; i < e.ready.size(); ++i)
-            lost.push_back(e.ready[i]);
-        for (std::size_t i = 0; i < e.prefillQ.size(); ++i)
-            lost.push_back(e.prefillQ[i].id);
+        lost.insert(lost.end(), e.ready.begin(), e.ready.end());
+        for (const PrefillJob &job : e.prefillQ)
+            lost.push_back(job.id);
         e.resident.clear();
         e.ctxSum = 0;
         e.ready.clear();
@@ -1449,7 +1452,7 @@ class Simulation
                 reject(id, t);
                 continue;
             }
-            if (!e.pager.tryAllocate(id, ctxTokens(st)))
+            if (!e.pager.tryAllocate(kvBlocks_[id], ctxTokens(st)))
                 break; // OOM: retry at the next step boundary
             e.ready.pop_front();
             e.resident.push_back(id);
@@ -1676,11 +1679,11 @@ class Simulation
             }
             e.ctxSum -= ctxTokens(st);
             if constexpr (kPaged)
-                e.pager.release(id);
+                e.pager.release(kvBlocks_[id]);
             complete(id, span.end);
         }
         e.ctxSum += step_tokens;
-        e.resident.truncate(kept);
+        e.resident.resize(kept);
         reindex(eng);
         decodeTokens_ += step_tokens;
         if (double *win = goodputWindow(span.end))
@@ -1719,7 +1722,8 @@ class Simulation
         const std::size_t id = e.resident[i];
         std::size_t cascade = 0;
         bool grown = true;
-        while (!e.pager.tryGrow(id, ctxTokens(reqs_[id]) + tokens)) {
+        while (!e.pager.tryGrow(kvBlocks_[id],
+                                ctxTokens(reqs_[id]) + tokens)) {
             ++cascade;
             if (end == i + 1) {
                 preempt(eng, id, span.end);
@@ -1731,7 +1735,7 @@ class Simulation
             preempt(eng, victim, span.end);
         }
         if (cascade > 0)
-            preemptDepths_.add((double)cascade);
+            preemptDepths_.push_back((double)cascade);
         return grown;
     }
 
@@ -1740,7 +1744,7 @@ class Simulation
     {
         Engine &e = engines_[eng];
         e.ctxSum -= ctxTokens(reqs_[id]); // still resident here
-        e.pager.release(id);
+        e.pager.release(kvBlocks_[id]);
         ++preemptions_;
         // Recompute path: the sequence's KV is rebuilt by a fresh
         // prefill over prompt + generated-so-far, then it re-enters
@@ -2009,6 +2013,10 @@ class Simulation
     std::uint64_t chaosSeed_;       //!< jitter/lottery hash base
 
     std::vector<ReqState> reqs_;
+    /** KV blocks each request holds on its engine's pager. A side
+     *  array, not a ReqState field: see DESIGN.md "Hot-loop
+     *  containers" for what growing ReqState cost. */
+    std::vector<std::uint32_t> kvBlocks_;
     std::vector<Engine> engines_;
     std::vector<EngineSlot> slots_; //!< parked per-engine events
     /** (time, order) of each live slot; top() is the earliest. */
@@ -2033,15 +2041,15 @@ class Simulation
     std::vector<StepSlot> stepCache_;
     std::size_t cacheEntries_ = 0;
     bool stepCacheOn_ = true;
-    obs::CounterBatch cacheHits_;
-    obs::CounterBatch cacheMisses_;
+    std::uint64_t cacheHits_ = 0;
+    std::uint64_t cacheMisses_ = 0;
 
     // Scratch reused across failovers.
     std::vector<std::size_t> lostScratch_;
-    obs::DistributionBatch preemptDepths_;
+    std::vector<double> preemptDepths_; //!< one per preemption cascade
 
     // Disaggregated prefill pool.
-    FlatDeque<PrefillJob> prefillQ_;
+    std::deque<PrefillJob> prefillQ_;
     std::size_t prefillBusy_ = 0;
 
     bool closedLoop_ = false;
@@ -2070,8 +2078,8 @@ class Simulation
     std::size_t minLive_ = 0;  //!< low-water reachable count
     std::uint64_t stepSeq_ = 0; //!< retry-lottery stream per step
     std::vector<std::pair<double, int>> liveLog_; //!< (t, +-1)
-    FlatDeque<std::size_t> waitingReady_;  //!< fleet-wide parked
-    FlatDeque<std::size_t> waitingPrefill_; //!< COLOCATED parked
+    std::deque<std::size_t> waitingReady_;  //!< fleet-wide parked
+    std::deque<std::size_t> waitingPrefill_; //!< COLOCATED parked
 
     // Observability state.
     double nextSample_ = 0.0;        //!< next flight-recorder tick

@@ -91,6 +91,9 @@ RouteCache::enabled()
 {
     int state = g_enabled.load(std::memory_order_relaxed);
     if (state < 0) {
+        // Register the counters with the switch, so a run with the
+        // cache off reports them as 0 instead of leaving them out.
+        cacheStats();
         const char *env = std::getenv("DSV3_ROUTE_CACHE");
         state = (env && (std::strcmp(env, "0") == 0 ||
                          std::strcmp(env, "off") == 0))
@@ -104,6 +107,7 @@ RouteCache::enabled()
 void
 RouteCache::setEnabled(bool enabled)
 {
+    cacheStats();
     g_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 

@@ -38,8 +38,9 @@
  * of its sets lets go. Sets are immutable once published, which is
  * what makes sharing them across flows, calls and threads safe.
  *
- * Counters: net.route_cache.{hits,misses,evictions}. The fill path
- * carries a trace span. Disable with DSV3_ROUTE_CACHE=0 (or
+ * Counters: net.route_cache.{hits,misses,evictions}, registered once
+ * the switch is read or set, so they read 0 with the cache off. The
+ * fill path carries a trace span. Disable with DSV3_ROUTE_CACHE=0 (or
  * setEnabled(false)); the callers then fill one call-local arena with
  * the same sets, whose misses share the same per-source DAG.
  */

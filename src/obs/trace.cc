@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -47,26 +46,10 @@ struct Collector
     std::vector<std::unique_ptr<ThreadBuffer>> buffers;
     std::atomic<std::uint64_t> virtualClock{0};
     std::atomic<std::size_t> dropped{0};
-    std::atomic<std::size_t> maxEventsPerThread{[] {
-        const char *env = std::getenv("DSV3_TRACE_MAX_EVENTS");
-        if (env && *env) {
-            std::size_t cap = (std::size_t)std::strtoull(env, nullptr, 10);
-            if (cap > 0)
-                return cap;
-        }
-        return kDefaultMaxEventsPerThread;
-    }()};
-    std::atomic<bool> enabled{[] {
-        const char *env = std::getenv("DSV3_TRACE");
-        return env && std::string(env) != "0" &&
-               std::string(env) != "";
-    }()};
-    std::atomic<TraceClock> clock{[] {
-        const char *env = std::getenv("DSV3_TRACE_CLOCK");
-        return (env && std::string(env) == "virtual")
-                   ? TraceClock::VIRTUAL
-                   : TraceClock::WALL;
-    }()};
+    std::atomic<std::size_t> maxEventsPerThread{
+        kDefaultMaxEventsPerThread};
+    std::atomic<bool> enabled{false};
+    std::atomic<TraceClock> clock{TraceClock::WALL};
     std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
 };

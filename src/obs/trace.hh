@@ -23,12 +23,11 @@
  * (real profiling); VIRTUAL assigns each begin/end the next value of a
  * global tick counter, making the exported trace byte-deterministic
  * for single-threaded runs -- reproducibility tests and sim-time-style
- * traces use this. Select via setTraceClock() or DSV3_TRACE_CLOCK=
- * wall|virtual.
+ * traces use this. Select via setTraceClock().
  *
- * Env control: DSV3_TRACE=1 (or any value but "0") enables collection
- * at startup; bench binaries also accept --trace=<path>, which enables
- * collection and writes the merged trace on exit.
+ * Collection is off until setTraceEnabled(true); bench binaries take
+ * --trace=<path>, which enables collection and writes the merged trace
+ * on exit.
  */
 
 #pragma once
@@ -61,8 +60,8 @@ std::size_t traceEventCount();
 /**
  * Per-thread buffered-event cap. Spans recorded past the cap are
  * dropped (warned once, counted in "obs.trace.dropped") so long
- * sweeps cannot grow the buffer without bound. Default 1<<22, or
- * DSV3_TRACE_MAX_EVENTS at startup; 0 restores the default.
+ * sweeps cannot grow the buffer without bound. Default 1<<22; 0
+ * restores the default.
  */
 void setTraceMaxEventsPerThread(std::size_t cap);
 std::size_t traceMaxEventsPerThread();

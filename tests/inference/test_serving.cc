@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <string>
@@ -174,6 +175,7 @@ TEST(ServingKvPager, BudgetNeverExceededUnderRandomOps)
     Rng rng(17);
     std::vector<std::size_t> live;
     std::vector<std::size_t> tokens(4096, 0);
+    std::vector<std::uint32_t> held(4096, 0);
     std::size_t next_id = 0;
     for (int op = 0; op < 20000; ++op) {
         ASSERT_LE(pager.usedBytes(), budget);
@@ -185,7 +187,7 @@ TEST(ServingKvPager, BudgetNeverExceededUnderRandomOps)
             std::size_t toks =
                 64 + (std::size_t)rng.nextBounded(8192);
             if (id < tokens.size() &&
-                pager.tryAllocate(id, toks)) {
+                pager.tryAllocate(held[id], toks)) {
                 tokens[id] = toks;
                 live.push_back(id);
             }
@@ -194,18 +196,72 @@ TEST(ServingKvPager, BudgetNeverExceededUnderRandomOps)
                 (std::size_t)rng.nextBounded(live.size());
             std::size_t id = live[pick];
             tokens[id] += 1 + (std::size_t)rng.nextBounded(256);
-            if (!pager.tryGrow(id, tokens[id])) {
-                pager.release(id);
+            if (!pager.tryGrow(held[id], tokens[id])) {
+                pager.release(held[id]);
                 live.erase(live.begin() + (std::ptrdiff_t)pick);
             }
         } else {
             std::size_t pick =
                 (std::size_t)rng.nextBounded(live.size());
-            pager.release(live[pick]);
+            pager.release(held[live[pick]]);
             live.erase(live.begin() + (std::ptrdiff_t)pick);
         }
     }
     EXPECT_GT(pager.highWaterBlocks(), 0u);
+    std::size_t held_sum = 0;
+    for (std::uint32_t h : held)
+        held_sum += h;
+    EXPECT_EQ(pager.usedBlocks(), held_sum);
+}
+
+/** 16-token blocks of 100 bytes per token, 10 blocks in all. */
+KvPager
+tenBlockPager()
+{
+    KvPagerConfig cfg;
+    cfg.budgetBytes = 16000.0;
+    cfg.bytesPerToken = 100.0;
+    cfg.blockTokens = 16;
+    return KvPager(cfg);
+}
+
+TEST(ServingKvPager, ReleaseReturnsHeldBlocksAndZeroesCount)
+{
+    KvPager pager = tenBlockPager();
+    std::uint32_t a = 0, b = 0;
+    ASSERT_TRUE(pager.tryAllocate(a, 40)); // 3 blocks
+    ASSERT_TRUE(pager.tryAllocate(b, 20)); // 2 blocks
+    EXPECT_EQ(a, 3u);
+    EXPECT_EQ(b, 2u);
+    EXPECT_EQ(pager.usedBlocks(), 5u);
+    pager.release(a);
+    EXPECT_EQ(a, 0u);
+    EXPECT_EQ(b, 2u);
+    EXPECT_EQ(pager.usedBlocks(), 2u);
+    EXPECT_EQ(pager.freeBlocks(), 8u);
+    EXPECT_EQ(pager.highWaterBlocks(), 5u);
+    // A released count allocates afresh.
+    EXPECT_TRUE(pager.tryAllocate(a, 16));
+    EXPECT_EQ(a, 1u);
+    EXPECT_EQ(pager.usedBlocks(), 3u);
+}
+
+TEST(ServingKvPager, GrowthWithinHeldBlocksTakesNothing)
+{
+    KvPager pager = tenBlockPager();
+    std::uint32_t held = 0;
+    ASSERT_TRUE(pager.tryAllocate(held, 17)); // 2 blocks
+    EXPECT_TRUE(pager.tryGrow(held, 32));
+    EXPECT_TRUE(pager.tryGrow(held, 5));
+    EXPECT_EQ(held, 2u);
+    EXPECT_EQ(pager.usedBlocks(), 2u);
+    EXPECT_TRUE(pager.tryGrow(held, 33));
+    EXPECT_EQ(held, 3u);
+    EXPECT_EQ(pager.usedBlocks(), 3u);
+    // All-or-nothing: 11 blocks do not fit, and nothing moves.
+    EXPECT_FALSE(pager.tryGrow(held, 11 * 16));
+    EXPECT_EQ(held, 3u);
+    EXPECT_EQ(pager.usedBlocks(), 3u);
 }
 
 TEST(ServingKvPager, UnlimitedWhenNoBudget)
@@ -213,8 +269,37 @@ TEST(ServingKvPager, UnlimitedWhenNoBudget)
     KvPagerConfig cfg;
     KvPager pager(cfg);
     EXPECT_TRUE(pager.unlimited());
-    EXPECT_TRUE(pager.tryAllocate(1, 1u << 30));
+    std::uint32_t held = 0;
+    EXPECT_TRUE(pager.tryAllocate(held, 1u << 30));
+    EXPECT_TRUE(pager.tryGrow(held, 1u << 31));
+    EXPECT_EQ(held, 0u);
+    pager.release(held);
+    EXPECT_EQ(held, 0u);
+    EXPECT_EQ(pager.usedBlocks(), 0u);
     EXPECT_TRUE(pager.fitsEver(1u << 30));
+}
+
+TEST(ServingKvPagerDeathTest, AllocateIntoNonzeroCountDies)
+{
+    KvPager pager = tenBlockPager();
+    std::uint32_t held = 0;
+    ASSERT_TRUE(pager.tryAllocate(held, 16));
+    EXPECT_DEATH(pager.tryAllocate(held, 16),
+                 "sequence already resident");
+}
+
+TEST(ServingKvPagerDeathTest, BudgetOver32BitBlockCountsRejected)
+{
+    // One byte per block: the budget in bytes is the block count.
+    KvPagerConfig cfg;
+    cfg.bytesPerToken = 1.0;
+    cfg.blockTokens = 1;
+    cfg.budgetBytes = 0x1p32 - 1.0;
+    EXPECT_EQ(KvPager(cfg).totalBlocks(), 0xFFFFFFFFu);
+    cfg.budgetBytes = 0x1p32;
+    EXPECT_DEATH(KvPager{cfg}, "overflows the 32-bit");
+    cfg.budgetBytes = 0x1p40;
+    EXPECT_DEATH(KvPager{cfg}, "overflows the 32-bit");
 }
 
 // Closed-loop convergence ----------------------------------------------
